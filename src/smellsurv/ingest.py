@@ -204,17 +204,11 @@ def _load_report_file(
     Extension decides (.xml vs .json); anything else is sniffed by its first
     non-blank byte.
     """
-    data = path.read_bytes()
     suffix = path.suffix.lower()
-    if suffix == ".xml":
-        flavor = "xml"
-    elif suffix == ".json":
-        flavor = "json"
-    else:
-        head = data.lstrip()[:1]
-        flavor = "xml" if head == b"<" else "json"
-    if flavor == "xml":
-        return parse_pmd_report(data, version_id, strip_prefix).occurrences
+    if suffix != ".json":
+        data = path.read_bytes()
+        if suffix == ".xml" or data.lstrip()[:1] == b"<":
+            return parse_pmd_report(data, version_id, strip_prefix).occurrences
     entities = load_code_model(path)
     occurrences = evaluate_rules(entities, rules, version_id)
     if strip_prefix is None:

@@ -10,7 +10,6 @@ threshold are clean.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -199,10 +198,7 @@ def evaluate_rules(
         for rule in rules:
             if not rule.applies_to(entity.kind):
                 continue
-            value = getattr(entity, rule.metric)
-            if math.isinf(rule.threshold):
-                continue
-            if value > rule.threshold:
+            if getattr(entity, rule.metric) > rule.threshold:
                 occurrences.append(
                     SmellOccurrence(
                         rule=rule.id,

@@ -111,8 +111,15 @@ def median_survival(curve: SurvivalCurve) -> float | None:
 def restricted_mean(curve: SurvivalCurve, tau: float | None = None) -> tuple[float, float]:
     """Area under the survival step function on [0, tau], with its standard
     error from the Greenwood-style variance
-    sum_i area_i^2 * d_i / (n_i * (n_i - d_i)) over event times (terms with
-    n_i == d_i are skipped)."""
+    sum_i A_i^2 * d_i / (n_i * (n_i - d_i)) over event times t_i <= tau,
+    where A_i is the area under S on [t_i, tau] (terms with n_i == d_i are
+    skipped).
+
+    Runs in O(curve points): the step segments are built once, the area is
+    their forward sum, and a suffix sum of the segment areas filled from the
+    back gives each A_i by lookup, since every curve time below tau starts
+    a segment (and A_i is 0 at tau itself).
+    """
     if tau is None:
         tau = curve.tau
     if tau <= 0:
@@ -121,7 +128,6 @@ def restricted_mean(curve: SurvivalCurve, tau: float | None = None) -> tuple[flo
         raise ValueError(f"tau {tau} exceeds the observed horizon {curve.tau}")
 
     # step segments of S on [0, tau]
-    area = 0.0
     prev_time = 0.0
     level = 1.0
     segments = []  # (start, end, level) covering [0, tau]
@@ -136,18 +142,22 @@ def restricted_mean(curve: SurvivalCurve, tau: float | None = None) -> tuple[flo
         segments.append((prev_time, tau, level))
     area = sum((end - start) * lvl for start, end, lvl in segments)
 
+    tail_area = [0.0] * len(segments)  # area under S from segment k's start to tau
+    running = 0.0
+    for k in range(len(segments) - 1, -1, -1):
+        start, end, lvl = segments[k]
+        running += (end - start) * lvl
+        tail_area[k] = running
+
     variance = 0.0
+    k = 0
     for p in curve.points:
-        if p.time_days > tau:
+        if p.time_days >= tau:
             break
-        if p.n_events == 0 or p.n_events >= p.n_at_risk:
-            continue
-        tail_area = sum(
-            (min(end, tau) - max(start, p.time_days)) * lvl
-            for start, end, lvl in segments
-            if end > p.time_days
-        )
-        variance += tail_area**2 * p.n_events / (p.n_at_risk * (p.n_at_risk - p.n_events))
+        while segments[k][0] < p.time_days:
+            k += 1
+        if 0 < p.n_events < p.n_at_risk:
+            variance += tail_area[k] ** 2 * p.n_events / (p.n_at_risk * (p.n_at_risk - p.n_events))
     return area, math.sqrt(variance)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
+from typing import Sequence
 
 from .ingest import History
 from .rules import RuleId, Scope, SmellOccurrence, _RULE_ORDER, scope_of
@@ -76,17 +77,17 @@ def make_key(occurrence: SmellOccurrence, ordinal: int = 0) -> InstanceKey:
     )
 
 
-def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
-    """Keys for one version's occurrences, parallel to the input list.
-
-    Within each (rule, file, entity_path) group, ordinals follow ascending
-    begin_line (occurrences without line info sort first, in input order).
-    """
+def _ordinals(occurrences: Sequence[SmellOccurrence]) -> list[int]:
+    """Ordinal of each occurrence within its (rule, file, entity_path) group,
+    parallel to the input: ascending begin_line, then end_line (occurrences
+    without line info sort first, in input order)."""
     groups: dict[tuple[RuleId, str, str], list[int]] = {}
     for idx, occ in enumerate(occurrences):
         groups.setdefault((occ.rule, occ.file, occ.entity_path), []).append(idx)
-    keys: list[InstanceKey | None] = [None] * len(occurrences)
+    ordinals = [0] * len(occurrences)
     for members in groups.values():
+        if len(members) == 1:
+            continue
         members.sort(
             key=lambda i: (
                 occurrences[i].begin_line if occurrences[i].begin_line is not None else -1,
@@ -94,8 +95,17 @@ def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
             )
         )
         for ordinal, i in enumerate(members):
-            keys[i] = make_key(occurrences[i], ordinal)
-    return keys  # type: ignore[return-value]
+            ordinals[i] = ordinal
+    return ordinals
+
+
+def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
+    """Keys for one version's occurrences, parallel to the input list.
+
+    Within each (rule, file, entity_path) group, ordinals follow ascending
+    begin_line (occurrences without line info sort first, in input order).
+    """
+    return [make_key(occ, ordinal) for occ, ordinal in zip(occurrences, _ordinals(occurrences))]
 
 
 def apply_rename_heuristic(
@@ -134,8 +144,7 @@ def apply_rename_heuristic(
 
 @dataclass
 class _Run:
-    key: InstanceKey  # the key the instance was born under
-    current_key: InstanceKey
+    key: int  # id of the key the instance was born under
     first_idx: int
     last_present_idx: int
     gap: int = 0
@@ -173,7 +182,26 @@ def build_survival_records(
 
     timestamps = [snap.timestamp for snap in history.snapshots]
     version_ids = [snap.version_id for snap in history.snapshots]
-    keysets = [set(assign_keys(list(snap.occurrences))) for snap in history.snapshots]
+    # presence is tracked over int ids, one per distinct (rule, file,
+    # entity_path, ordinal); an InstanceKey is built only when a record or a
+    # rename transition needs it
+    ids: dict[tuple[RuleId, str, str, int], int] = {}
+    keysets: list[set[int]] = []
+    for snap in history.snapshots:
+        occurrences = snap.occurrences
+        keysets.append({
+            ids.setdefault((occ.rule, occ.file, occ.entity_path, ordinal), len(ids))
+            for occ, ordinal in zip(occurrences, _ordinals(occurrences))
+        })
+    fields_of = list(ids)
+    instance_keys: dict[int, InstanceKey] = {}
+
+    def key_of(key_id: int) -> InstanceKey:
+        key = instance_keys.get(key_id)
+        if key is None:
+            key = instance_keys[key_id] = InstanceKey(*fields_of[key_id])
+        return key
+
     split = split_instant(history)
     final_idx = len(keysets) - 1
 
@@ -187,10 +215,11 @@ def build_survival_records(
         else:
             end_date = None
             duration = _days_between(first_date, timestamps[final_idx])
+        key = key_of(run.key)
         records.append(
             SurvivalRecord(
-                key=run.key,
-                scope=scope_of(run.key.rule),
+                key=key,
+                scope=scope_of(key.rule),
                 first_version=version_ids[run.first_idx],
                 first_date=first_date,
                 last_present_version=version_ids[run.last_present_idx],
@@ -201,25 +230,24 @@ def build_survival_records(
             )
         )
 
-    open_runs: dict[InstanceKey, _Run] = {}
+    open_runs: dict[int, _Run] = {}
     for idx, keys in enumerate(keysets):
         if idx > 0 and options.rename_heuristic:
-            removed_now = keysets[idx - 1] - keys
-            added_now = keys - keysets[idx - 1]
-            for old_key, new_key in apply_rename_heuristic(removed_now, added_now):
-                run = open_runs.get(old_key)
-                # new_key may already carry a gap-bridged run of its own;
+            removed_now = {key_of(i): i for i in keysets[idx - 1] - keys}
+            added_now = {key_of(i): i for i in keys - keysets[idx - 1]}
+            for old_key, new_key in apply_rename_heuristic(set(removed_now), set(added_now)):
+                old, new = removed_now[old_key], added_now[new_key]
+                run = open_runs.get(old)
+                # new may already carry a gap-bridged run of its own;
                 # that run keeps its identity and the removal stays a removal
-                if run is None or new_key in open_runs:
+                if run is None or new in open_runs:
                     continue
-                del open_runs[old_key]
-                run.current_key = new_key
-                open_runs[new_key] = run
+                open_runs[new] = open_runs.pop(old)
 
         for key in keys:
             run = open_runs.get(key)
             if run is None:
-                open_runs[key] = _Run(key=key, current_key=key, first_idx=idx, last_present_idx=idx)
+                open_runs[key] = _Run(key=key, first_idx=idx, last_present_idx=idx)
             else:
                 run.last_present_idx = idx
                 run.gap = 0

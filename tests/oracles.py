@@ -72,6 +72,28 @@ def rmean_oracle(pairs: list[tuple[float, bool]], tau: float) -> float:
     return area
 
 
+def rmean_se_oracle(pairs: list[tuple[float, bool]], tau: float) -> float:
+    """Standard error of the restricted mean on [0, tau] from its defining
+    sum: for each event time t <= tau with d < n, the area A under the
+    product-limit curve on [t, tau], integrated by full scan, contributes
+    A^2 * d / (n * (n - d)) to the variance."""
+    rows = km_oracle(pairs)
+    variance = 0.0
+    for t, n, d, _ in rows:
+        if t > tau or d == 0 or d == n:
+            continue
+        boundaries = [t] + [u for u, _, _, _ in rows if t < u < tau] + [tau]
+        tail = 0.0
+        for left, right in zip(boundaries, boundaries[1:]):
+            level = 1.0
+            for u, _, _, s in rows:
+                if u <= left:
+                    level = s
+            tail += (right - left) * level
+        variance += tail * tail * d / (n * (n - d))
+    return math.sqrt(variance)
+
+
 def presence_runs(bits: str, gap_tolerance: int) -> list[tuple[int, int]]:
     """Maximal presence runs over a 0/1 string, bridging internal absences
     of at most gap_tolerance versions. Returns (first_idx, last_present_idx)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -184,7 +185,17 @@ def test_unreadable_report_is_fatal_with_row(tmp_path):
     assert exc_info.value.row == 2
 
 
-def test_code_model_report_path_goes_through_rules(tmp_path):
+@pytest.mark.parametrize("name", ["missing.xml", "missing.json", "missing"])
+def test_unreadable_report_error_names_the_path(tmp_path, name):
+    bad = f"app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,{name},5000\n"
+    with pytest.raises(ManifestError, match="unreadable") as exc_info:
+        load_manifest(bad, base_dir=tmp_path)
+    assert str(tmp_path / name) in str(exc_info.value)
+
+
+def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
+    # a .json report is read once, by the code-model loader, not also as bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"{self} read as bytes"))
     (tmp_path / "m1.json").write_text(json.dumps([
         {"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150},
     ]))

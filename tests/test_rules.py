@@ -141,6 +141,15 @@ def test_load_ruleset_overrides(tmp_path):
     assert thresholds[RuleId.EXCESSIVE_CLASS_LENGTH] == 1000
 
 
+def test_infinite_threshold_loads_and_never_fires(tmp_path):
+    path = tmp_path / "rules.json"
+    path.write_text('{"ExcessiveMethodLength": Infinity}')
+    rules = load_ruleset(path)
+    assert {r.id: r.threshold for r in rules}[RuleId.EXCESSIVE_METHOD_LENGTH] == math.inf
+    occurrences = evaluate_rules([method(loc=10**9, params=10**9)], rules, "v1")
+    assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
+
+
 def test_load_ruleset_unknown_rule(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text(json.dumps({"CyclomaticComplexity": 10}))

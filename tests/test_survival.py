@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from smellsurv.survival import (
 )
 
 from conftest import record
-from oracles import km_oracle, logrank_oracle, rmean_oracle
+from oracles import km_oracle, logrank_oracle, rmean_oracle, rmean_se_oracle
 
 
 def curve_rows(curve: SurvivalCurve):
@@ -167,6 +168,48 @@ def test_rmean_matches_oracle_integration(pairs):
     curve = kaplan_meier(pairs)
     rmean, _ = restricted_mean(curve)
     assert rmean == pytest.approx(rmean_oracle(pairs, curve.tau), abs=1e-9)
+
+
+def test_rmean_se_matches_oracle_on_random_curves():
+    rng = random.Random(4242)
+    # each edge case of the suffix-sum lookup must occur in some dataset
+    seen = {"tie": 0, "event at 0": 0, "tau at an event": 0, "tau between times": 0, "n == d": 0}
+    checked = 0
+    for _ in range(1200):
+        size = rng.randint(1, 25)
+        if rng.random() < 0.5:
+            durations = [float(rng.randint(0, 12)) for _ in range(size)]
+        else:
+            durations = [round(rng.uniform(0, 40), 3) for _ in range(size)]
+        pairs = [(d, rng.random() < 0.6) for d in durations]
+        curve = kaplan_meier(pairs)
+        times = sorted({t for t, _ in pairs if t > 0})
+        if not times:
+            continue
+        between = [(a + b) / 2 for a, b in zip(times, times[1:])]
+        tau = rng.choice([curve.tau, rng.choice(times)] + ([rng.choice(between)] if between else []))
+
+        rows = km_oracle(pairs)
+        seen["tie"] += len(set(durations)) < len(durations)
+        seen["event at 0"] += any(t == 0 and d for t, _, d, _ in rows)
+        seen["tau at an event"] += any(t == tau and d for t, _, d, _ in rows)
+        seen["tau between times"] += tau not in {t for t, _, _, _ in rows}
+        seen["n == d"] += any(t <= tau and d and d == n for t, n, d, _ in rows)
+
+        rmean, se = restricted_mean(curve, tau)
+        assert rmean == pytest.approx(rmean_oracle(pairs, tau), rel=1e-9, abs=1e-12)
+        assert math.isclose(se, rmean_se_oracle(pairs, tau), rel_tol=1e-9), (pairs, tau)
+        checked += 1
+    assert all(seen.values()), seen
+    assert checked >= 1000
+
+
+def test_rmean_is_linear_in_curve_points():
+    curve = kaplan_meier([(float(i + 1), i % 3 != 0) for i in range(40_000)])
+    assert len(curve.points) == 40_000
+    start = time.perf_counter()
+    restricted_mean(curve)
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

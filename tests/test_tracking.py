@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
 from smellsurv.rules import RuleId
 from smellsurv.tracking import (
     InstanceKey,
@@ -163,6 +164,63 @@ def test_rename_splices_instance_across_file_move():
     r = spliced[0]
     assert (r.key.file, r.censored, r.duration_days) == ("old.php", 0, 120.0)
     assert (r.first_version, r.last_present_version) == ("v1", "v3")
+
+
+def history_from_placed_bits(bits_by_place: dict[tuple[str, str, RuleId], str]) -> History:
+    """History in which the occurrence of rule at (file, entity path) is
+    present in version i exactly when its bit string has '1' at i."""
+    n_versions = len(next(iter(bits_by_place.values())))
+    return History(
+        "placed",
+        tuple(
+            VersionSnapshot(
+                f"v{i + 1}",
+                ts(10.0 * i),
+                tuple(
+                    occurrence(rule=rule, file=file, entity_path=entity, version_id=f"v{i + 1}")
+                    for (file, entity, rule), bits in bits_by_place.items()
+                    if bits[i] == "1"
+                ),
+                SizeMetrics(lloc=1000),
+            )
+            for i in range(n_versions)
+        ),
+    )
+
+
+def test_rename_onto_a_gap_bridged_key_leaves_the_removal():
+    # new.php::C is absent in v2 only, bridged by gap_tolerance=1; when
+    # old.php::C disappears as new.php::C returns, the pair looks like a
+    # rename, but new.php::C keeps its own run and old.php::C is removed
+    rule = RuleId.EXCESSIVE_CLASS_LENGTH
+    history = history_from_placed_bits({
+        ("old.php", "C", rule): "1100",
+        ("new.php", "C", rule): "1011",
+    })
+    records = build_survival_records(history, TrackingOptions(gap_tolerance=1, rename_heuristic=True))
+    assert [(r.key.file, r.first_version, r.last_present_version, r.censored, r.duration_days) for r in records] == [
+        ("new.php", "v1", "v4", 0, 30.0),
+        ("old.php", "v1", "v2", 1, 20.0),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.lists(st.text(alphabet="01", min_size=6, max_size=6), min_size=1, max_size=12),
+    gap_tolerance=st.integers(min_value=0, max_value=2),
+)
+def test_rename_heuristic_is_inert_when_no_entity_changes_file(bits, gap_tolerance):
+    rules = list(RuleId)
+    # entity E<i> always lives in the same file, so no removal can pair
+    # with an addition in a different file
+    history = history_from_placed_bits({
+        (f"f{i % 3}.php", f"E{i}", rules[i % 2]): b for i, b in enumerate(bits)
+    })
+    plain = build_survival_records(history, TrackingOptions(gap_tolerance=gap_tolerance))
+    renamed = build_survival_records(
+        history, TrackingOptions(gap_tolerance=gap_tolerance, rename_heuristic=True)
+    )
+    assert renamed == plain
 
 
 # ---------------------------------------------------------------------------
