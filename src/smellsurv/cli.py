@@ -79,11 +79,7 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    formats = _parse_formats(args.formats)
-    rules = _ruleset(args)
-    options = TrackingOptions(gap_tolerance=args.gap_tolerance, rename_heuristic=args.rename_heuristic)
-    thresholds = _thresholds(args)
+def _load_histories(args, rules=None) -> list:
     manifest_path = Path(args.manifest)
     histories = load_manifests(
         manifest_path.read_text(encoding="utf-8"),
@@ -93,28 +89,38 @@ def cmd_analyze(args) -> int:
     )
     if not histories:
         raise ManifestError("manifest names no versions")
+    return histories
+
+
+def _insufficient_history(histories) -> str | None:
+    """Message naming the apps with fewer than two versions, if any."""
+    short = sorted(h.app_name for h in histories if len(h.snapshots) < 2)
+    return f"insufficient history (need >= 2 versions): {', '.join(short)}" if short else None
+
+
+def cmd_analyze(args) -> int:
+    formats = _parse_formats(args.formats)
+    rules = _ruleset(args)
+    options = TrackingOptions(gap_tolerance=args.gap_tolerance, rename_heuristic=args.rename_heuristic)
+    thresholds = _thresholds(args)
+    histories = _load_histories(args, rules)
+    short = _insufficient_history(histories)
+    if short:
+        raise ManifestError(short)
     out_dir = Path(args.out)
     for history in sorted(histories, key=lambda h: h.app_name):
         bundle = analyze_history(history, options, thresholds)
-        written = write_bundle(bundle, history, out_dir, thresholds, formats)
+        written = write_bundle(bundle, out_dir, formats)
         print(f"{history.app_name}: {len(bundle.records)} records, {len(written)} files -> {out_dir / history.app_name}")
     return EXIT_OK
 
 
 def cmd_gate(args) -> int:
     thresholds = _thresholds(args)
-    manifest_path = Path(args.manifest)
-    histories = load_manifests(
-        manifest_path.read_text(encoding="utf-8"),
-        base_dir=manifest_path.parent,
-        strip_prefix=args.strip_prefix,
-    )
-    if not histories:
-        raise ManifestError("manifest names no versions")
-
-    short_histories = [h.app_name for h in histories if len(h.snapshots) < 2]
-    if short_histories:
-        print(f"insufficient history (need >= 2 versions): {', '.join(sorted(short_histories))}")
+    histories = _load_histories(args)
+    short = _insufficient_history(histories)
+    if short:
+        print(short)
         return EXIT_INSUFFICIENT_HISTORY
 
     failed = False

@@ -23,6 +23,7 @@ from .rules import (
     SmellOccurrence,
     SmellRule,
     _RULE_ORDER,
+    _code_model_entities,
     default_ruleset,
     evaluate_rules,
     load_code_model,
@@ -205,11 +206,13 @@ def _load_report_file(
     non-blank byte.
     """
     suffix = path.suffix.lower()
-    if suffix != ".json":
+    if suffix == ".json":
+        entities = load_code_model(path)
+    else:
         data = path.read_bytes()
         if suffix == ".xml" or data.lstrip()[:1] == b"<":
             return parse_pmd_report(data, version_id, strip_prefix).occurrences
-    entities = load_code_model(path)
+        entities = _code_model_entities(data.decode("utf-8"), path)
     occurrences = evaluate_rules(entities, rules, version_id)
     if strip_prefix is None:
         return occurrences

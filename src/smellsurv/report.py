@@ -34,7 +34,6 @@ from .survival import (
     SurvivalCurve,
     compare_groups,
     kaplan_meier,
-    summarize,
 )
 from .tracking import (
     SurvivalRecord,
@@ -58,25 +57,15 @@ def fmt_prob(value: float) -> str:
 def fmt_rate(value: float | None) -> str:
     if value is None:
         return ""
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.6g}"
+    return "inf" if math.isinf(value) else fmt_prob(value)
 
 
-def round_days(value: float | None) -> float | None:
-    return None if value is None else round(value, 2)
-
-
-def round_prob(value: float) -> float:
-    return float(f"{value:.6g}")
-
-
-def json_rate(value: float | None) -> float | str | None:
-    if value is None:
+def json_number(text: str) -> float | str | None:
+    """A formatted cell as a JSON value: the cell's digits read back, so the
+    CSV and JSON outputs round alike; "" is null and "inf" stays a string."""
+    if not text:
         return None
-    if math.isinf(value):
-        return "inf"
-    return round_prob(value)
+    return text if text == "inf" else float(text)
 
 
 def write_atomic(path: Path, content: str) -> None:
@@ -109,37 +98,31 @@ def _json_line(doc) -> str:
 OCCURRENCE_HEADER = ["version", "rule", "scope", "file", "entity_path", "begin_line", "end_line"]
 
 
+def _occurrence_docs(occurrences: list[SmellOccurrence]) -> list[dict]:
+    return [
+        {
+            "version": occ.version_id,
+            "rule": occ.rule.value,
+            "scope": scope_of(occ.rule).value,
+            "file": occ.file,
+            "entity_path": occ.entity_path,
+            "begin_line": occ.begin_line,
+            "end_line": occ.end_line,
+        }
+        for occ in occurrences
+    ]
+
+
 def occurrences_csv(occurrences: list[SmellOccurrence]) -> str:
     rows = [
-        [
-            occ.version_id,
-            occ.rule.value,
-            scope_of(occ.rule).value,
-            occ.file,
-            occ.entity_path,
-            "" if occ.begin_line is None else str(occ.begin_line),
-            "" if occ.end_line is None else str(occ.end_line),
-        ]
-        for occ in occurrences
+        ["" if doc[k] is None else str(doc[k]) for k in OCCURRENCE_HEADER]
+        for doc in _occurrence_docs(occurrences)
     ]
     return _csv_text(OCCURRENCE_HEADER, rows)
 
 
 def occurrences_json(occurrences: list[SmellOccurrence]) -> str:
-    return _json_text(
-        [
-            {
-                "version": occ.version_id,
-                "rule": occ.rule.value,
-                "scope": scope_of(occ.rule).value,
-                "file": occ.file,
-                "entity_path": occ.entity_path,
-                "begin_line": occ.begin_line,
-                "end_line": occ.end_line,
-            }
-            for occ in occurrences
-        ]
-    )
+    return _json_text(_occurrence_docs(occurrences))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +180,10 @@ def lifelines_csv(records: list[SurvivalRecord]) -> str:
 SUMMARY_HEADER = ["group", "found", "removed", "pct_removed", "median_days", "rmean_days", "se_rmean"]
 
 
-def _summary_row(label: str, summary: GroupSummary | None) -> list[str]:
+def _summary_cells(summary: GroupSummary | None) -> list[str]:
     if summary is None:  # degenerate group: no data to summarize
-        return [label, "0", "0", "", "", "", ""]
+        return ["0", "0", "", "", "", ""]
     return [
-        label,
         str(summary.found),
         str(summary.removed),
         fmt_prob(summary.pct_removed),
@@ -214,43 +196,44 @@ def _summary_row(label: str, summary: GroupSummary | None) -> list[str]:
 def _summary_json(summary: GroupSummary | None):
     if summary is None:
         return {"found": 0, "removed": 0, "no_data": True}
-    return {
-        "found": summary.found,
-        "removed": summary.removed,
-        "pct_removed": round_prob(summary.pct_removed),
-        "median_days": round_days(summary.median_days),
-        "rmean_days": round_days(summary.rmean_days),
-        "se_rmean": round_days(summary.se_rmean),
-    }
+    doc = {"found": summary.found, "removed": summary.removed}
+    stats = _summary_cells(summary)[2:]
+    doc.update((name, json_number(cell)) for name, cell in zip(SUMMARY_HEADER[3:], stats))
+    return doc
 
 
-def curve_csv(curve: SurvivalCurve) -> str:
-    rows = [
+def summary_csv(comparison: GroupComparison) -> str:
+    rows = [[label] + _summary_cells(comparison.summaries[label]) for label in comparison.labels]
+    return _csv_text(SUMMARY_HEADER, rows)
+
+
+CURVE_HEADER = ["time_days", "n_at_risk", "n_events", "survival"]
+
+
+def _curve_rows(curve: SurvivalCurve) -> list[list[str]]:
+    return [
         [fmt_days(p.time_days), str(p.n_at_risk), str(p.n_events), fmt_prob(p.survival)]
         for p in curve.points
     ]
-    return _csv_text(["time_days", "n_at_risk", "n_events", "survival"], rows)
 
 
-def grouped_curves_csv(curves: list[tuple[str, SurvivalCurve]]) -> str:
-    rows = [
-        [label, fmt_days(p.time_days), str(p.n_at_risk), str(p.n_events), fmt_prob(p.survival)]
-        for label, curve in curves
-        for p in curve.points
-    ]
-    return _csv_text(["group", "time_days", "n_at_risk", "n_events", "survival"], rows)
+def curve_csv(curve: SurvivalCurve | None) -> str:
+    return _csv_text(CURVE_HEADER, _curve_rows(curve) if curve else [])
 
 
-def logrank_json_line(comparison: GroupComparison | None, error: str | None = None) -> str:
-    if comparison is None:
-        return _json_line({"error": error or "test not performed"})
-    doc = {
-        "statistic": round_prob(comparison.test.statistic),
-        "p_value": round_prob(comparison.test.p_value),
-    }
-    if comparison.test.warning:
-        doc["warning"] = comparison.test.warning
-    return _json_line(doc)
+def grouped_curves_csv(comparison: GroupComparison) -> str:
+    rows = [[label] + row for label, curve in comparison.curves.items() for row in _curve_rows(curve)]
+    return _csv_text(["group"] + CURVE_HEADER, rows)
+
+
+def _logrank_json(comparison: GroupComparison):
+    test = comparison.test
+    if test is None:
+        return {"error": comparison.error}
+    doc = {"statistic": json_number(fmt_prob(test.statistic)), "p_value": json_number(fmt_prob(test.p_value))}
+    if test.warning:
+        doc["warning"] = test.warning
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +276,13 @@ def anomalies_csv(flags: list[AnomalyFlag]) -> str:
     return _csv_text(["version", "kind", "delta_rho"], rows)
 
 
+def _flags_json(flags: list[AnomalyFlag]):
+    return [
+        {"version": f.version_id, "kind": f.kind.value, "delta_rho": json_number(fmt_rate(f.delta_rho))}
+        for f in flags
+    ]
+
+
 def anomaly_report_json(
     app: str,
     series: list[DensityPoint],
@@ -309,48 +299,40 @@ def anomaly_report_json(
                     "timestamp": p.timestamp.isoformat(),
                     "cs_count": p.cs_count,
                     "lloc": p.lloc,
-                    "rho": json_rate(p.rho),
-                    "delta_cs": json_rate(p.delta_cs),
-                    "delta_lloc": json_rate(p.delta_lloc),
-                    "delta_rho": json_rate(p.delta_rho),
+                    "rho": json_number(fmt_rate(p.rho)),
+                    "delta_cs": json_number(fmt_rate(p.delta_cs)),
+                    "delta_lloc": json_number(fmt_rate(p.delta_lloc)),
+                    "delta_rho": json_number(fmt_rate(p.delta_rho)),
                 }
                 for p in series
             ],
-            "flags": [
-                {"version": f.version_id, "kind": f.kind.value, "delta_rho": json_rate(f.delta_rho)}
-                for f in flags
-            ],
+            "flags": _flags_json(flags),
         }
     )
-
-
-def change_rates_json(rates: ChangeRates):
-    return {
-        "d_loc": json_rate(rates.d_loc),
-        "d_lloc": json_rate(rates.d_lloc),
-        "d_classes": json_rate(rates.d_classes),
-    }
 
 
 # ---------------------------------------------------------------------------
 # the analyze bundle
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class AnalysisBundle:
-    """Everything cmd_analyze derives from one application's history."""
+    """Everything cmd_analyze derives from one application's history, each
+    part computed once; write_bundle only formats it."""
 
-    app: str
+    history: History
+    thresholds: AnomalyThresholds
     records: list[SurvivalRecord]
-    view1: list[SurvivalRecord]
-    view2: list[SurvivalRecord]
+    km_all: SurvivalCurve | None  # None when there are no records
+    scope: GroupComparison
+    timeframe: GroupComparison
     series: list[DensityPoint]
     flags: list[AnomalyFlag]
     rates: ChangeRates
-    scope_comparison: GroupComparison | None
-    scope_error: str | None
-    timeframe_comparison: GroupComparison | None
-    timeframe_error: str | None
+
+    @property
+    def app(self) -> str:
+        return self.history.app_name
 
 
 def analyze_history(
@@ -363,65 +345,23 @@ def analyze_history(
     records = build_survival_records(history, options)
     view1, view2 = assign_timeframes(records, history)
     series = density_series(history)
-    flags = flag_anomalies(series, thresholds)
-    rates = metric_change_rates(history)
-
-    scope_comparison = scope_error = None
-    timeframe_comparison = timeframe_error = None
-    try:
-        scope_comparison = compare_groups(records, "scope")
-    except ValueError as exc:
-        scope_error = str(exc)
-    try:
-        timeframe_comparison = compare_groups(view1 + view2, "timeframe")
-    except ValueError as exc:
-        timeframe_error = str(exc)
     return AnalysisBundle(
-        app=history.app_name,
+        history=history,
+        thresholds=thresholds,
         records=records,
-        view1=view1,
-        view2=view2,
+        km_all=kaplan_meier(records) if records else None,
+        scope=compare_groups(records, "scope"),
+        timeframe=compare_groups(view1 + view2, "timeframe"),
         series=series,
-        flags=flags,
-        rates=rates,
-        scope_comparison=scope_comparison,
-        scope_error=scope_error,
-        timeframe_comparison=timeframe_comparison,
-        timeframe_error=timeframe_error,
+        flags=flag_anomalies(series, thresholds),
+        rates=metric_change_rates(history),
     )
 
 
-def _comparison_rows(
-    comparison: GroupComparison | None,
-    labels: tuple[str, str],
-    groups: dict[str, list[SurvivalRecord]],
-) -> list[list[str]]:
-    rows = []
-    for label in labels:
-        if comparison is not None:
-            rows.append(_summary_row(label, comparison.summaries[label]))
-        else:
-            group = groups.get(label) or []
-            rows.append(_summary_row(label, summarize(group) if group else None))
-    return rows
-
-
-def _grouped_curves(
-    labels: tuple[str, str],
-    groups: dict[str, list[SurvivalRecord]],
-) -> list[tuple[str, SurvivalCurve]]:
-    return [(label, kaplan_meier(groups[label])) for label in labels if groups.get(label)]
-
-
-def write_bundle(
-    bundle: AnalysisBundle,
-    history: History,
-    out_dir: Path,
-    thresholds: AnomalyThresholds,
-    formats: set[str],
-) -> list[Path]:
+def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> list[Path]:
     """Write one application's output files under out_dir/<app>/."""
     app_dir = Path(out_dir) / bundle.app
+    comparisons = (bundle.scope, bundle.timeframe)
     written: list[Path] = []
 
     def emit(name: str, content: str) -> None:
@@ -429,60 +369,30 @@ def write_bundle(
         write_atomic(path, content)
         written.append(path)
 
-    scope_groups = {
-        "localized": [r for r in bundle.records if r.scope.value == "localized"],
-        "scattered": [r for r in bundle.records if r.scope.value == "scattered"],
-    }
-    timeframe_groups = {"1": bundle.view1, "2": bundle.view2}
-
     if "csv" in formats:
         emit("records.csv", records_csv(bundle.app, bundle.records))
         emit("lifelines.csv", lifelines_csv(bundle.records))
-        emit("counts_by_rule.csv", counts_by_rule_csv(history))
+        emit("counts_by_rule.csv", counts_by_rule_csv(bundle.history))
         emit("density.csv", density_csv(bundle.series))
         emit("anomalies.csv", anomalies_csv(bundle.flags))
-        emit(
-            "summary_scope.csv",
-            _csv_text(
-                SUMMARY_HEADER,
-                _comparison_rows(bundle.scope_comparison, ("localized", "scattered"), scope_groups),
-            ),
-        )
-        emit(
-            "summary_timeframe.csv",
-            _csv_text(
-                SUMMARY_HEADER,
-                _comparison_rows(bundle.timeframe_comparison, ("1", "2"), timeframe_groups),
-            ),
-        )
-        if bundle.records:
-            emit("km_all.csv", curve_csv(kaplan_meier(bundle.records)))
-        else:
-            emit("km_all.csv", _csv_text(["time_days", "n_at_risk", "n_events", "survival"], []))
-        emit("km_scope.csv", grouped_curves_csv(_grouped_curves(("localized", "scattered"), scope_groups)))
-        emit("km_timeframe.csv", grouped_curves_csv(_grouped_curves(("1", "2"), timeframe_groups)))
-        emit("logrank_scope.json", logrank_json_line(bundle.scope_comparison, bundle.scope_error))
-        emit(
-            "logrank_timeframe.json",
-            logrank_json_line(bundle.timeframe_comparison, bundle.timeframe_error),
-        )
+        emit("km_all.csv", curve_csv(bundle.km_all))
+        for c in comparisons:
+            emit(f"summary_{c.partition}.csv", summary_csv(c))
+            emit(f"km_{c.partition}.csv", grouped_curves_csv(c))
+            emit(f"logrank_{c.partition}.json", _json_line(_logrank_json(c)))
 
     if "json" in formats:
-        emit("anomalies.json", anomaly_report_json(bundle.app, bundle.series, bundle.flags, thresholds))
-        emit("bundle.json", _bundle_json(bundle, history))
+        emit("anomalies.json", anomaly_report_json(bundle.app, bundle.series, bundle.flags, bundle.thresholds))
+        emit("bundle.json", _bundle_json(bundle))
 
     if "svg" in formats:
-        for name, labels, groups in (
-            ("km_scope.svg", ("localized", "scattered"), scope_groups),
-            ("km_timeframe.svg", ("1", "2"), timeframe_groups),
-        ):
-            curves = _grouped_curves(labels, groups)
+        for c in comparisons:
             series = [
                 (label, [(p.time_days, p.survival) for p in curve.points])
-                for label, curve in curves
+                for label, curve in c.curves.items()
             ]
-            emit(name, svgplot.step_chart(series, f"{bundle.app}: survival by {name.split('_')[1].split('.')[0]}"))
-        origin = history.snapshots[0].timestamp
+            emit(f"km_{c.partition}.svg", svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}"))
+        origin = bundle.history.snapshots[0].timestamp
         segments = sorted(
             (
                 (r.first_date - origin).total_seconds() / 86400.0,
@@ -496,6 +406,7 @@ def write_bundle(
             (float(i), p.delta_rho)
             for i, p in enumerate(bundle.series)
         ]
+        thresholds = bundle.thresholds
         guides = [
             (thresholds.up, f"+{thresholds.up:.0%}"),
             (thresholds.up2, f"+{thresholds.up2:.0%}"),
@@ -506,31 +417,8 @@ def write_bundle(
     return written
 
 
-def _bundle_json(bundle: AnalysisBundle, history: History) -> str:
-    def comparison_doc(comparison: GroupComparison | None, error: str | None, labels, groups):
-        doc: dict = {"summaries": {}}
-        for label in labels:
-            if comparison is not None:
-                doc["summaries"][label] = _summary_json(comparison.summaries[label])
-            else:
-                group = groups.get(label) or []
-                doc["summaries"][label] = _summary_json(summarize(group) if group else None)
-        if comparison is not None:
-            doc["logrank"] = {
-                "statistic": round_prob(comparison.test.statistic),
-                "p_value": round_prob(comparison.test.p_value),
-            }
-            if comparison.test.warning:
-                doc["logrank"]["warning"] = comparison.test.warning
-        else:
-            doc["logrank"] = {"error": error or "test not performed"}
-        return doc
-
-    scope_groups = {
-        "localized": [r for r in bundle.records if r.scope.value == "localized"],
-        "scattered": [r for r in bundle.records if r.scope.value == "scattered"],
-    }
-    timeframe_groups = {"1": bundle.view1, "2": bundle.view2}
+def _bundle_json(bundle: AnalysisBundle) -> str:
+    history = bundle.history
     doc = {
         "app": bundle.app,
         "versions": len(history.snapshots),
@@ -540,16 +428,16 @@ def _bundle_json(bundle: AnalysisBundle, history: History) -> str:
             "split_instant": split_instant(history).isoformat(),
         },
         "records": len(bundle.records),
-        "scope": comparison_doc(
-            bundle.scope_comparison, bundle.scope_error, ("localized", "scattered"), scope_groups
-        ),
-        "timeframe": comparison_doc(
-            bundle.timeframe_comparison, bundle.timeframe_error, ("1", "2"), timeframe_groups
-        ),
-        "metric_change_rates": change_rates_json(bundle.rates),
-        "anomaly_flags": [
-            {"version": f.version_id, "kind": f.kind.value, "delta_rho": json_rate(f.delta_rho)}
-            for f in bundle.flags
-        ],
+        "metric_change_rates": {
+            "d_loc": json_number(fmt_rate(bundle.rates.d_loc)),
+            "d_lloc": json_number(fmt_rate(bundle.rates.d_lloc)),
+            "d_classes": json_number(fmt_rate(bundle.rates.d_classes)),
+        },
+        "anomaly_flags": _flags_json(bundle.flags),
     }
+    for c in (bundle.scope, bundle.timeframe):
+        doc[c.partition] = {
+            "summaries": {label: _summary_json(c.summaries[label]) for label in c.labels},
+            "logrank": _logrank_json(c),
+        }
     return _json_text(doc)

@@ -218,10 +218,15 @@ def load_code_model(path: str | Path) -> list[CodeEntity]:
     "parent" are optional.
     """
     with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"code model {path}: {exc}") from exc
+        return _code_model_entities(fh.read(), path)
+
+
+def _code_model_entities(text: str, path: str | Path) -> list[CodeEntity]:
+    """Entities of a code model already read as text; errors name path."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"code model {path}: {exc}") from exc
     if isinstance(raw, dict):
         raw = raw.get("entities")
     if not isinstance(raw, list):

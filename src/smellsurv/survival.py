@@ -171,27 +171,29 @@ class GroupSummary:
     se_rmean: float
 
 
-def summarize(records: Iterable) -> GroupSummary:
-    """Found/removed counts plus median and restricted mean at the group's
-    own horizon."""
-    pairs = _as_pairs(records)
-    if not pairs:
-        raise ValueError("no records")
-    curve = kaplan_meier(pairs)
+def _summary(curve: SurvivalCurve) -> GroupSummary:
+    """Found/removed counts plus median and restricted mean at the curve's
+    own horizon; the counts are the first risk set and the events."""
+    found = curve.points[0].n_at_risk
+    removed = sum(p.n_events for p in curve.points)
     if curve.tau > 0:
         rmean, se = restricted_mean(curve)
     else:
         # every instance was first seen in the final snapshot: zero horizon
         rmean, se = 0.0, 0.0
-    removed = sum(1 for _, event in pairs if event)
     return GroupSummary(
-        found=len(pairs),
+        found=found,
         removed=removed,
-        pct_removed=removed / len(pairs),
+        pct_removed=removed / found,
         median_days=median_survival(curve),
         rmean_days=rmean,
         se_rmean=se,
     )
+
+
+def summarize(records: Iterable) -> GroupSummary:
+    """Summary of one non-empty group of records."""
+    return _summary(kaplan_meier(records))
 
 
 @dataclass(frozen=True)
@@ -268,18 +270,28 @@ def log_rank(records_a: Iterable, records_b: Iterable) -> LogRankResult:
 
 @dataclass(frozen=True)
 class GroupComparison:
+    """One two-way partition, analysed once.
+
+    curves holds a KM curve for each non-empty group; an empty group's
+    summary is None. test is None exactly when error says why.
+    """
+
     partition: str
     labels: tuple[str, str]
-    summaries: dict[str, GroupSummary]
-    test: LogRankResult
+    groups: dict[str, list[SurvivalRecord]]
+    curves: dict[str, SurvivalCurve]
+    summaries: dict[str, GroupSummary | None]
+    test: LogRankResult | None
+    error: str | None
 
 
 def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupComparison:
-    """Summaries plus log-rank over a two-way partition of the records.
+    """Curves, summaries and log-rank over a two-way partition of the records.
 
     partition="scope" splits localized vs scattered; partition="timeframe"
     splits on the records' timeframe field, which for view 1 must already be
-    the truncated sub-study records from assign_timeframes.
+    the truncated sub-study records from assign_timeframes. An empty group
+    or a pooled sample without events leaves the test undefined.
     """
     if partition == "scope":
         labels = ("localized", "scattered")
@@ -296,10 +308,24 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
         if label not in groups:
             raise ValueError(f"record outside partition {partition}: {label!r}")
         groups[label].append(record)
-    for label in labels:
-        if not groups[label]:
-            raise ValueError(f"empty group: {label}")
 
-    summaries = {label: summarize(groups[label]) for label in labels}
-    test = log_rank(groups[labels[0]], groups[labels[1]])
-    return GroupComparison(partition=partition, labels=labels, summaries=summaries, test=test)
+    curves = {label: kaplan_meier(groups[label]) for label in labels if groups[label]}
+    summaries = {label: _summary(curves[label]) if label in curves else None for label in labels}
+    test = error = None
+    empty = [label for label in labels if label not in curves]
+    if empty:
+        error = f"empty group: {empty[0]}"
+    else:
+        try:
+            test = log_rank(groups[labels[0]], groups[labels[1]])
+        except ValueError as exc:
+            error = str(exc)
+    return GroupComparison(
+        partition=partition,
+        labels=labels,
+        groups=groups,
+        curves=curves,
+        summaries=summaries,
+        test=test,
+        error=error,
+    )

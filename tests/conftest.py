@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
 from smellsurv.rules import RuleId, Scope, SmellOccurrence
@@ -54,6 +55,22 @@ def record(
         duration_days=float(duration),
         timeframe=timeframe,
     )
+
+
+NO_SMELL_REPORT = '<?xml version="1.0" encoding="UTF-8"?>\n<pmd version="2.9.1" timestamp="t"></pmd>\n'
+
+
+def write_no_smell_history(directory: Path) -> Path:
+    """Two PMD versions of app "clean" with no violations; returns the manifest."""
+    (directory / "r1.xml").write_text(NO_SMELL_REPORT)
+    (directory / "r2.xml").write_text(NO_SMELL_REPORT)
+    manifest = directory / "manifest.csv"
+    manifest.write_text(
+        "app,version,timestamp,report_path,lloc\n"
+        "clean,1.0,2020-01-01,r1.xml,900\n"
+        "clean,2.0,2020-06-01,r2.xml,950\n"
+    )
+    return manifest
 
 
 def history_from_bits(

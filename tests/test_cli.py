@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -15,10 +16,11 @@ from smellsurv.cli import (
     EXIT_OK,
     main,
 )
+from smellsurv import survival
 from smellsurv.report import analyze_history, records_csv
-from smellsurv.tracking import build_survival_records
+from smellsurv.tracking import assign_timeframes, build_survival_records
 
-from conftest import history_from_bits, ts
+from conftest import history_from_bits, ts, write_no_smell_history
 from oracles import logrank_oracle, records_oracle
 
 TRIAPP = Path(__file__).parent / "data" / "triapp"
@@ -237,10 +239,12 @@ def test_engineered_timeframes_reach_significance():
     bits_by_key.update({f"late{i:02d}": "0011" for i in range(20)})
     history = history_from_bits(bits_by_key, days=[0.0, 10.0, 200.0, 400.0])
     bundle = analyze_history(history)
-    comparison = bundle.timeframe_comparison
-    assert comparison is not None
-    view1_pairs = [(r.duration_days, r.event_observed) for r in bundle.view1]
-    view2_pairs = [(r.duration_days, r.event_observed) for r in bundle.view2]
+    comparison = bundle.timeframe
+    assert comparison.test is not None
+    view1, view2 = assign_timeframes(bundle.records, history)
+    assert comparison.groups == {"1": view1, "2": view2}
+    view1_pairs = [(r.duration_days, r.event_observed) for r in view1]
+    view2_pairs = [(r.duration_days, r.event_observed) for r in view2]
     stat, p = logrank_oracle(view1_pairs, view2_pairs)
     assert comparison.test.p_value == pytest.approx(p, abs=1e-9)
     assert comparison.test.p_value < 0.05
@@ -317,15 +321,7 @@ def test_unknown_format_rejected(tmp_path, capsys):
 
 
 def test_analyze_history_without_any_smells(tmp_path):
-    empty = '<?xml version="1.0" encoding="UTF-8"?>\n<pmd version="2.9.1" timestamp="t"></pmd>\n'
-    (tmp_path / "r1.xml").write_text(empty)
-    (tmp_path / "r2.xml").write_text(empty)
-    manifest = tmp_path / "manifest.csv"
-    manifest.write_text(
-        "app,version,timestamp,report_path,lloc\n"
-        "clean,1.0,2020-01-01,r1.xml,900\n"
-        "clean,2.0,2020-06-01,r2.xml,950\n"
-    )
+    manifest = write_no_smell_history(tmp_path)
     out = tmp_path / "out"
     assert main(["analyze", "--manifest", str(manifest), "--formats", "csv,json,svg", "--out", str(out)]) == EXIT_OK
     assert read_csv(out / "clean" / "records.csv") == []
@@ -335,6 +331,41 @@ def test_analyze_history_without_any_smells(tmp_path):
     assert "error" in json.loads((out / "clean" / "logrank_scope.json").read_text())
     for name in ("km_scope.svg", "lifelines.svg", "density.svg"):
         ET.fromstring((out / "clean" / name).read_bytes())
+
+
+def test_analyze_names_short_app_and_writes_nothing(tmp_path, capsys):
+    lines = ["app,version,timestamp,report_path,lloc"]
+    for version, day in (("1.0", "01-01"), ("1.1", "04-01"), ("2.0", "08-01"), ("2.1", "12-01")):
+        lines.append(f"alpha,{version},2020-{day},{TRIAPP / 'reports' / f'alpha-{version}.xml'},10000")
+    lines.append(f"zeta,1.0,2020-01-01,{TRIAPP / 'reports' / 'alpha-1.0.xml'},10000")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(out)]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ManifestError"
+    assert record["message"] == "insufficient history (need >= 2 versions): zeta"
+    assert not out.exists()
+
+
+def test_analyze_calls_kaplan_meier_once_per_curve(tmp_path, monkeypatch):
+    # triapp has 3 all-records curves and 11 non-empty groups over its two partitions
+    calls = []
+    original = survival.kaplan_meier
+
+    def counted(records):
+        calls.append(1)
+        return original(records)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("smellsurv") and getattr(module, "kaplan_meier", None) is original:
+            monkeypatch.setattr(module, "kaplan_meier", counted)
+    code = main([
+        "analyze", "--manifest", str(TRIAPP / "manifest.csv"),
+        "--formats", "csv,json,svg", "--out", str(tmp_path),
+    ])
+    assert code == EXIT_OK
+    assert 0 < len(calls) <= 14
 
 
 def test_csv_only_format_skips_json_and_svg(tmp_path):

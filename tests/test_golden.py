@@ -1,0 +1,48 @@
+"""Byte-for-byte comparison of analyze bundles against committed goldens.
+
+tests/data/*_golden/ hold the `--formats csv,json,svg` bundles of the triapp
+manifest and of a two-version history without smells (both groups empty,
+km_all.csv only a header). A refactor of the analysis or the writers must
+reproduce every file exactly; a change meant to alter output regenerates
+them and says so.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from smellsurv.cli import EXIT_OK, main
+
+from conftest import write_no_smell_history
+
+DATA = Path(__file__).parent / "data"
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _assert_same_bundle(out: Path, golden: Path) -> None:
+    got, want = _files(out), _files(golden)
+    assert sorted(got) == sorted(want)
+    for name, content in want.items():
+        assert got[name] == content, f"{name} differs from its golden"
+
+
+@pytest.mark.parametrize(
+    "manifest, golden",
+    [
+        (lambda tmp: DATA / "triapp" / "manifest.csv", "triapp_golden"),
+        (write_no_smell_history, "clean_golden"),
+    ],
+    ids=["triapp", "no-smell"],
+)
+def test_bundle_matches_golden(tmp_path, manifest, golden):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    out = tmp_path / "out"
+    code = main(["analyze", "--manifest", str(manifest(inputs)), "--formats", "csv,json,svg", "--out", str(out)])
+    assert code == EXIT_OK
+    _assert_same_bundle(out, DATA / golden)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from smellsurv.errors import ManifestError, ReportParseError
+from smellsurv.errors import ConfigError, ManifestError, ReportParseError
 from smellsurv.ingest import (
     History,
     SizeMetrics,
@@ -210,6 +212,34 @@ def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
     history = load_manifest(manifest, base_dir=tmp_path)
     assert [len(s.occurrences) for s in history.snapshots] == [1, 0]
     assert history.snapshots[0].occurrences[0].rule is RuleId.EXCESSIVE_METHOD_LENGTH
+
+
+def test_extensionless_code_model_is_opened_once(tmp_path, monkeypatch):
+    model = tmp_path / "model"
+    model.write_text(json.dumps([
+        {"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150},
+    ]))
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,model,4000\n"
+    history = load_manifest(manifest, base_dir=tmp_path)
+    assert opened == [model]
+    assert [o.rule for o in history.snapshots[0].occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
+
+
+def test_extensionless_code_model_error_names_the_path(tmp_path):
+    (tmp_path / "model").write_text('{"entities": 3}')
+    manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,model,4000\n"
+    with pytest.raises(ConfigError) as exc_info:
+        load_manifest(manifest, base_dir=tmp_path)
+    assert str(tmp_path / "model") in str(exc_info.value)
 
 
 def test_multi_app_manifest(tmp_path):

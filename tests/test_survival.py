@@ -329,8 +329,26 @@ def test_compare_groups_by_timeframe():
 
 def test_compare_groups_empty_group_named():
     records = [record(5, True, scope=Scope.LOCALIZED)]
-    with pytest.raises(ValueError, match="empty group: scattered"):
-        compare_groups(records, "scope")
+    comparison = compare_groups(records, "scope")
+    assert comparison.test is None
+    assert comparison.error == "empty group: scattered"
+    assert comparison.summaries["scattered"] is None
+    assert list(comparison.curves) == ["localized"]
+    assert comparison.summaries["localized"] == summarize(records)
+
+
+def test_compare_groups_without_events_has_no_test():
+    tf1 = [record(d, False, timeframe=1) for d in (5, 6)]
+    tf2 = [record(d, False, timeframe=2) for d in (50,)]
+    comparison = compare_groups(tf1 + tf2, "timeframe")
+    assert comparison.summaries == {"1": summarize(tf1), "2": summarize(tf2)}
+    assert comparison.test is None
+    assert comparison.error == "test undefined: no events in the pooled data"
+
+
+def test_compare_groups_rejects_record_outside_partition():
+    with pytest.raises(ValueError, match="outside partition timeframe"):
+        compare_groups([record(1, True, timeframe=3)], "timeframe")
 
 
 def test_identical_groups_under_partition_p_one():
