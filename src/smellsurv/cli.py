@@ -41,7 +41,7 @@ EXIT_INSUFFICIENT_HISTORY = 3
 
 def _error_record(exc: BaseException) -> str:
     doc: dict = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ManifestError) and exc.row is not None:
+    if isinstance(exc, SmellSurvError) and exc.row is not None:
         doc["row"] = exc.row
     if isinstance(exc, ReportParseError) and exc.byte_offset is not None:
         doc["byte_offset"] = exc.byte_offset
@@ -79,13 +79,15 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _load_histories(args, rules=None) -> list:
+def _load_histories(args, latest: int | None = None) -> list:
+    rules = _ruleset(args)
     manifest_path = Path(args.manifest)
     histories = load_manifests(
         manifest_path.read_text(encoding="utf-8"),
         base_dir=manifest_path.parent,
         rules=rules,
         strip_prefix=args.strip_prefix,
+        latest=latest,
     )
     if not histories:
         raise ManifestError("manifest names no versions")
@@ -100,10 +102,9 @@ def _insufficient_history(histories) -> str | None:
 
 def cmd_analyze(args) -> int:
     formats = _parse_formats(args.formats)
-    rules = _ruleset(args)
     options = TrackingOptions(gap_tolerance=args.gap_tolerance, rename_heuristic=args.rename_heuristic)
     thresholds = _thresholds(args)
-    histories = _load_histories(args, rules)
+    histories = _load_histories(args)
     short = _insufficient_history(histories)
     if short:
         raise ManifestError(short)
@@ -117,7 +118,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_gate(args) -> int:
     thresholds = _thresholds(args)
-    histories = _load_histories(args)
+    # every row is checked, but the verdict needs only each app's last two versions
+    histories = _load_histories(args, latest=2)
     short = _insufficient_history(histories)
     if short:
         print(short)
@@ -178,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gate = sub.add_parser("gate", help="fail when the latest transition shows a density increase")
     gate.add_argument("--manifest", required=True, help="manifest CSV path")
+    gate.add_argument("--rules", help="JSON file with threshold overrides")
     gate.add_argument("--strip-prefix", help="path prefix to strip from report file names")
     _add_threshold_flags(gate)
     gate.set_defaults(func=cmd_gate)

@@ -2,7 +2,12 @@
 
 
 class SmellSurvError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``row`` is the 1-based manifest row the error came from, when known.
+    """
+
+    row: int | None = None
 
 
 class ConfigError(SmellSurvError):
@@ -21,7 +26,7 @@ class ReportParseError(SmellSurvError):
 
 
 class ManifestError(SmellSurvError):
-    """A manifest row is invalid. Carries the 1-based ``row`` number."""
+    """A manifest row is invalid."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ManifestError, ReportParseError
+from .errors import ManifestError, ReportParseError, SmellSurvError
 from .rules import (
     RuleId,
     SmellOccurrence,
@@ -172,14 +172,22 @@ def parse_pmd_report(
             entity_path = "/".join(p for p in parts if p)
             begin = violation.get("beginline")
             end = violation.get("endline")
+            try:
+                begin_line = int(begin) if begin is not None else None
+                end_line = int(end) if end is not None else None
+            except ValueError:
+                raise ReportParseError(
+                    f"violation of {rule_name} in {file_path!r}: beginline {begin!r}"
+                    f" and endline {end!r} must be integers"
+                ) from None
             result.occurrences.append(
                 SmellOccurrence(
                     rule=rule,
                     file=file_path,
                     entity_path=entity_path,
                     version_id=version_id,
-                    begin_line=int(begin) if begin is not None else None,
-                    end_line=int(end) if end is not None else None,
+                    begin_line=begin_line,
+                    end_line=end_line,
                 )
             )
     result.occurrences.sort(
@@ -211,8 +219,11 @@ def _load_report_file(
     else:
         data = path.read_bytes()
         if suffix == ".xml" or data.lstrip()[:1] == b"<":
-            return parse_pmd_report(data, version_id, strip_prefix).occurrences
-        entities = _code_model_entities(data.decode("utf-8"), path)
+            try:
+                return parse_pmd_report(data, version_id, strip_prefix).occurrences
+            except ReportParseError as exc:
+                raise ReportParseError(f"PMD report {path}: {exc}", byte_offset=exc.byte_offset) from exc
+        entities = _code_model_entities(data, path)
     occurrences = evaluate_rules(entities, rules, version_id)
     if strip_prefix is None:
         return occurrences
@@ -258,13 +269,18 @@ def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
     return rows
 
 
-def _snapshot_from_row(
-    row_no: int,
-    row: dict[str, str],
-    base_dir: Path,
-    rules: list[SmellRule],
-    strip_prefix: str | None,
-) -> VersionSnapshot:
+@dataclass(frozen=True)
+class _ManifestRow:
+    """A checked manifest row: everything about a version but its report's contents."""
+
+    row: int
+    version_id: str
+    timestamp: datetime
+    size: SizeMetrics
+    report_path: Path
+
+
+def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow:
     version_id = row["version"].strip()
     if not version_id:
         raise ManifestError("empty version id", row=row_no)
@@ -288,49 +304,30 @@ def _snapshot_from_row(
         except ValueError as exc:
             raise ManifestError(f"bad {col} {raw!r}", row=row_no) from exc
 
+    size = SizeMetrics(lloc=lloc, loc=optional_int("loc"), classes=optional_int("classes"))
     report_path = Path(row["report_path"].strip())
     if not report_path.is_absolute():
         report_path = base_dir / report_path
     try:
-        occurrences = _load_report_file(report_path, version_id, rules, strip_prefix)
+        report_path.stat()
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=row_no) from exc
-
-    return VersionSnapshot(
-        version_id=version_id,
-        timestamp=timestamp,
-        occurrences=tuple(occurrences),
-        size=SizeMetrics(lloc=lloc, loc=optional_int("loc"), classes=optional_int("classes")),
-    )
+    return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
 
-def load_manifests(
-    table: str,
-    base_dir: str | Path = ".",
-    rules: list[SmellRule] | None = None,
-    strip_prefix: str | None = None,
-) -> list[History]:
-    """Load every application named in a manifest, one History each.
-
-    Rows may arrive in any order; snapshots are sorted by timestamp.
-    Duplicate version ids, unparseable timestamps, non-positive lloc, and
-    unreadable report files are fatal, reported with their row number.
-    """
-    if rules is None:
-        rules = default_ruleset()
-    base = Path(base_dir)
-    rows = _parse_manifest_rows(table)
+def _check_manifest(table: str, base_dir: Path) -> dict[str, list[_ManifestRow]]:
+    """Every row checked, grouped by app and sorted by timestamp; no report is read."""
     per_app: dict[str, list[tuple[int, dict[str, str]]]] = {}
-    for row_no, row in rows:
+    for row_no, row in _parse_manifest_rows(table):
         app = row["app"].strip()
         if not app:
             raise ManifestError("empty app name", row=row_no)
         per_app.setdefault(app, []).append((row_no, row))
 
-    histories = []
+    checked = {}
     for app, app_rows in per_app.items():
         seen: dict[str, int] = {}
-        snapshots = []
+        entries = []
         for row_no, row in app_rows:
             version_id = row["version"].strip()
             if version_id in seen:
@@ -340,13 +337,68 @@ def load_manifests(
                     row=row_no,
                 )
             seen[version_id] = row_no
-            snapshots.append(_snapshot_from_row(row_no, row, base, rules, strip_prefix))
-        snapshots.sort(key=lambda s: s.timestamp)
-        try:
-            histories.append(History(app_name=app, snapshots=tuple(snapshots)))
-        except ValueError as exc:
-            raise ManifestError(f"app {app!r}: {exc}") from exc
-    return histories
+            entries.append(_check_row(row_no, row, base_dir))
+        entries.sort(key=lambda e: e.timestamp)
+        for a, b in zip(entries, entries[1:]):
+            if not a.timestamp < b.timestamp:
+                raise ManifestError(
+                    f"app {app!r}: timestamps not strictly increasing: {a.version_id} !< {b.version_id}",
+                    row=b.row,
+                )
+        checked[app] = entries
+    return checked
+
+
+def _snapshot_from_row(
+    entry: _ManifestRow,
+    rules: list[SmellRule],
+    strip_prefix: str | None,
+) -> VersionSnapshot:
+    """Read one checked row's report; every error carries the row."""
+    try:
+        occurrences = _load_report_file(entry.report_path, entry.version_id, rules, strip_prefix)
+    except OSError as exc:
+        raise ManifestError(f"report file unreadable: {exc}", row=entry.row) from exc
+    except SmellSurvError as exc:
+        exc.row = entry.row
+        raise
+    return VersionSnapshot(
+        version_id=entry.version_id,
+        timestamp=entry.timestamp,
+        occurrences=tuple(occurrences),
+        size=entry.size,
+    )
+
+
+def load_manifests(
+    table: str,
+    base_dir: str | Path = ".",
+    rules: list[SmellRule] | None = None,
+    strip_prefix: str | None = None,
+    latest: int | None = None,
+) -> list[History]:
+    """Load every application named in a manifest, one History each.
+
+    Rows may arrive in any order; snapshots are sorted by timestamp.
+    Duplicate version ids, unparseable timestamps, non-positive lloc, and
+    missing or unreadable report files are fatal, reported with their row
+    number. Every row is checked and every report file must exist; with
+    ``latest``, only each app's ``latest`` most recent reports are read and
+    its History holds just those versions.
+    """
+    if rules is None:
+        rules = default_ruleset()
+    checked = _check_manifest(table, Path(base_dir))
+    return [
+        History(
+            app_name=app,
+            snapshots=tuple(
+                _snapshot_from_row(entry, rules, strip_prefix)
+                for entry in (entries[-latest:] if latest else entries)
+            ),
+        )
+        for app, entries in checked.items()
+    ]
 
 
 def load_manifest(

@@ -217,14 +217,16 @@ def load_code_model(path: str | Path) -> list[CodeEntity]:
     Each entity object needs "kind", "name", "file"; metric fields and
     "parent" are optional.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _code_model_entities(fh.read(), path)
 
 
-def _code_model_entities(text: str, path: str | Path) -> list[CodeEntity]:
-    """Entities of a code model already read as text; errors name path."""
+def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
+    """Entities of a code model already read as bytes; errors name path."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"code model {path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"code model {path}: {exc}") from exc
     if isinstance(raw, dict):

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import builtins
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from smellsurv.anomaly import density_series, flag_anomalies
 from smellsurv.cli import (
     EXIT_ERROR,
     EXIT_GATE_FAILED,
@@ -17,7 +23,8 @@ from smellsurv.cli import (
     main,
 )
 from smellsurv import survival
-from smellsurv.report import analyze_history, records_csv
+from smellsurv.ingest import load_manifest
+from smellsurv.report import analyze_history, fmt_rate, records_csv
 from smellsurv.tracking import assign_timeframes, build_survival_records
 
 from conftest import history_from_bits, ts, write_no_smell_history
@@ -254,14 +261,18 @@ def test_engineered_timeframes_reach_significance():
 # gate
 # ---------------------------------------------------------------------------
 
+def write_model(path: Path, count: int) -> None:
+    """A code model with ``count`` methods over the method-length threshold."""
+    path.write_text(json.dumps([
+        {"kind": "method", "name": f"m{j}", "file": "a.php", "parent": "A", "loc": 150}
+        for j in range(count)
+    ]))
+
+
 def gate_manifest(tmp_path, counts, llocs):
     lines = ["app,version,timestamp,report_path,lloc"]
     for i, (count, lloc) in enumerate(zip(counts, llocs)):
-        model = tmp_path / f"m{i}.json"
-        model.write_text(json.dumps([
-            {"kind": "method", "name": f"m{j}", "file": "a.php", "parent": "A", "loc": 150}
-            for j in range(count)
-        ]))
+        write_model(tmp_path / f"m{i}.json", count)
         lines.append(f"demo,{i + 1}.0,2020-0{i + 1}-01,m{i}.json,{lloc}")
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n")
@@ -294,6 +305,169 @@ def test_gate_respects_custom_thresholds(tmp_path):
     manifest = gate_manifest(tmp_path, [10, 12], [10_000, 10_000])  # +20%
     assert main(["gate", "--manifest", str(manifest)]) == EXIT_OK
     assert main(["gate", "--manifest", str(manifest), "--up", "0.1"]) == EXIT_GATE_FAILED
+
+
+def test_gate_rules_override_matches_analyze_density(tmp_path, capsys):
+    # methods of 60 lines are clean by default and smells under a threshold of 50
+    for i, short in enumerate((2, 6)):
+        (tmp_path / f"m{i}.json").write_text(json.dumps([
+            {"kind": "method", "name": f"m{j}", "file": "a.php", "parent": "A", "loc": 150 if j < 4 else 60}
+            for j in range(4 + short)
+        ]))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "app,version,timestamp,report_path,lloc\n"
+        "demo,1.0,2020-01-01,m0.json,10000\ndemo,2.0,2020-02-01,m1.json,10000\n"
+    )
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"ExcessiveMethodLength": 50}))
+
+    assert main(["gate", "--manifest", str(manifest)]) == EXIT_OK
+    assert "delta_rho=0 [ok]" in capsys.readouterr().out
+    assert main(["gate", "--manifest", str(manifest), "--rules", str(rules)]) == EXIT_GATE_FAILED
+    gate_out = capsys.readouterr().out
+    assert main(["analyze", "--manifest", str(manifest), "--rules", str(rules), "--out", str(tmp_path / "out")]) == EXIT_OK
+    delta_rho = read_csv(tmp_path / "out" / "demo" / "density.csv")[-1]["delta_rho"]
+    assert delta_rho == fmt_rate(10 / 6 - 1)
+    assert gate_out == f"demo 2.0: delta_rho={delta_rho} [FAIL] increase_50\n"
+
+
+# ---------------------------------------------------------------------------
+# gate checks every row but reads only each app's two latest reports
+# ---------------------------------------------------------------------------
+
+def test_gate_opens_only_the_two_latest_reports_per_app(tmp_path, monkeypatch, capsys):
+    # rows out of timestamp order: the last two rows of each app are not its latest two
+    rows = [
+        ("alpha", "3.0", "2020-09-01"), ("beta", "2.0", "2020-06-01"), ("alpha", "1.0", "2020-01-01"),
+        ("beta", "3.0", "2020-10-01"), ("alpha", "2.0", "2020-05-01"), ("beta", "1.0", "2020-02-01"),
+    ]
+    lines = ["app,version,timestamp,report_path,lloc"]
+    for app, version, day in rows:
+        write_model(tmp_path / f"{app}-{version}.json", 10)
+        lines.append(f"{app},{version},{day},{app}-{version}.json,10000")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["gate", "--manifest", str(manifest)]) == EXIT_OK
+    assert sorted(p.name for p in opened if p != manifest) == [
+        "alpha-2.0.json", "alpha-3.0.json", "beta-2.0.json", "beta-3.0.json",
+    ]
+    assert capsys.readouterr().out == (
+        "alpha 3.0: delta_rho=0 [ok]\nbeta 3.0: delta_rho=0 [ok]\n"
+    )
+
+
+def four_version_rows(tmp_path) -> list[list[str]]:
+    """Manifest rows (header first) of a four-version app whose last two versions are sound."""
+    rows = [["app", "version", "timestamp", "report_path", "lloc"]]
+    for i in range(4):
+        write_model(tmp_path / f"m{i}.json", 10)
+        rows.append(["demo", f"{i + 1}.0", f"2020-0{i + 1}-01", f"m{i}.json", "10000"])
+    return rows
+
+
+def write_rows(tmp_path, rows) -> Path:
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(",".join(row) + "\n" for row in rows))
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "row, column, value, message",
+    [
+        (2, 2, "nope", "bad timestamp"),
+        (2, 4, "0", "lloc must be positive"),
+        (3, 1, "1.0", "duplicate version id"),
+        (3, 2, "2020-01-01", "timestamps not strictly increasing"),
+        (2, 3, "missing.json", "report file unreadable"),
+    ],
+    ids=["bad timestamp", "zero lloc", "duplicate version", "equal timestamps", "missing report"],
+)
+def test_gate_checks_every_row(tmp_path, capsys, row, column, value, message):
+    rows = four_version_rows(tmp_path)
+    rows[row - 1][column] = value
+    manifest = write_rows(tmp_path, rows)
+    assert main(["gate", "--manifest", str(manifest)]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ManifestError"
+    assert record["row"] == row
+    assert message in record["message"]
+
+
+def test_malformed_earlier_report_fails_analyze_but_not_gate(tmp_path, capsys):
+    rows = four_version_rows(tmp_path)
+    (tmp_path / "m0.xml").write_text('<pmd><file name="a.php">')
+    rows[1][3] = "m0.xml"
+    manifest = write_rows(tmp_path, rows)
+    assert main(["gate", "--manifest", str(manifest)]) == EXIT_OK
+    assert capsys.readouterr().out == "demo 4.0: delta_rho=0 [ok]\n"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert (record["error"], record["row"]) == ("ReportParseError", 2)
+    assert str(tmp_path / "m0.xml") in record["message"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 40)), min_size=2, max_size=9))
+def test_gate_matches_the_full_history_verdict(series):
+    counts, llocs = zip(*series)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        manifest = gate_manifest(Path(tmp), counts, llocs)
+        code = main(["gate", "--manifest", str(manifest)])
+        history = load_manifest(manifest.read_text(), base_dir=tmp)
+    points = density_series(history)
+    latest = points[-1]
+    flags = [f for f in flag_anomalies(points) if f.version_id == latest.version_id]
+    failed = any(f.kind.value.startswith("increase") for f in flags)
+    expected = (
+        f"demo {latest.version_id}: delta_rho={fmt_rate(latest.delta_rho)} [{'FAIL' if failed else 'ok'}]"
+        + "".join(f" {f.kind.value}" for f in flags)
+    )
+    assert out.getvalue() == expected + "\n"
+    assert code == (EXIT_GATE_FAILED if failed else EXIT_OK)
+
+
+# ---------------------------------------------------------------------------
+# report errors name the report file and the manifest row
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        ("bad.xml", b'<pmd><file name="a.php"><violation', "ReportParseError"),
+        (
+            "bad.xml",
+            b'<pmd><file name="a.php"><violation beginline="one" endline="9"'
+            b' rule="ExcessiveMethodLength" class="A" method="m"/></file></pmd>',
+            "ReportParseError",
+        ),
+        ("bad.json", b'[{"kind": "method", "name": "\xff", "file": "a.php"}]', "ConfigError"),
+        ("bad", b'[{"kind": "method", "name": "\xff", "file": "a.php"}]', "ConfigError"),
+    ],
+    ids=["malformed XML", "non-integer beginline", "non-UTF-8 code model", "non-UTF-8 extension-less model"],
+)
+def test_report_error_names_the_file_and_the_row(tmp_path, capsys, command, name, content, error):
+    rows = four_version_rows(tmp_path)
+    (tmp_path / name).write_bytes(content)
+    rows[3][3] = name
+    manifest = write_rows(tmp_path, rows)
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert (record["error"], record["row"]) == (error, 4)
+    assert str(tmp_path / name) in record["message"]
+    if "malformed" in record["message"]:
+        assert 0 < record["byte_offset"] <= len(content)
 
 
 # ---------------------------------------------------------------------------
