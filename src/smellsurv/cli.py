@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
@@ -109,10 +112,26 @@ def cmd_analyze(args) -> int:
     if short:
         raise ManifestError(short)
     out_dir = Path(args.out)
-    for history in sorted(histories, key=lambda h: h.app_name):
-        bundle = analyze_history(history, options, thresholds)
-        written = write_bundle(bundle, out_dir, formats)
-        print(f"{history.app_name}: {len(bundle.records)} records, {len(written)} files -> {out_dir / history.app_name}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # the whole run is staged, then each app dir is swapped in whole, so a
+    # failed run leaves out_dir as it was and a re-run leaves no stale files
+    staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
+    try:
+        new, old = staging / "new", staging / "old"
+        old.mkdir()
+        lines = []
+        for history in sorted(histories, key=lambda h: h.app_name):
+            bundle = analyze_history(history, options, thresholds)
+            written = write_bundle(bundle, new, formats)
+            lines.append(f"{bundle.app}: {len(bundle.records)} records, {len(written)} files -> {out_dir / bundle.app}")
+        for history in histories:
+            target = out_dir / history.app_name
+            if target.exists():
+                os.replace(target, old / history.app_name)
+            os.replace(new / history.app_name, target)
+    finally:
+        shutil.rmtree(staging)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -192,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SmellSurvError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SmellSurvError, ValueError, OSError) as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_ERROR
 

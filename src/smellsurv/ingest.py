@@ -173,23 +173,21 @@ def parse_pmd_report(
             begin = violation.get("beginline")
             end = violation.get("endline")
             try:
-                begin_line = int(begin) if begin is not None else None
-                end_line = int(end) if end is not None else None
+                result.occurrences.append(
+                    SmellOccurrence(
+                        rule=rule,
+                        file=file_path,
+                        entity_path=entity_path,
+                        version_id=version_id,
+                        begin_line=int(begin) if begin is not None else None,
+                        end_line=int(end) if end is not None else None,
+                    )
+                )
             except ValueError:
                 raise ReportParseError(
                     f"violation of {rule_name} in {file_path!r}: beginline {begin!r}"
-                    f" and endline {end!r} must be integers"
+                    f" and endline {end!r} must be integers, beginline <= endline"
                 ) from None
-            result.occurrences.append(
-                SmellOccurrence(
-                    rule=rule,
-                    file=file_path,
-                    entity_path=entity_path,
-                    version_id=version_id,
-                    begin_line=begin_line,
-                    end_line=end_line,
-                )
-            )
     result.occurrences.sort(
         key=lambda o: (
             o.file,
@@ -320,8 +318,8 @@ def _check_manifest(table: str, base_dir: Path) -> dict[str, list[_ManifestRow]]
     per_app: dict[str, list[tuple[int, dict[str, str]]]] = {}
     for row_no, row in _parse_manifest_rows(table):
         app = row["app"].strip()
-        if not app:
-            raise ManifestError("empty app name", row=row_no)
+        if not app or app in (".", "..") or "/" in app or "\\" in app:
+            raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
         per_app.setdefault(app, []).append((row_no, row))
 
     checked = {}

@@ -1,9 +1,9 @@
 """Emitters for the analysis outputs: tables (CSV), machine-readable
 summaries (JSON), and optional SVG charts.
 
-All writers are deterministic: fixed orderings, fixed number formatting
-(two decimals for day values, six significant digits for probabilities and
-rates), and atomic write-then-rename file creation.
+Each table's cells are formatted once, by its row builder; CSV and JSON are two
+renderings of those cells. Orderings and number formats are fixed (two decimals
+for day values, six significant digits for probabilities and rates).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import svgplot
@@ -45,6 +45,13 @@ from .tracking import (
 
 FORMATS = ("csv", "json", "svg")
 
+Table = tuple[list[str], list[list[str]]]  # a header and rows of formatted cells
+
+# how a cell reads back as a JSON value: text stays a string, a count is an
+# int ("" is null), and any other cell is a number through json_number
+TEXT_COLUMNS = frozenset({"version", "timestamp", "rule", "scope", "file", "entity_path", "kind", "group"})
+COUNT_COLUMNS = frozenset({"found", "removed", "cs_count", "lloc", "begin_line", "end_line"})
+
 
 def fmt_days(value: float | None) -> str:
     return "" if value is None else f"{value:.2f}"
@@ -68,6 +75,19 @@ def json_number(text: str) -> float | str | None:
     return text if text == "inf" else float(text)
 
 
+def _json_value(column: str, cell: str):
+    if column in TEXT_COLUMNS:
+        return cell
+    if column in COUNT_COLUMNS:
+        return int(cell) if cell else None
+    return json_number(cell)
+
+
+def _json_rows(table: Table) -> list[dict]:
+    header, rows = table
+    return [{column: _json_value(column, cell) for column, cell in zip(header, row)} for row in rows]
+
+
 def write_atomic(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -75,7 +95,8 @@ def write_atomic(path: Path, content: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(table: Table) -> str:
+    header, rows = table
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -98,31 +119,28 @@ def _json_line(doc) -> str:
 OCCURRENCE_HEADER = ["version", "rule", "scope", "file", "entity_path", "begin_line", "end_line"]
 
 
-def _occurrence_docs(occurrences: list[SmellOccurrence]) -> list[dict]:
-    return [
-        {
-            "version": occ.version_id,
-            "rule": occ.rule.value,
-            "scope": scope_of(occ.rule).value,
-            "file": occ.file,
-            "entity_path": occ.entity_path,
-            "begin_line": occ.begin_line,
-            "end_line": occ.end_line,
-        }
+def _occurrence_table(occurrences: list[SmellOccurrence]) -> Table:
+    rows = [
+        [
+            occ.version_id,
+            occ.rule.value,
+            scope_of(occ.rule).value,
+            occ.file,
+            occ.entity_path,
+            "" if occ.begin_line is None else str(occ.begin_line),
+            "" if occ.end_line is None else str(occ.end_line),
+        ]
         for occ in occurrences
     ]
+    return OCCURRENCE_HEADER, rows
 
 
 def occurrences_csv(occurrences: list[SmellOccurrence]) -> str:
-    rows = [
-        ["" if doc[k] is None else str(doc[k]) for k in OCCURRENCE_HEADER]
-        for doc in _occurrence_docs(occurrences)
-    ]
-    return _csv_text(OCCURRENCE_HEADER, rows)
+    return _csv_text(_occurrence_table(occurrences))
 
 
 def occurrences_json(occurrences: list[SmellOccurrence]) -> str:
-    return _json_text(_occurrence_docs(occurrences))
+    return _json_text(_json_rows(_occurrence_table(occurrences)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +162,7 @@ RECORDS_HEADER = [
 ]
 
 
-def records_csv(app: str, records: list[SurvivalRecord]) -> str:
+def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
     rows = [
         [
             app,
@@ -161,23 +179,18 @@ def records_csv(app: str, records: list[SurvivalRecord]) -> str:
         ]
         for r in records
     ]
-    return _csv_text(RECORDS_HEADER, rows)
+    return RECORDS_HEADER, rows
 
 
-def lifelines_csv(records: list[SurvivalRecord]) -> str:
-    rows = [
-        [
-            r.key.rule.value,
-            r.key.location(),
-            r.first_date.isoformat(),
-            "" if r.end_date is None else r.end_date.isoformat(),
-        ]
-        for r in records
-    ]
-    return _csv_text(["rule", "key", "first_date", "end_date"], rows)
+def records_csv(app: str, records: list[SurvivalRecord]) -> str:
+    return _csv_text(_record_table(app, records))
 
 
-SUMMARY_HEADER = ["group", "found", "removed", "pct_removed", "median_days", "rmean_days", "se_rmean"]
+def _project(table: Table, columns: list[str]) -> Table:
+    """The table cut down to the named columns, in their order."""
+    header, rows = table
+    picks = [header.index(column) for column in columns]
+    return columns, [[row[i] for i in picks] for row in rows]
 
 
 def _summary_cells(summary: GroupSummary | None) -> list[str]:
@@ -193,37 +206,33 @@ def _summary_cells(summary: GroupSummary | None) -> list[str]:
     ]
 
 
-def _summary_json(summary: GroupSummary | None):
-    if summary is None:
-        return {"found": 0, "removed": 0, "no_data": True}
-    doc = {"found": summary.found, "removed": summary.removed}
-    stats = _summary_cells(summary)[2:]
-    doc.update((name, json_number(cell)) for name, cell in zip(SUMMARY_HEADER[3:], stats))
-    return doc
-
-
-def summary_csv(comparison: GroupComparison) -> str:
+def _summary_table(comparison: GroupComparison) -> Table:
     rows = [[label] + _summary_cells(comparison.summaries[label]) for label in comparison.labels]
-    return _csv_text(SUMMARY_HEADER, rows)
+    return ["group", "found", "removed", "pct_removed", "median_days", "rmean_days", "se_rmean"], rows
+
+
+def _summaries_json(comparison: GroupComparison) -> dict:
+    docs = {}
+    for doc in _json_rows(_summary_table(comparison)):
+        label = doc.pop("group")
+        if comparison.summaries[label] is None:  # degenerate group: its counts only
+            doc = {column: value for column, value in doc.items() if value is not None} | {"no_data": True}
+        docs[label] = doc
+    return docs
 
 
 CURVE_HEADER = ["time_days", "n_at_risk", "n_events", "survival"]
 
 
-def _curve_rows(curve: SurvivalCurve) -> list[list[str]]:
-    return [
-        [fmt_days(p.time_days), str(p.n_at_risk), str(p.n_events), fmt_prob(p.survival)]
-        for p in curve.points
-    ]
+def _curve_table(curve: SurvivalCurve | None) -> Table:
+    points = curve.points if curve else []
+    rows = [[fmt_days(p.time_days), str(p.n_at_risk), str(p.n_events), fmt_prob(p.survival)] for p in points]
+    return CURVE_HEADER, rows
 
 
-def curve_csv(curve: SurvivalCurve | None) -> str:
-    return _csv_text(CURVE_HEADER, _curve_rows(curve) if curve else [])
-
-
-def grouped_curves_csv(comparison: GroupComparison) -> str:
-    rows = [[label] + row for label, curve in comparison.curves.items() for row in _curve_rows(curve)]
-    return _csv_text(["group"] + CURVE_HEADER, rows)
+def _grouped_curve_table(comparison: GroupComparison) -> Table:
+    rows = [[label] + row for label, curve in comparison.curves.items() for row in _curve_table(curve)[1]]
+    return ["group"] + CURVE_HEADER, rows
 
 
 def _logrank_json(comparison: GroupComparison):
@@ -240,7 +249,7 @@ def _logrank_json(comparison: GroupComparison):
 # per-version tables
 # ---------------------------------------------------------------------------
 
-def counts_by_rule_csv(history: History) -> str:
+def _counts_by_rule_table(history: History) -> Table:
     rows = []
     for snap in history.snapshots:
         counts = {rid: 0 for rid in RuleId}
@@ -248,10 +257,10 @@ def counts_by_rule_csv(history: History) -> str:
             counts[occ.rule] += 1
         for rid in RuleId:
             rows.append([snap.version_id, snap.timestamp.isoformat(), rid.value, str(counts[rid])])
-    return _csv_text(["version", "timestamp", "rule", "count"], rows)
+    return ["version", "timestamp", "rule", "count"], rows
 
 
-def density_csv(series: list[DensityPoint]) -> str:
+def _density_table(series: list[DensityPoint]) -> Table:
     rows = [
         [
             p.version_id,
@@ -265,50 +274,11 @@ def density_csv(series: list[DensityPoint]) -> str:
         ]
         for p in series
     ]
-    return _csv_text(
-        ["version", "timestamp", "cs_count", "lloc", "rho", "delta_cs", "delta_lloc", "delta_rho"],
-        rows,
-    )
+    return ["version", "timestamp", "cs_count", "lloc", "rho", "delta_cs", "delta_lloc", "delta_rho"], rows
 
 
-def anomalies_csv(flags: list[AnomalyFlag]) -> str:
-    rows = [[f.version_id, f.kind.value, fmt_rate(f.delta_rho)] for f in flags]
-    return _csv_text(["version", "kind", "delta_rho"], rows)
-
-
-def _flags_json(flags: list[AnomalyFlag]):
-    return [
-        {"version": f.version_id, "kind": f.kind.value, "delta_rho": json_number(fmt_rate(f.delta_rho))}
-        for f in flags
-    ]
-
-
-def anomaly_report_json(
-    app: str,
-    series: list[DensityPoint],
-    flags: list[AnomalyFlag],
-    thresholds: AnomalyThresholds,
-) -> str:
-    return _json_text(
-        {
-            "app": app,
-            "thresholds": {"up": thresholds.up, "up2": thresholds.up2, "down": thresholds.down},
-            "density": [
-                {
-                    "version": p.version_id,
-                    "timestamp": p.timestamp.isoformat(),
-                    "cs_count": p.cs_count,
-                    "lloc": p.lloc,
-                    "rho": json_number(fmt_rate(p.rho)),
-                    "delta_cs": json_number(fmt_rate(p.delta_cs)),
-                    "delta_lloc": json_number(fmt_rate(p.delta_lloc)),
-                    "delta_rho": json_number(fmt_rate(p.delta_rho)),
-                }
-                for p in series
-            ],
-            "flags": _flags_json(flags),
-        }
-    )
+def _flag_table(flags: list[AnomalyFlag]) -> Table:
+    return ["version", "kind", "delta_rho"], [[f.version_id, f.kind.value, fmt_rate(f.delta_rho)] for f in flags]
 
 
 # ---------------------------------------------------------------------------
@@ -359,30 +329,38 @@ def analyze_history(
 
 
 def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> list[Path]:
-    """Write one application's output files under out_dir/<app>/."""
+    """Write one application's output files under out_dir/<app>/, in place."""
     app_dir = Path(out_dir) / bundle.app
+    app_dir.mkdir(parents=True, exist_ok=True)
     comparisons = (bundle.scope, bundle.timeframe)
     written: list[Path] = []
 
     def emit(name: str, content: str) -> None:
         path = app_dir / name
-        write_atomic(path, content)
+        path.write_text(content, encoding="utf-8", newline="")
         written.append(path)
 
     if "csv" in formats:
-        emit("records.csv", records_csv(bundle.app, bundle.records))
-        emit("lifelines.csv", lifelines_csv(bundle.records))
-        emit("counts_by_rule.csv", counts_by_rule_csv(bundle.history))
-        emit("density.csv", density_csv(bundle.series))
-        emit("anomalies.csv", anomalies_csv(bundle.flags))
-        emit("km_all.csv", curve_csv(bundle.km_all))
+        records = _record_table(bundle.app, bundle.records)
+        emit("records.csv", _csv_text(records))
+        emit("lifelines.csv", _csv_text(_project(records, ["rule", "key", "first_date", "end_date"])))
+        emit("counts_by_rule.csv", _csv_text(_counts_by_rule_table(bundle.history)))
+        emit("density.csv", _csv_text(_density_table(bundle.series)))
+        emit("anomalies.csv", _csv_text(_flag_table(bundle.flags)))
+        emit("km_all.csv", _csv_text(_curve_table(bundle.km_all)))
         for c in comparisons:
-            emit(f"summary_{c.partition}.csv", summary_csv(c))
-            emit(f"km_{c.partition}.csv", grouped_curves_csv(c))
+            emit(f"summary_{c.partition}.csv", _csv_text(_summary_table(c)))
+            emit(f"km_{c.partition}.csv", _csv_text(_grouped_curve_table(c)))
             emit(f"logrank_{c.partition}.json", _json_line(_logrank_json(c)))
 
     if "json" in formats:
-        emit("anomalies.json", anomaly_report_json(bundle.app, bundle.series, bundle.flags, bundle.thresholds))
+        thresholds = bundle.thresholds
+        emit("anomalies.json", _json_text({
+            "app": bundle.app,
+            "thresholds": {"up": thresholds.up, "up2": thresholds.up2, "down": thresholds.down},
+            "density": _json_rows(_density_table(bundle.series)),
+            "flags": _json_rows(_flag_table(bundle.flags)),
+        }))
         emit("bundle.json", _bundle_json(bundle))
 
     if "svg" in formats:
@@ -428,16 +406,12 @@ def _bundle_json(bundle: AnalysisBundle) -> str:
             "split_instant": split_instant(history).isoformat(),
         },
         "records": len(bundle.records),
-        "metric_change_rates": {
-            "d_loc": json_number(fmt_rate(bundle.rates.d_loc)),
-            "d_lloc": json_number(fmt_rate(bundle.rates.d_lloc)),
-            "d_classes": json_number(fmt_rate(bundle.rates.d_classes)),
-        },
-        "anomaly_flags": _flags_json(bundle.flags),
+        "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in asdict(bundle.rates).items()},
+        "anomaly_flags": _json_rows(_flag_table(bundle.flags)),
     }
     for c in (bundle.scope, bundle.timeframe):
         doc[c.partition] = {
-            "summaries": {label: _summary_json(c.summaries[label]) for label in c.labels},
+            "summaries": _summaries_json(c),
             "logrank": _logrank_json(c),
         }
     return _json_text(doc)

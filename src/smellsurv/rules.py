@@ -114,7 +114,7 @@ def load_ruleset(path: str | Path) -> list[SmellRule]:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"rules file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"rules file {path}: expected a JSON object of rule -> threshold")
@@ -214,8 +214,8 @@ def evaluate_rules(
 def load_code_model(path: str | Path) -> list[CodeEntity]:
     """Read a code-model JSON file: a list of entity objects, or {"entities": [...]}.
 
-    Each entity object needs "kind", "name", "file"; metric fields and
-    "parent" are optional.
+    Each entity object needs "kind" and the strings "name" and "file";
+    integer metric fields and the string "parent" are optional.
     """
     with open(path, "rb") as fh:
         return _code_model_entities(fh.read(), path)
@@ -239,12 +239,15 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
             raise ConfigError(f"code model {path}: entity #{i} is not an object")
         try:
             kind = EntityKind(item["kind"])
+            name, file, parent = item["name"], item["file"], item.get("parent", "")
+            if not all(isinstance(text, str) for text in (name, file, parent)):
+                raise TypeError("name, file and parent must be strings")
             entities.append(
                 CodeEntity(
                     kind=kind,
-                    name=item["name"],
-                    file=item["file"],
-                    parent=item.get("parent"),
+                    name=name,
+                    file=file,
+                    parent=parent or None,
                     loc=int(item.get("loc", 0)),
                     parameter_count=int(item.get("parameter_count", 0)),
                     depth_of_inheritance=int(item.get("depth_of_inheritance", 0)),
@@ -252,6 +255,6 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
                     children_count=int(item.get("children_count", 0)),
                 )
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"code model {path}: entity #{i}: {exc}") from exc
     return entities

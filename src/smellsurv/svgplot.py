@@ -4,7 +4,6 @@ density-change threshold chart. No styling ambitions, no dependencies."""
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 WIDTH = 800
 HEIGHT = 480
@@ -14,6 +13,11 @@ MARGIN_TOP = 40
 MARGIN_BOTTOM = 50
 
 PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#e67e22", "#16a085")
+
+
+def _escape(text: str) -> str:
+    """Escape text for an XML text node (xml.sax.saxutils would import urllib)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(value: float) -> str:
@@ -42,10 +46,10 @@ def _document(body: list[str], title: str) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<title>{escape(title)}</title>',
+        f'<title>{_escape(title)}</title>',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="15">{escape(title)}</text>',
+        f'font-size="15">{_escape(title)}</text>',
     ]
     parts.extend(body)
     parts.append("</svg>")
@@ -59,9 +63,9 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
         f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333333" stroke-width="1"/>',
         f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333" stroke-width="1"/>',
         f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>',
+        f'font-family="sans-serif" font-size="12">{_escape(x_label)}</text>',
         f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {(y0 + y1) // 2})">{escape(y_label)}</text>',
+        f'font-size="12" transform="rotate(-90 16 {(y0 + y1) // 2})">{_escape(y_label)}</text>',
     ]
     for frac in (0.0, 0.5, 1.0):
         xv = frame.x_min + frac * frame.x_span
@@ -85,7 +89,7 @@ def _legend(labels_colors: list[tuple[str, str]]) -> list[str]:
         out.append(f'<line x1="{x}" y1="{y}" x2="{x + 18}" y2="{y}" stroke="{color}" stroke-width="2"/>')
         out.append(
             f'<text x="{x + 24}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
+            f'font-size="11">{_escape(label)}</text>'
         )
     return out
 
@@ -169,7 +173,7 @@ def threshold_chart(
         )
         body.append(
             f'<text x="{WIDTH - MARGIN_RIGHT - 4}" y="{_fmt(frame.py(value) - 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10" fill="#666666">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="10" fill="#666666">{_escape(label)}</text>'
         )
     path: list[str] = []
     pen_down = False

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
@@ -22,7 +24,7 @@ from smellsurv.cli import (
     EXIT_OK,
     main,
 )
-from smellsurv import survival
+from smellsurv import cli, survival
 from smellsurv.ingest import load_manifest
 from smellsurv.report import analyze_history, fmt_rate, records_csv
 from smellsurv.tracking import assign_timeframes, build_survival_records
@@ -31,6 +33,7 @@ from conftest import history_from_bits, ts, write_no_smell_history
 from oracles import logrank_oracle, records_oracle
 
 TRIAPP = Path(__file__).parent / "data" / "triapp"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def read_csv(path: Path):
@@ -440,6 +443,18 @@ def test_gate_matches_the_full_history_verdict(series):
 # report errors name the report file and the manifest row
 # ---------------------------------------------------------------------------
 
+# code models with a field of the wrong JSON type; two flagged entities make
+# evaluate_rules sort, which a non-string name would break
+WRONG_TYPE_MODELS = [
+    b'[{"kind": "method", "name": "m", "file": "a.php", "loc": null}]',
+    b'[{"kind": "method", "name": "m", "file": "a.php", "loc": [150]}]',
+    b'[{"kind": "method", "name": 7, "file": "a.php", "loc": 150},'
+    b' {"kind": "method", "name": "m", "file": "a.php", "loc": 150}]',
+    b'[{"kind": "method", "name": "m", "file": null, "loc": 150}]',
+    b'[{"kind": "method", "name": "m", "file": "a.php", "parent": 3, "loc": 150}]',
+]
+WRONG_TYPE_IDS = ["null metric", "list metric", "non-string name", "null file", "non-string parent"]
+
 @pytest.mark.parametrize("command", ["analyze", "gate"])
 @pytest.mark.parametrize(
     "name, content, error",
@@ -451,10 +466,24 @@ def test_gate_matches_the_full_history_verdict(series):
             b' rule="ExcessiveMethodLength" class="A" method="m"/></file></pmd>',
             "ReportParseError",
         ),
+        (
+            "bad.xml",
+            b'<pmd><file name="a.php"><violation beginline="9" endline="3"'
+            b' rule="ExcessiveMethodLength" class="A" method="m"/></file></pmd>',
+            "ReportParseError",
+        ),
         ("bad.json", b'[{"kind": "method", "name": "\xff", "file": "a.php"}]', "ConfigError"),
         ("bad", b'[{"kind": "method", "name": "\xff", "file": "a.php"}]', "ConfigError"),
+        *((f"bad-{i}.json", model, "ConfigError") for i, model in enumerate(WRONG_TYPE_MODELS)),
     ],
-    ids=["malformed XML", "non-integer beginline", "non-UTF-8 code model", "non-UTF-8 extension-less model"],
+    ids=[
+        "malformed XML",
+        "non-integer beginline",
+        "beginline after endline",
+        "non-UTF-8 code model",
+        "non-UTF-8 extension-less model",
+        *WRONG_TYPE_IDS,
+    ],
 )
 def test_report_error_names_the_file_and_the_row(tmp_path, capsys, command, name, content, error):
     rows = four_version_rows(tmp_path)
@@ -550,3 +579,98 @@ def test_csv_only_format_skips_json_and_svg(tmp_path):
     assert (tmp_path / "alpha" / "records.csv").exists()
     assert not (tmp_path / "alpha" / "bundle.json").exists()
     assert not (tmp_path / "alpha" / "km_scope.svg").exists()
+
+
+@pytest.mark.parametrize("model", WRONG_TYPE_MODELS, ids=WRONG_TYPE_IDS)
+def test_detect_rejects_a_code_model_field_of_the_wrong_type(tmp_path, capsys, model):
+    path = tmp_path / "model.json"
+    path.write_bytes(model)
+    assert main(["detect", "--code-model", str(path), "--version-id", "1", "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert f"{path}: entity #0" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
+def test_non_utf8_rules_file_is_a_config_error_naming_it(tmp_path, capsys, command):
+    rules = tmp_path / "rules.json"
+    rules.write_bytes(b'{"ExcessiveMethodLength": 50, "\xff": 1}')
+    manifest = write_rows(tmp_path, four_version_rows(tmp_path))
+    args = {
+        "analyze": ["--manifest", str(manifest), "--out", str(tmp_path / "out")],
+        "detect": ["--code-model", str(tmp_path / "m0.json"), "--version-id", "1", "--out", str(tmp_path / "out")],
+        "gate": ["--manifest", str(manifest)],
+    }[command]
+    assert main([command, *args, "--rules", str(rules)]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert str(rules) in record["message"]
+
+
+# ---------------------------------------------------------------------------
+# an analyze run is published whole
+# ---------------------------------------------------------------------------
+
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under root, with its bytes (None for a directory)."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def test_rerun_replaces_each_app_directory_whole(tmp_path, capsys):
+    out = tmp_path / "out"
+    manifest = str(TRIAPP / "manifest.csv")
+    assert main(["analyze", "--manifest", manifest, "--formats", "csv,json", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["analyze", "--manifest", manifest, "--formats", "json", "--out", str(out)]) == EXIT_OK
+    assert sorted(tree(out)) == [
+        f"{app}{name}"
+        for app in ("alpha", "beta", "gamma")
+        for name in ("", "/anomalies.json", "/bundle.json")
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["alpha", "beta", "gamma"]
+    assert all(line.endswith(f"2 files -> {out / app}") for line, app in zip(lines, ("alpha", "beta", "gamma")))
+
+
+def test_failing_second_app_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    manifest = str(TRIAPP / "manifest.csv")
+    assert main(["analyze", "--manifest", manifest, "--formats", "csv", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    before = tree(out)
+    original = cli.write_bundle
+
+    def failing(bundle, out_dir, formats):
+        if bundle.app == "beta":
+            raise OSError("no space left on device")
+        return original(bundle, out_dir, formats)
+
+    monkeypatch.setattr(cli, "write_bundle", failing)
+    assert main(["analyze", "--manifest", manifest, "--formats", "csv,json,svg", "--out", str(out)]) == EXIT_ERROR
+    assert tree(out) == before
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("app", [".", "..", "../esc", "a/b", "a\\b"])
+def test_app_name_must_be_one_path_component(tmp_path, capsys, app):
+    rows = four_version_rows(tmp_path)
+    for row in rows[1:]:
+        row[0] = app
+    manifest = write_rows(tmp_path, rows)
+    out = tmp_path / "run" / "out"
+    for command in (["analyze", "--out", str(out)], ["gate"]):
+        assert main([*command, "--manifest", str(manifest)]) == EXIT_ERROR
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["row"]) == ("ManifestError", 2)
+        assert "one path component" in record["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_importing_the_cli_pulls_in_no_network_modules():
+    # these cost about 30 ms of start-up on every command, gate included;
+    # xml.sax.saxutils is one module that pulls them in
+    code = "import sys, smellsurv.cli; print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

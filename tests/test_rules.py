@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smellsurv.errors import ConfigError
 from smellsurv.rules import (
@@ -181,3 +181,33 @@ def test_load_code_model_bare_list_and_errors(tmp_path):
     path.write_text(json.dumps([{"kind": "method", "file": "b.php"}]))
     with pytest.raises(ConfigError, match="entity #0"):
         load_code_model(path)
+
+
+ENTITY = {
+    "kind": "method",
+    "name": "m",
+    "file": "a.php",
+    "parent": "A",
+    "loc": 150,
+    "parameter_count": 12,
+    "depth_of_inheritance": 0,
+    "coupling": 0,
+    "children_count": 0,
+}
+odd_values = st.one_of(
+    st.none(), st.lists(st.integers(), max_size=2), st.booleans(), st.floats(), st.text(max_size=4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutations=st.lists(st.dictionaries(st.sampled_from(sorted(ENTITY)), odd_values), min_size=1, max_size=3))
+def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_factory, mutations):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps([{**ENTITY, **mutation} for mutation in mutations]))
+    try:
+        entities = load_code_model(path)
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+        return
+    # what loads is well typed: it evaluates and sorts without error
+    evaluate_rules(entities, version_id="v")
