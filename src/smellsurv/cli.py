@@ -112,10 +112,13 @@ def cmd_analyze(args) -> int:
     if short:
         raise ManifestError(short)
     out_dir = Path(args.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     # the whole run is staged, then each app dir is swapped in whole, so a
-    # failed run leaves out_dir as it was and a re-run leaves no stale files
+    # failed run leaves out_dir as it was (or absent, with the parents it
+    # created) and a re-run leaves no stale files
     staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
+    discard = staging
     try:
         new, old = staging / "new", staging / "old"
         old.mkdir()
@@ -129,8 +132,12 @@ def cmd_analyze(args) -> int:
             if target.exists():
                 os.replace(target, old / history.app_name)
             os.replace(new / history.app_name, target)
+    except BaseException:
+        if created:
+            discard = created[-1]
+        raise
     finally:
-        shutil.rmtree(staging)
+        shutil.rmtree(discard)
     print("\n".join(lines))
     return EXIT_OK
 

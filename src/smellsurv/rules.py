@@ -147,11 +147,6 @@ class CodeEntity:
     coupling: int = 0
     children_count: int = 0
 
-    def __post_init__(self):
-        for attr in ("loc", "parameter_count", "depth_of_inheritance", "coupling", "children_count"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"{attr} must be non-negative, got {getattr(self, attr)}")
-
     @property
     def entity_path(self) -> str:
         return f"{self.parent}/{self.name}" if self.parent else self.name
@@ -174,6 +169,21 @@ class SmellOccurrence:
 
 
 _RULE_ORDER = {rid: i for i, rid in enumerate(RuleId)}
+_KIND_BY_VALUE = {kind.value: kind for kind in EntityKind}
+_METRICS = ("loc", "parameter_count", "depth_of_inheritance", "coupling", "children_count")
+
+
+def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[str, float, int, RuleId]]]:
+    """Per entity kind, the (metric, threshold, rule order, rule) of each rule that applies."""
+    plan = {kind: [] for kind in EntityKind}
+    seen = set()
+    for rule in rules:
+        if rule.id in seen:
+            raise ConfigError(f"duplicate rule id {rule.id.value} in ruleset")
+        seen.add(rule.id)
+        for kind in _RULE_KINDS[rule.id]:
+            plan[kind].append((_RULE_METRIC[rule.id], rule.threshold, _RULE_ORDER[rule.id], rule.id))
+    return plan
 
 
 def evaluate_rules(
@@ -185,37 +195,25 @@ def evaluate_rules(
 
     Output is ordered by (file, entity_path, rule).
     """
-    if rules is None:
-        rules = default_ruleset()
-    seen = set()
-    for rule in rules:
-        if rule.id in seen:
-            raise ConfigError(f"duplicate rule id {rule.id.value} in ruleset")
-        seen.add(rule.id)
-
-    occurrences = []
+    plan = _rule_plan(default_ruleset() if rules is None else rules)
+    fired = []
     for entity in entities:
-        for rule in rules:
-            if not rule.applies_to(entity.kind):
-                continue
-            if getattr(entity, rule.metric) > rule.threshold:
-                occurrences.append(
-                    SmellOccurrence(
-                        rule=rule.id,
-                        file=entity.file,
-                        entity_path=entity.entity_path,
-                        version_id=version_id,
-                    )
-                )
-    occurrences.sort(key=lambda o: (o.file, o.entity_path, _RULE_ORDER[o.rule]))
-    return occurrences
+        entity_path = None
+        for metric, threshold, order, rule in plan[entity.kind]:
+            if getattr(entity, metric) > threshold:
+                if entity_path is None:
+                    entity_path = entity.entity_path
+                fired.append((entity.file, entity_path, order, rule))
+    # equal (file, entity_path, order) means the same rule, so no RuleId is ever compared
+    fired.sort()
+    return [SmellOccurrence(rule, file, entity_path, version_id) for file, entity_path, _, rule in fired]
 
 
 def load_code_model(path: str | Path) -> list[CodeEntity]:
     """Read a code-model JSON file: a list of entity objects, or {"entities": [...]}.
 
-    Each entity object needs "kind" and the strings "name" and "file";
-    integer metric fields and the string "parent" are optional.
+    Each entity object needs "kind" and the strings "name" and "file"; the
+    string "parent" and the metric fields, JSON integers >= 0, are optional.
     """
     with open(path, "rb") as fh:
         return _code_model_entities(fh.read(), path)
@@ -237,24 +235,24 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise ConfigError(f"code model {path}: entity #{i} is not an object")
-        try:
-            kind = EntityKind(item["kind"])
-            name, file, parent = item["name"], item["file"], item.get("parent", "")
-            if not all(isinstance(text, str) for text in (name, file, parent)):
-                raise TypeError("name, file and parent must be strings")
-            entities.append(
-                CodeEntity(
-                    kind=kind,
-                    name=name,
-                    file=file,
-                    parent=parent or None,
-                    loc=int(item.get("loc", 0)),
-                    parameter_count=int(item.get("parameter_count", 0)),
-                    depth_of_inheritance=int(item.get("depth_of_inheritance", 0)),
-                    coupling=int(item.get("coupling", 0)),
-                    children_count=int(item.get("children_count", 0)),
+        get = item.get
+        raw_kind = get("kind")
+        kind = _KIND_BY_VALUE.get(raw_kind) if type(raw_kind) is str else None
+        if kind is None:
+            raise ConfigError(f"code model {path}: entity #{i}: unknown kind {raw_kind!r}")
+        name, file, parent = get("name"), get("file"), get("parent", "")
+        if type(name) is not str or type(file) is not str or type(parent) is not str:
+            raise ConfigError(f"code model {path}: entity #{i}: name, file and parent must be strings")
+        metrics = (
+            get("loc", 0), get("parameter_count", 0), get("depth_of_inheritance", 0),
+            get("coupling", 0), get("children_count", 0),
+        )
+        for value in metrics:
+            # `type(...) is int` also refuses a bool, which is an int subclass
+            if type(value) is not int or value < 0:
+                field = next(f for f, v in zip(_METRICS, metrics) if v is value)
+                raise ConfigError(
+                    f"code model {path}: entity #{i}: {field} must be a JSON integer >= 0, got {value!r}"
                 )
-            )
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"code model {path}: entity #{i}: {exc}") from exc
+        entities.append(CodeEntity(kind, name, file, parent or None, *metrics))
     return entities

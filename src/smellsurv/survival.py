@@ -48,20 +48,6 @@ class SurvivalCurve:
     points: tuple[CurvePoint, ...]
     tau: float
 
-    def __post_init__(self):
-        prev_time = -math.inf
-        running = 1.0
-        for p in self.points:
-            if not p.time_days > prev_time:
-                raise ValueError("curve times must be strictly increasing")
-            prev_time = p.time_days
-            if p.n_events:
-                running *= 1.0 - p.n_events / p.n_at_risk
-            if abs(p.survival - running) > 1e-12:
-                raise ValueError(f"survival at t={p.time_days} differs from the product limit")
-            if not 0.0 <= p.survival <= 1.0:
-                raise ValueError("survival out of [0, 1]")
-
     def survival_at(self, t: float) -> float:
         """S(t), right-continuous."""
         s = 1.0

@@ -137,3 +137,34 @@ def records_oracle(
         duration = (end - timestamps[start]).total_seconds() / 86400.0
         rows.append((start, last, censored, duration))
     return rows
+
+
+# rule -> (metric field, entity kinds), in the declaration order that orders
+# one entity's occurrences
+RULE_DEFINITIONS = {
+    "ExcessiveMethodLength": ("loc", {"method", "function"}),
+    "ExcessiveClassLength": ("loc", {"class"}),
+    "ExcessiveParameterList": ("parameter_count", {"method", "function"}),
+    "DepthOfInheritance": ("depth_of_inheritance", {"class"}),
+    "CouplingBetweenObjects": ("coupling", {"class"}),
+    "NumberOfChildren": ("children_count", {"class"}),
+}
+
+
+def rules_oracle(entities: list[dict], thresholds: dict[str, float]) -> list[tuple[str, str, str]]:
+    """(file, entity_path, rule) of every entity and rule where the rule
+    applies to the entity's kind and the metric is strictly above the
+    threshold, sorted by file, entity path and rule declaration order.
+
+    Entities are code-model objects: "kind", "name", "file", an optional
+    "parent" and optional metric fields that default to 0.
+    """
+    order = list(RULE_DEFINITIONS)
+    fired = []
+    for entity in entities:
+        path = f"{entity['parent']}/{entity['name']}" if entity.get("parent") else entity["name"]
+        for rule, threshold in thresholds.items():
+            metric, kinds = RULE_DEFINITIONS[rule]
+            if entity["kind"] in kinds and entity.get(metric, 0) > threshold:
+                fired.append((entity["file"], path, order.index(rule), rule))
+    return [(file, path, rule) for file, path, _, rule in sorted(fired)]

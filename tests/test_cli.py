@@ -593,6 +593,31 @@ def test_detect_rejects_a_code_model_field_of_the_wrong_type(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
+@pytest.mark.parametrize("loc", ["100.9", "true", '"11"', "-1"], ids=["float", "bool", "string", "negative"])
+def test_metric_that_is_not_a_json_integer_at_least_0_is_a_config_error(tmp_path, capsys, command, loc):
+    # entity #0 is sound; entity #1's loc would once have been read with int()
+    rows = four_version_rows(tmp_path)
+    model = tmp_path / "odd.json"
+    model.write_text(
+        '[{"kind": "method", "name": "m", "file": "a.php", "loc": 150},'
+        f' {{"kind": "method", "name": "n", "file": "a.php", "loc": {loc}}}]'
+    )
+    rows[4][3] = model.name
+    manifest = write_rows(tmp_path, rows)
+    args = {
+        "analyze": ["--manifest", str(manifest), "--out", str(tmp_path / "out")],
+        "detect": ["--code-model", str(model), "--version-id", "1", "--out", str(tmp_path / "out")],
+        "gate": ["--manifest", str(manifest)],
+    }[command]
+    assert main([command, *args]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert f"{model}: entity #1: loc must be a JSON integer >= 0" in record["message"]
+    assert record.get("row") == (None if command == "detect" else 5)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
 def test_non_utf8_rules_file_is_a_config_error_naming_it(tmp_path, capsys, command):
     rules = tmp_path / "rules.json"
     rules.write_bytes(b'{"ExcessiveMethodLength": 50, "\xff": 1}')
@@ -650,6 +675,22 @@ def test_failing_second_app_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
     assert main(["analyze", "--manifest", manifest, "--formats", "csv,json,svg", "--out", str(out)]) == EXIT_ERROR
     assert tree(out) == before
     assert capsys.readouterr().out == ""
+
+
+def test_failing_run_removes_the_out_directories_it_created(tmp_path, monkeypatch, capsys):
+    original = cli.write_bundle
+
+    def failing(bundle, out_dir, formats):
+        if bundle.app == "beta":
+            raise OSError("no space left on device")
+        return original(bundle, out_dir, formats)
+
+    monkeypatch.setattr(cli, "write_bundle", failing)
+    out = tmp_path / "new" / "x"
+    assert main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--out", str(out)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+    assert not (tmp_path / "new").exists()
+    assert sorted(tree(tmp_path)) == []
 
 
 @pytest.mark.parametrize("app", [".", "..", "../esc", "a/b", "a\\b"])

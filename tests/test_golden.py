@@ -2,7 +2,9 @@
 
 tests/data/*_golden/ hold the `--formats csv,json,svg` bundles of the triapp
 manifest and of a two-version history without smells (both groups empty,
-km_all.csv only a header). A refactor of the analysis or the writers must
+km_all.csv only a header), and detect_golden/<model>/ the `detect --formats
+csv,json` output of each triapp code model, with the model's file stem as
+its version id. A refactor of the rules, the analysis or the writers must
 reproduce every file exactly; a change meant to alter output regenerates
 them and says so.
 """
@@ -46,3 +48,11 @@ def test_bundle_matches_golden(tmp_path, manifest, golden):
     code = main(["analyze", "--manifest", str(manifest(inputs)), "--formats", "csv,json,svg", "--out", str(out)])
     assert code == EXIT_OK
     _assert_same_bundle(out, DATA / golden)
+
+
+@pytest.mark.parametrize("model", sorted((DATA / "triapp" / "models").glob("*.json")), ids=lambda p: p.stem)
+def test_detect_matches_golden(tmp_path, model):
+    out = tmp_path / "out"
+    code = main(["detect", "--code-model", str(model), "--version-id", model.stem, "--formats", "csv,json", "--out", str(out)])
+    assert code == EXIT_OK
+    _assert_same_bundle(out, DATA / "detect_golden" / model.stem)

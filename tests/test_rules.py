@@ -21,6 +21,8 @@ from smellsurv.rules import (
     scope_of,
 )
 
+from oracles import rules_oracle
+
 
 def method(name="m", loc=0, params=0, file="src/a.php", parent="A"):
     return CodeEntity(
@@ -195,8 +197,16 @@ ENTITY = {
     "children_count": 0,
 }
 odd_values = st.one_of(
-    st.none(), st.lists(st.integers(), max_size=2), st.booleans(), st.floats(), st.text(max_size=4)
+    st.none(), st.lists(st.integers(), max_size=2), st.booleans(), st.floats(), st.text(max_size=4),
+    st.integers(max_value=-1),
 )
+
+
+def _loads(mutation: dict) -> bool:
+    """Whether an ENTITY with these fields replaced still reads: only a
+    string name, file or parent does (no odd value is a kind, and a metric
+    must be a JSON integer >= 0)."""
+    return all(field in ("name", "file", "parent") and isinstance(value, str) for field, value in mutation.items())
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,10 +214,61 @@ odd_values = st.one_of(
 def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_factory, mutations):
     path = tmp_path_factory.mktemp("model") / "model.json"
     path.write_text(json.dumps([{**ENTITY, **mutation} for mutation in mutations]))
-    try:
-        entities = load_code_model(path)
-    except ConfigError as exc:
-        assert str(path) in str(exc)
+    bad = [i for i, mutation in enumerate(mutations) if not _loads(mutation)]
+    if bad:
+        with pytest.raises(ConfigError) as info:
+            load_code_model(path)
+        assert f"{path}: entity #{bad[0]}" in str(info.value)
         return
-    # what loads is well typed: it evaluates and sorts without error
-    evaluate_rules(entities, version_id="v")
+    # what loads is well typed: it evaluates and sorts without error, and each
+    # entity is a method over both the length and the parameter threshold
+    entities = load_code_model(path)
+    assert len(evaluate_rules(entities, version_id="v")) == 2 * len(entities)
+
+
+# small metrics and thresholds, so that metrics often sit exactly at a threshold
+oracle_entities = st.lists(
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from([kind.value for kind in EntityKind]),
+            "name": st.sampled_from(["m", "n"]),
+            "file": st.sampled_from(["a.php", "b.php"]),
+        },
+        optional={
+            "parent": st.sampled_from(["A", "B"]),
+            **{
+                field: st.integers(min_value=0, max_value=12)
+                for field in ("loc", "parameter_count", "depth_of_inheritance", "coupling", "children_count")
+            },
+        },
+    ),
+    max_size=12,
+)
+oracle_thresholds = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.floats(min_value=0.5, max_value=12.0),
+    st.sampled_from([float(n) for n in range(1, 12)]),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entities=oracle_entities,
+    rule_ids=st.lists(st.sampled_from(list(RuleId)), unique=True),
+    thresholds=st.lists(oracle_thresholds, min_size=6, max_size=6),
+)
+def test_evaluate_rules_matches_the_brute_force_oracle(entities, rule_ids, thresholds):
+    rules = [SmellRule(rid, threshold) for rid, threshold in zip(rule_ids, thresholds)]
+    code_entities = [
+        CodeEntity(
+            kind=EntityKind(entity["kind"]),
+            **{field: value for field, value in entity.items() if field != "kind"},
+        )
+        for entity in entities
+    ]
+    occurrences = evaluate_rules(code_entities, rules, "v")
+    assert [(o.file, o.entity_path, o.rule.value) for o in occurrences] == rules_oracle(
+        entities, {rule.id.value: rule.threshold for rule in rules}
+    )
+    assert all(o.version_id == "v" and o.begin_line is None and o.end_line is None for o in occurrences)
