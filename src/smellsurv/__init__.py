@@ -21,8 +21,6 @@ from .ingest import (
     History,
     SizeMetrics,
     VersionSnapshot,
-    history_from_json,
-    history_to_json,
     load_manifest,
     load_manifests,
     parse_pmd_report,

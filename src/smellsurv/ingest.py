@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from xml.parsers import expat
 
 from .errors import ManifestError, ReportParseError, SmellSurvError
 from .rules import (
@@ -117,87 +116,129 @@ class PmdParseResult:
         return sum(self.skipped.values())
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _byte_offset(document: bytes, line: int, column: int) -> int:
     lines = document.split(b"\n")
     return sum(len(l) + 1 for l in lines[: line - 1]) + column
+
+
+def _malformed(document: bytes, line: int, column: int, message: str) -> ReportParseError:
+    offset = _byte_offset(document, line, column)
+    return ReportParseError(
+        f"malformed PMD XML at byte offset {offset} (line {line}, column {column}): {message}",
+        byte_offset=offset,
+    )
+
+
+def _is(name: str, local: str) -> bool:
+    """Whether an expat name, "uri}local" or bare, has this local part."""
+    return name == local or name.endswith("}" + local)
+
+
+_RULES_BY_NAME = {rid.value: (_RULE_ORDER[rid], rid) for rid in RuleId}
 
 
 def parse_pmd_report(
     document: bytes | str,
     version_id: str,
     strip_prefix: str | None = None,
+    strings: dict[str, str] | None = None,
 ) -> PmdParseResult:
     """Extract occurrences of the six rules from a PMD-format XML report.
 
-    Violations of other rules are skipped and counted. Entity paths are
-    composed from the package/class/method/function attributes when present;
-    identity degrades to file+line when they are absent. An empty report is
-    an empty result, not an error.
+    Only ``file`` children of the ``pmd`` root and ``violation`` children of
+    a ``file`` are read, in any namespace. Violations of other rules are
+    skipped and counted. Entity paths are composed from the
+    package/class/method/function attributes when present; identity degrades
+    to file+line when they are absent. An empty report is an empty result,
+    not an error. File names and entity paths go through ``strings``, so one
+    dict passed for many reports keeps one copy of each.
     """
     data = document.encode("utf-8") if isinstance(document, str) else document
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        line, column = exc.position
-        offset = _byte_offset(data, line, column)
-        raise ReportParseError(
-            f"malformed PMD XML at byte offset {offset} (line {line}, column {column}): {exc.msg}",
-            byte_offset=offset,
-        ) from exc
-    if _local_name(root.tag) != "pmd":
-        raise ReportParseError(f"expected root element 'pmd', found {root.tag!r}")
+    intern = ({} if strings is None else strings).setdefault
+    rules = _RULES_BY_NAME
+    rows = []
+    skipped = Counter()
+    # a wrong root or a bad violation is raised only once the whole document
+    # is known to be well-formed, so a malformed one always names its offset
+    problems = []
+    depth = 0
+    file_path = None  # the current depth-2 element's path; None unless it is a file
 
-    known = {rid.value: rid for rid in RuleId}
-    result = PmdParseResult(occurrences=[])
-    for file_el in root:
-        if _local_name(file_el.tag) != "file":
-            continue
-        file_path = normalize_path(file_el.get("name", ""), strip_prefix)
-        for violation in file_el:
-            if _local_name(violation.tag) != "violation":
-                continue
-            rule_name = violation.get("rule", "")
-            rule = known.get(rule_name)
-            if rule is None:
-                result.skipped[rule_name] += 1
-                continue
-            parts = [
-                violation.get(attr)
-                for attr in ("package", "class", "method", "function")
-            ]
-            entity_path = "/".join(p for p in parts if p)
-            begin = violation.get("beginline")
-            end = violation.get("endline")
+    def start_element(name, attrs):
+        nonlocal depth, file_path
+        depth += 1
+        if depth == 3:
+            if file_path is None or not _is(name, "violation"):
+                return
+            rule_name = attrs.get("rule", "")
+            known = rules.get(rule_name)
+            if known is None:
+                skipped[rule_name] += 1
+                return
+            begin = attrs.get("beginline")
+            end = attrs.get("endline")
             try:
-                result.occurrences.append(
-                    SmellOccurrence(
-                        rule=rule,
-                        file=file_path,
-                        entity_path=entity_path,
-                        version_id=version_id,
-                        begin_line=int(begin) if begin is not None else None,
-                        end_line=int(end) if end is not None else None,
-                    )
-                )
+                b = None if begin is None else int(begin)
+                e = None if end is None else int(end)
+                ordered = b is None or e is None or b <= e
             except ValueError:
-                raise ReportParseError(
+                ordered = False
+            if not ordered:
+                problems.append(
                     f"violation of {rule_name} in {file_path!r}: beginline {begin!r}"
                     f" and endline {end!r} must be integers, beginline <= endline"
-                ) from None
-    result.occurrences.sort(
-        key=lambda o: (
-            o.file,
-            o.begin_line if o.begin_line is not None else -1,
-            o.end_line if o.end_line is not None else -1,
-            _RULE_ORDER[o.rule],
-            o.entity_path,
-        )
+                )
+                return
+            parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
+            entity_path = "/".join(filter(None, parts))
+            # the row number settles ties (a missing line sorts as -1) in document
+            # order, so the sort never compares a RuleId or a None
+            rows.append((
+                file_path, -1 if b is None else b, -1 if e is None else e, known[0],
+                intern(entity_path, entity_path), len(rows), known[1], b, e,
+            ))
+        elif depth == 2:
+            file_path = None
+            if not problems and _is(name, "file"):  # nothing is read under a wrong root
+                path = normalize_path(attrs.get("name", ""), strip_prefix)
+                file_path = intern(path, path)
+        elif depth == 1 and not _is(name, "pmd"):
+            tag = "{" + name if "}" in name else name
+            problems.append(f"expected root element 'pmd', found {tag!r}")
+
+    def end_element(name):
+        nonlocal depth
+        depth -= 1
+
+    def unread_entity(message):
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
+        raise _malformed(data, line, column, f"{message}: line {line}, column {column}")
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    # expat skips an undeclared entity under an external DTD and leaves an
+    # external one unread; either is an error in a report (parameter entities
+    # are never read, so only general ones get here)
+    parser.SkippedEntityHandler = lambda name, is_parameter: unread_entity(f"undefined entity &{name};")
+    parser.ExternalEntityRefHandler = lambda context, base, system_id, public_id: unread_entity(
+        f"external entity {system_id!r} is not read"
     )
-    return result
+    try:
+        parser.Parse(data, False)
+        parser.Parse(b"", True)
+    except expat.ExpatError as exc:
+        raise _malformed(data, exc.lineno, exc.offset, str(exc)) from None
+    if problems:
+        raise ReportParseError(problems[0])
+    rows.sort()
+    return PmdParseResult(
+        occurrences=[
+            SmellOccurrence(rule, file, entity_path, version_id, begin, end)
+            for file, _, _, _, entity_path, _, rule, begin, end in rows
+        ],
+        skipped=skipped,
+    )
 
 
 def _load_report_file(
@@ -205,6 +246,7 @@ def _load_report_file(
     version_id: str,
     rules: list[SmellRule],
     strip_prefix: str | None,
+    strings: dict[str, str],
 ) -> list[SmellOccurrence]:
     """Dispatch on report flavor: PMD XML or code-model JSON.
 
@@ -218,7 +260,7 @@ def _load_report_file(
         data = path.read_bytes()
         if suffix == ".xml" or data.lstrip()[:1] == b"<":
             try:
-                return parse_pmd_report(data, version_id, strip_prefix).occurrences
+                return parse_pmd_report(data, version_id, strip_prefix, strings).occurrences
             except ReportParseError as exc:
                 raise ReportParseError(f"PMD report {path}: {exc}", byte_offset=exc.byte_offset) from exc
         entities = _code_model_entities(data, path)
@@ -351,10 +393,11 @@ def _snapshot_from_row(
     entry: _ManifestRow,
     rules: list[SmellRule],
     strip_prefix: str | None,
+    strings: dict[str, str],
 ) -> VersionSnapshot:
     """Read one checked row's report; every error carries the row."""
     try:
-        occurrences = _load_report_file(entry.report_path, entry.version_id, rules, strip_prefix)
+        occurrences = _load_report_file(entry.report_path, entry.version_id, rules, strip_prefix, strings)
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=entry.row) from exc
     except SmellSurvError as exc:
@@ -387,11 +430,12 @@ def load_manifests(
     if rules is None:
         rules = default_ruleset()
     checked = _check_manifest(table, Path(base_dir))
+    strings: dict[str, str] = {}  # one copy of each file name and entity path
     return [
         History(
             app_name=app,
             snapshots=tuple(
-                _snapshot_from_row(entry, rules, strip_prefix)
+                _snapshot_from_row(entry, rules, strip_prefix, strings)
                 for entry in (entries[-latest:] if latest else entries)
             ),
         )
@@ -414,63 +458,3 @@ def load_manifest(
         raise ManifestError(f"manifest names several apps ({names}); load them with load_manifests")
     return histories[0]
 
-
-def history_to_json(history: History) -> str:
-    """Serialize a History to a JSON document (inverse of history_from_json)."""
-    doc = {
-        "app": history.app_name,
-        "snapshots": [
-            {
-                "version": snap.version_id,
-                "timestamp": snap.timestamp.isoformat(),
-                "size": {
-                    "lloc": snap.size.lloc,
-                    "loc": snap.size.loc,
-                    "classes": snap.size.classes,
-                },
-                "occurrences": [
-                    {
-                        "rule": occ.rule.value,
-                        "file": occ.file,
-                        "entity_path": occ.entity_path,
-                        "begin_line": occ.begin_line,
-                        "end_line": occ.end_line,
-                    }
-                    for occ in snap.occurrences
-                ],
-            }
-            for snap in history.snapshots
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def history_from_json(document: str) -> History:
-    doc = json.loads(document)
-    snapshots = []
-    for snap in doc["snapshots"]:
-        version_id = snap["version"]
-        occurrences = tuple(
-            SmellOccurrence(
-                rule=RuleId(occ["rule"]),
-                file=occ["file"],
-                entity_path=occ["entity_path"],
-                version_id=version_id,
-                begin_line=occ["begin_line"],
-                end_line=occ["end_line"],
-            )
-            for occ in snap["occurrences"]
-        )
-        snapshots.append(
-            VersionSnapshot(
-                version_id=version_id,
-                timestamp=parse_timestamp(snap["timestamp"]),
-                occurrences=occurrences,
-                size=SizeMetrics(
-                    lloc=snap["size"]["lloc"],
-                    loc=snap["size"]["loc"],
-                    classes=snap["size"]["classes"],
-                ),
-            )
-        )
-    return History(app_name=doc["app"], snapshots=tuple(snapshots))

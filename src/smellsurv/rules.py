@@ -152,7 +152,7 @@ class CodeEntity:
         return f"{self.parent}/{self.name}" if self.parent else self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmellOccurrence:
     """One rule violation at one location in one version."""
 

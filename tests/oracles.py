@@ -7,6 +7,11 @@ sharing no code with the package.
 from __future__ import annotations
 
 import math
+import xml.etree.ElementTree as ET
+from collections import Counter
+
+from smellsurv.errors import ReportParseError
+from smellsurv.rules import RuleId, SmellOccurrence
 
 
 def km_oracle(pairs: list[tuple[float, bool]]) -> list[tuple[float, int, int, float]]:
@@ -168,3 +173,78 @@ def rules_oracle(entities: list[dict], thresholds: dict[str, float]) -> list[tup
             if entity["kind"] in kinds and entity.get(metric, 0) > threshold:
                 fired.append((entity["file"], path, order.index(rule), rule))
     return [(file, path, rule) for file, path, _, rule in sorted(fired)]
+
+
+def pmd_report_oracle(
+    document: bytes, version_id: str, strip_prefix: str | None = None
+) -> tuple[list, Counter]:
+    """A PMD report read through a whole ElementTree, as the package once did.
+
+    Only the result and error types come from the package. Returns the sorted occurrences and the per-rule count of skipped
+    violations, or raises ReportParseError (with the byte offset of a
+    malformed document, computed from expat's line and column).
+    """
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        lines = document.split(b"\n")
+        offset = sum(len(l) + 1 for l in lines[: line - 1]) + column
+        raise ReportParseError(f"malformed at byte offset {offset}: {exc.msg}", byte_offset=offset) from exc
+
+    def local_name(tag: str) -> str:
+        return tag.rsplit("}", 1)[-1]
+
+    def normalize(path: str) -> str:
+        unified = path.replace("\\", "/")
+        if strip_prefix:
+            prefix = strip_prefix.replace("\\", "/")
+            if not prefix.endswith("/"):
+                prefix += "/"
+            if unified.startswith(prefix):
+                return unified[len(prefix):]
+            if unified == prefix[:-1]:
+                return ""
+        return unified
+
+    if local_name(root.tag) != "pmd":
+        raise ReportParseError(f"expected root element 'pmd', found {root.tag!r}")
+    known = {rid.value: rid for rid in RuleId}
+    occurrences = []
+    skipped = Counter()
+    for file_el in root:
+        if local_name(file_el.tag) != "file":
+            continue
+        file_path = normalize(file_el.get("name", ""))
+        for violation in file_el:
+            if local_name(violation.tag) != "violation":
+                continue
+            rule = known.get(violation.get("rule", ""))
+            if rule is None:
+                skipped[violation.get("rule", "")] += 1
+                continue
+            parts = [violation.get(attr) for attr in ("package", "class", "method", "function")]
+            begin, end = violation.get("beginline"), violation.get("endline")
+            try:
+                occurrences.append(
+                    SmellOccurrence(
+                        rule=rule,
+                        file=file_path,
+                        entity_path="/".join(p for p in parts if p),
+                        version_id=version_id,
+                        begin_line=int(begin) if begin is not None else None,
+                        end_line=int(end) if end is not None else None,
+                    )
+                )
+            except ValueError:
+                raise ReportParseError(f"bad lines {begin!r}, {end!r} in {file_path!r}") from None
+    occurrences.sort(
+        key=lambda o: (
+            o.file,
+            o.begin_line if o.begin_line is not None else -1,
+            o.end_line if o.end_line is not None else -1,
+            list(RuleId).index(o.rule),
+            o.entity_path,
+        )
+    )
+    return occurrences, skipped

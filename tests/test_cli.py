@@ -715,3 +715,12 @@ def test_importing_the_cli_pulls_in_no_network_modules():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_importing_the_cli_pulls_in_no_element_tree():
+    # reports are read with expat alone; xml.etree and its ElementPath were
+    # loaded on every command, gate and set-up included
+    code = "import sys, smellsurv.cli; print(sorted(m for m in sys.modules if m.startswith('xml.etree')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

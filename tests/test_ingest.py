@@ -7,23 +7,23 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smellsurv.errors import ConfigError, ManifestError, ReportParseError
 from smellsurv.ingest import (
     History,
     SizeMetrics,
     VersionSnapshot,
-    history_from_json,
-    history_to_json,
     load_manifest,
     load_manifests,
     normalize_path,
     parse_pmd_report,
     parse_timestamp,
 )
-from smellsurv.rules import RuleId
+from smellsurv.rules import RuleId, SmellOccurrence
 
 from conftest import history_from_bits, occurrence, ts
+from oracles import pmd_report_oracle
 
 
 def pmd(body: str) -> str:
@@ -83,6 +83,19 @@ def test_multi_file_report_in_file_line_order():
     ]
 
 
+def test_violations_with_equal_sort_keys_stay_in_document_order():
+    # a missing line sorts as -1, so these two tie on every sort key
+    doc = pmd(
+        '<file name="a.php">'
+        '<violation beginline="-1" endline="4" rule="ExcessiveClassLength" class="A"/>'
+        '<violation endline="4" rule="ExcessiveClassLength" class="A"/>'
+        '<violation beginline="-1" endline="4" rule="ExcessiveClassLength" class="A"/>'
+        "</file>"
+    )
+    result = parse_pmd_report(doc.encode(), "v1")
+    assert [o.begin_line for o in result.occurrences] == [-1, None, -1]
+
+
 def test_empty_report_is_empty_result():
     result = parse_pmd_report(pmd("").encode(), "v1")
     assert result.occurrences == [] and result.skipped_count == 0
@@ -99,9 +112,142 @@ def test_malformed_xml_names_byte_offset():
     assert doc.index(b"</pmd>") <= err.byte_offset < len(doc)
 
 
+def test_empty_report_file_is_malformed_at_offset_0(tmp_path):
+    # expat's own ErrorByteIndex is -1 here: there is no byte to point at
+    (tmp_path / "r1.xml").write_bytes(b"")
+    manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,r1.xml,5000\n"
+    with pytest.raises(ReportParseError, match="byte offset 0 ") as exc_info:
+        load_manifest(manifest, base_dir=tmp_path)
+    assert exc_info.value.byte_offset == 0
+    assert exc_info.value.row == 2
+
+
+@pytest.mark.parametrize(
+    "prolog, reference",
+    [
+        # under an external DTD, expat skips an undeclared entity without an error
+        ('<!DOCTYPE pmd SYSTEM "x.dtd">', "&undeclared;"),
+        # and it leaves an external entity unread, with no handler to read it
+        ('<!DOCTYPE pmd [<!ENTITY ext SYSTEM "ext.xml">]>', "&ext;"),
+    ],
+    ids=["undeclared-under-external-dtd", "external"],
+)
+def test_entity_that_cannot_be_read_is_malformed_at_its_offset(prolog, reference):
+    doc = (
+        f'<?xml version="1.0"?>\n{prolog}\n<pmd><file name="a.php">\n'
+        f'<violation beginline="1" endline="200" rule="ExcessiveClassLength" class="A">{reference}</violation>'
+        "</file></pmd>"
+    ).encode()
+    with pytest.raises(ReportParseError) as exc_info:
+        parse_pmd_report(doc, "v1")
+    assert exc_info.value.byte_offset == doc.index(reference.encode())
+
+
 def test_wrong_root_rejected():
     with pytest.raises(ReportParseError, match="pmd"):
         parse_pmd_report(b"<results></results>", "v1")
+
+
+RULE_NAMES = [rid.value for rid in RuleId] + ["CyclomaticComplexity", "excessiveclasslength", ""]
+LINES = st.one_of(
+    st.none(),
+    st.integers(-2, 30).map(str),
+    st.sampled_from(["", "x", "1.5", " 7 ", "+3", "0x1", "\u0663"]),
+)
+ENTITY_NAMES = st.one_of(st.none(), st.sampled_from(["", "A", "B", "m", "\u00e9", "a&amp;b"]))
+CONTENT = st.sampled_from(
+    ["", "", "long", "\n", "<!-- c -->", "<?pi x?>", "&amp;", "&#233;", "<![CDATA[<x/>]]>", "&ent;"]
+)
+DOCTYPES = [
+    "",
+    '<!DOCTYPE pmd [<!ENTITY ent "text">]>',
+    "<!DOCTYPE pmd [<!ENTITY ent '<violation rule=\"ExcessiveClassLength\" beginline=\"2\" endline=\"9\" class=\"E\"/>'>]>",
+    '<!DOCTYPE pmd [<!ENTITY ent "&undeclared;">]>',
+    '<!DOCTYPE pmd SYSTEM "pmd.dtd">',
+    '<!DOCTYPE pmd SYSTEM "pmd.dtd" [<!ENTITY ent "text">]>',
+    '<!DOCTYPE pmd [<!ENTITY % pe SYSTEM "pe.dtd"> %pe; <!ENTITY ent "text">]>',
+    "<!DOCTYPE pmd [<!ENTITY % pe \"<!ENTITY ent 'text'>\"> %pe;]>",
+    '<!DOCTYPE pmd [<!ENTITY ent SYSTEM "ent.xml">]>',
+]
+
+
+@st.composite
+def pmd_documents(draw):
+    """A PMD-like report, possibly cut short: no, a default or a prefixed
+    namespace; file and violation elements at the right and wrong depths;
+    unknown rules; odd line attributes; entities, comments, PIs and text."""
+    style = draw(st.sampled_from(["bare", "default", "prefixed"]))
+    p = "p:" if style == "prefixed" else ""
+
+    def attributes(pairs):
+        return "".join(f' {name}="{value}"' for name, value in pairs if value is not None)
+
+    def violation():
+        if draw(st.booleans()):
+            begin = draw(st.integers(-2, 30))
+            lines = [str(begin), str(begin + draw(st.integers(0, 3)))]
+        else:
+            lines = [draw(LINES), draw(LINES)]
+        pairs = [("rule", draw(st.sampled_from(RULE_NAMES))), ("beginline", lines[0]), ("endline", lines[1])]
+        pairs += [(name, draw(ENTITY_NAMES)) for name in ("package", "class", "method", "function")]
+        return f"<{p}violation{attributes(pairs)}>{draw(CONTENT)}</{p}violation>"
+
+    def file_element():
+        children = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(["violation", "violation", "violation", "wrapped", "other", "content"]))
+            if kind == "violation":
+                children.append(violation())
+            elif kind == "wrapped":
+                children.append(f"<{p}x>{violation()}</{p}x>")
+            elif kind == "other":
+                children.append(f'<{p}suppressed rule="ExcessiveClassLength"/>')
+            else:
+                children.append(draw(CONTENT))
+        name = draw(st.sampled_from([None, "", "a.php", "b.php", "/work/app/c.php", "C:\\work\\d.php"]))
+        tag = draw(st.sampled_from([f"{p}file", f"{p}file", "q:file"]))
+        namespace = ' xmlns:q="urn:q"' if tag == "q:file" else ""
+        return f"<{tag}{namespace}{attributes([('name', name)])}>{''.join(children)}</{tag}>"
+
+    children = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["file", "file", "file", "wrapped", "violation", "content"]))
+        if kind == "file":
+            children.append(file_element())
+        elif kind == "wrapped":
+            children.append(f"<{p}g>{file_element()}</{p}g>")
+        elif kind == "violation":
+            children.append(violation())
+        else:
+            children.append(draw(CONTENT))
+    root = draw(st.sampled_from(["pmd", "pmd", "pmd", "results"]))
+    namespace = {"bare": "", "default": ' xmlns="http://pmd.sourceforge.net/report/2.0.0"', "prefixed": ' xmlns:p="urn:p"'}
+    declaration = draw(st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>\n']))
+    text = (
+        f"{declaration}{draw(st.sampled_from(DOCTYPES))}\n"
+        f'<{p}{root}{namespace[style]} version="6.55.0">\n{"".join(children)}\n</{p}{root}>\n'
+    )
+    document = text.encode("utf-8")
+    cut = draw(st.one_of(st.none(), st.none(), st.integers(0, len(document))))
+    return document if cut is None else document[:cut]
+
+
+def _outcome(parse):
+    try:
+        occurrences, skipped = parse()
+    except ReportParseError as exc:
+        return "ReportParseError", exc.byte_offset
+    return occurrences, dict(skipped)
+
+
+@settings(max_examples=500, deadline=None)
+@given(document=pmd_documents(), strip_prefix=st.sampled_from([None, "/work/app", "C:\\work"]))
+def test_parse_pmd_report_matches_the_element_tree_oracle(document, strip_prefix):
+    def parse():
+        result = parse_pmd_report(document, "v1", strip_prefix)
+        return result.occurrences, result.skipped
+
+    assert _outcome(parse) == _outcome(lambda: pmd_report_oracle(document, "v1", strip_prefix))
 
 
 def test_path_normalization_and_prefix_strip():
@@ -279,6 +425,67 @@ def test_history_requires_strictly_increasing_timestamps():
     snap2 = VersionSnapshot("v2", ts(0), (), SizeMetrics(lloc=10))
     with pytest.raises(ValueError, match="strictly increasing"):
         History(app_name="x", snapshots=(snap1, snap2))
+
+
+def history_to_json(history: History) -> str:
+    """Serialize a History to a JSON document (inverse of history_from_json)."""
+    doc = {
+        "app": history.app_name,
+        "snapshots": [
+            {
+                "version": snap.version_id,
+                "timestamp": snap.timestamp.isoformat(),
+                "size": {
+                    "lloc": snap.size.lloc,
+                    "loc": snap.size.loc,
+                    "classes": snap.size.classes,
+                },
+                "occurrences": [
+                    {
+                        "rule": occ.rule.value,
+                        "file": occ.file,
+                        "entity_path": occ.entity_path,
+                        "begin_line": occ.begin_line,
+                        "end_line": occ.end_line,
+                    }
+                    for occ in snap.occurrences
+                ],
+            }
+            for snap in history.snapshots
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def history_from_json(document: str) -> History:
+    doc = json.loads(document)
+    snapshots = []
+    for snap in doc["snapshots"]:
+        version_id = snap["version"]
+        occurrences = tuple(
+            SmellOccurrence(
+                rule=RuleId(occ["rule"]),
+                file=occ["file"],
+                entity_path=occ["entity_path"],
+                version_id=version_id,
+                begin_line=occ["begin_line"],
+                end_line=occ["end_line"],
+            )
+            for occ in snap["occurrences"]
+        )
+        snapshots.append(
+            VersionSnapshot(
+                version_id=version_id,
+                timestamp=parse_timestamp(snap["timestamp"]),
+                occurrences=occurrences,
+                size=SizeMetrics(
+                    lloc=snap["size"]["lloc"],
+                    loc=snap["size"]["loc"],
+                    classes=snap["size"]["classes"],
+                ),
+            )
+        )
+    return History(app_name=doc["app"], snapshots=tuple(snapshots))
 
 
 def test_history_json_round_trip():
