@@ -51,9 +51,9 @@ def _error_record(exc: BaseException) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _parse_formats(raw: str) -> set[str]:
+def _parse_formats(raw: str, allowed: tuple[str, ...]) -> set[str]:
     formats = {part.strip() for part in raw.split(",") if part.strip()}
-    unknown = formats - set(FORMATS)
+    unknown = formats - set(allowed)
     if unknown:
         raise ValueError(f"unknown output formats: {', '.join(sorted(unknown))}")
     if not formats:
@@ -70,9 +70,9 @@ def _thresholds(args) -> AnomalyThresholds:
 
 
 def cmd_detect(args) -> int:
+    formats = _parse_formats(args.formats, ("csv", "json"))
     entities = load_code_model(args.code_model)
     occurrences = evaluate_rules(entities, _ruleset(args), args.version_id)
-    formats = _parse_formats(args.formats)
     out_dir = Path(args.out)
     if "csv" in formats:
         write_atomic(out_dir / "occurrences.csv", occurrences_csv(occurrences))
@@ -104,7 +104,7 @@ def _insufficient_history(histories) -> str | None:
 
 
 def cmd_analyze(args) -> int:
-    formats = _parse_formats(args.formats)
+    formats = _parse_formats(args.formats, FORMATS)
     options = TrackingOptions(gap_tolerance=args.gap_tolerance, rename_heuristic=args.rename_heuristic)
     thresholds = _thresholds(args)
     histories = _load_histories(args)

@@ -23,7 +23,6 @@ from .rules import (
     SmellRule,
     _RULE_ORDER,
     _code_model_entities,
-    default_ruleset,
     evaluate_rules,
     load_code_model,
 )
@@ -52,10 +51,6 @@ class SizeMetrics:
     loc: int | None = None
     classes: int | None = None
 
-    def __post_init__(self):
-        if self.lloc < 1:
-            raise ValueError(f"lloc must be >= 1, got {self.lloc}")
-
 
 @dataclass(frozen=True)
 class VersionSnapshot:
@@ -80,11 +75,6 @@ class History:
     snapshots: tuple[VersionSnapshot, ...]
 
     def __post_init__(self):
-        seen = set()
-        for snap in self.snapshots:
-            if snap.version_id in seen:
-                raise ValueError(f"duplicate version id {snap.version_id!r}")
-            seen.add(snap.version_id)
         for a, b in zip(self.snapshots, self.snapshots[1:]):
             if not a.timestamp < b.timestamp:
                 raise ValueError(
@@ -116,13 +106,7 @@ class PmdParseResult:
         return sum(self.skipped.values())
 
 
-def _byte_offset(document: bytes, line: int, column: int) -> int:
-    lines = document.split(b"\n")
-    return sum(len(l) + 1 for l in lines[: line - 1]) + column
-
-
-def _malformed(document: bytes, line: int, column: int, message: str) -> ReportParseError:
-    offset = _byte_offset(document, line, column)
+def _malformed(offset: int, line: int, column: int, message: str) -> ReportParseError:
     return ReportParseError(
         f"malformed PMD XML at byte offset {offset} (line {line}, column {column}): {message}",
         byte_offset=offset,
@@ -212,7 +196,7 @@ def parse_pmd_report(
 
     def unread_entity(message):
         line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber
-        raise _malformed(data, line, column, f"{message}: line {line}, column {column}")
+        raise _malformed(parser.CurrentByteIndex, line, column, f"{message}: line {line}, column {column}")
 
     parser = expat.ParserCreate(namespace_separator="}")
     parser.StartElementHandler = start_element
@@ -228,7 +212,8 @@ def parse_pmd_report(
         parser.Parse(data, False)
         parser.Parse(b"", True)
     except expat.ExpatError as exc:
-        raise _malformed(data, exc.lineno, exc.offset, str(exc)) from None
+        # expat gives -1 for an empty document, where there is no byte to point at
+        raise _malformed(max(parser.ErrorByteIndex, 0), exc.lineno, exc.offset, str(exc)) from None
     if problems:
         raise ReportParseError(problems[0])
     rows.sort()
@@ -340,9 +325,12 @@ def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow
         if not raw:
             return None
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError as exc:
             raise ManifestError(f"bad {col} {raw!r}", row=row_no) from exc
+        if value < 0:
+            raise ManifestError(f"{col} must be >= 0, got {value}", row=row_no)
+        return value
 
     size = SizeMetrics(lloc=lloc, loc=optional_int("loc"), classes=optional_int("classes"))
     report_path = Path(row["report_path"].strip())
@@ -413,22 +401,20 @@ def _snapshot_from_row(
 
 def load_manifests(
     table: str,
-    base_dir: str | Path = ".",
-    rules: list[SmellRule] | None = None,
+    base_dir: str | Path,
+    rules: list[SmellRule],
     strip_prefix: str | None = None,
     latest: int | None = None,
 ) -> list[History]:
     """Load every application named in a manifest, one History each.
 
     Rows may arrive in any order; snapshots are sorted by timestamp.
-    Duplicate version ids, unparseable timestamps, non-positive lloc, and
-    missing or unreadable report files are fatal, reported with their row
-    number. Every row is checked and every report file must exist; with
-    ``latest``, only each app's ``latest`` most recent reports are read and
-    its History holds just those versions.
+    Duplicate version ids, unparseable timestamps, non-positive lloc,
+    negative loc or classes, and missing or unreadable report files are
+    fatal, reported with their row number. Every row is checked and every
+    report file must exist; with ``latest``, only each app's ``latest`` most
+    recent reports are read and its History holds just those versions.
     """
-    if rules is None:
-        rules = default_ruleset()
     checked = _check_manifest(table, Path(base_dir))
     strings: dict[str, str] = {}  # one copy of each file name and entity path
     return [
@@ -441,20 +427,4 @@ def load_manifests(
         )
         for app, entries in checked.items()
     ]
-
-
-def load_manifest(
-    table: str,
-    base_dir: str | Path = ".",
-    rules: list[SmellRule] | None = None,
-    strip_prefix: str | None = None,
-) -> History:
-    """Load a single-application manifest. Errors if several apps are named."""
-    histories = load_manifests(table, base_dir, rules, strip_prefix)
-    if not histories:
-        raise ManifestError("manifest names no versions")
-    if len(histories) > 1:
-        names = ", ".join(sorted(h.app_name for h in histories))
-        raise ManifestError(f"manifest names several apps ({names}); load them with load_manifests")
-    return histories[0]
 

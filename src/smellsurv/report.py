@@ -182,10 +182,6 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
     return RECORDS_HEADER, rows
 
 
-def records_csv(app: str, records: list[SurvivalRecord]) -> str:
-    return _csv_text(_record_table(app, records))
-
-
 def _project(table: Table, columns: list[str]) -> Table:
     """The table cut down to the named columns, in their order."""
     header, rows = table
@@ -319,7 +315,7 @@ def analyze_history(
         history=history,
         thresholds=thresholds,
         records=records,
-        km_all=kaplan_meier(records) if records else None,
+        km_all=kaplan_meier([(r.duration_days, r.event_observed) for r in records]) if records else None,
         scope=compare_groups(records, "scope"),
         timeframe=compare_groups(view1 + view2, "timeframe"),
         series=series,

@@ -89,14 +89,6 @@ class SmellRule:
         if not self.threshold > 0:
             raise ConfigError(f"threshold for {self.id.value} must be positive, got {self.threshold}")
 
-    @property
-    def scope(self) -> Scope:
-        return scope_of(self.id)
-
-    @property
-    def metric(self) -> str:
-        return _RULE_METRIC[self.id]
-
     def applies_to(self, kind: EntityKind) -> bool:
         return kind in _RULE_KINDS[self.id]
 
@@ -188,14 +180,14 @@ def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[str, float
 
 def evaluate_rules(
     entities: list[CodeEntity],
-    rules: list[SmellRule] | None = None,
-    version_id: str = "",
+    rules: list[SmellRule],
+    version_id: str,
 ) -> list[SmellOccurrence]:
     """Flag every (entity, rule) pair whose metric strictly exceeds the threshold.
 
     Output is ordered by (file, entity_path, rule).
     """
-    plan = _rule_plan(default_ruleset() if rules is None else rules)
+    plan = _rule_plan(rules)
     fired = []
     for entity in entities:
         entity_path = None

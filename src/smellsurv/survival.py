@@ -1,10 +1,9 @@
 """Kaplan-Meier estimation, restricted means, and the two-group log-rank test.
 
-All operations consume (duration, event_observed) pairs. Survival records
-plug in directly: their censored flag means "removal observed", so it IS the
-event indicator. Tied times follow the standard convention that events are
-processed before censorings, i.e. subjects censored at t still count as at
-risk at t.
+All operations consume (duration, event_observed) pairs. A survival record's
+censored flag means "removal observed", so it IS the event indicator. Tied
+times follow the standard convention that events are processed before
+censorings, i.e. subjects censored at t still count as at risk at t.
 """
 
 from __future__ import annotations
@@ -12,25 +11,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .tracking import SurvivalRecord
+if TYPE_CHECKING:
+    from .tracking import SurvivalRecord
 
 # slack for detecting a survival level that is mathematically exact but was
 # computed as a float product (e.g. 0.5 reached via 5/6 * 4/5 * 3/4)
 _LEVEL_EPS = 1e-12
-
-
-def _as_pairs(records: Iterable) -> list[tuple[float, bool]]:
-    """Accept SurvivalRecord objects or bare (duration, event) tuples."""
-    pairs = []
-    for r in records:
-        if isinstance(r, SurvivalRecord):
-            pairs.append((float(r.duration_days), r.event_observed))
-        else:
-            duration, event = r
-            pairs.append((float(duration), bool(event)))
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -48,26 +36,16 @@ class SurvivalCurve:
     points: tuple[CurvePoint, ...]
     tau: float
 
-    def survival_at(self, t: float) -> float:
-        """S(t), right-continuous."""
-        s = 1.0
-        for p in self.points:
-            if p.time_days > t:
-                break
-            s = p.survival
-        return s
 
-
-def kaplan_meier(records: Iterable) -> SurvivalCurve:
+def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
     """Product-limit estimate over the distinct observed times.
 
     Every distinct duration contributes a point (censoring-only times keep
     the running level), so the curve doubles as a full risk table.
     """
-    pairs = _as_pairs(records)
+    pairs = sorted(pairs)
     if not pairs:
         raise ValueError("no records")
-    pairs.sort()
     n = len(pairs)
     points = []
     s = 1.0
@@ -157,7 +135,7 @@ class GroupSummary:
     se_rmean: float
 
 
-def _summary(curve: SurvivalCurve) -> GroupSummary:
+def summarize(curve: SurvivalCurve) -> GroupSummary:
     """Found/removed counts plus median and restricted mean at the curve's
     own horizon; the counts are the first risk set and the events."""
     found = curve.points[0].n_at_risk
@@ -177,11 +155,6 @@ def _summary(curve: SurvivalCurve) -> GroupSummary:
     )
 
 
-def summarize(records: Iterable) -> GroupSummary:
-    """Summary of one non-empty group of records."""
-    return _summary(kaplan_meier(records))
-
-
 @dataclass(frozen=True)
 class LogRankResult:
     statistic: float
@@ -195,7 +168,7 @@ def _chi2_sf_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def log_rank(records_a: Iterable, records_b: Iterable) -> LogRankResult:
+def log_rank(pairs_a: Iterable[tuple[float, bool]], pairs_b: Iterable[tuple[float, bool]]) -> LogRankResult:
     """Two-group log-rank test.
 
     At each distinct pooled event time, the expected events in group A follow
@@ -203,8 +176,7 @@ def log_rank(records_a: Iterable, records_b: Iterable) -> LogRankResult:
     d * (n_A/n) * (1 - n_A/n) * (n - d) / (n - 1) (skipped when n == 1); the
     statistic (O_A - E_A)^2 / V is chi-square with 1 degree of freedom.
     """
-    pairs_a = _as_pairs(records_a)
-    pairs_b = _as_pairs(records_b)
+    pairs_a, pairs_b = list(pairs_a), list(pairs_b)
     if not pairs_a or not pairs_b:
         raise ValueError("both groups must be non-empty")
 
@@ -264,7 +236,6 @@ class GroupComparison:
 
     partition: str
     labels: tuple[str, str]
-    groups: dict[str, list[SurvivalRecord]]
     curves: dict[str, SurvivalCurve]
     summaries: dict[str, GroupSummary | None]
     test: LogRankResult | None
@@ -288,15 +259,15 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
     else:
         raise ValueError(f"unknown partition {partition!r}")
 
-    groups: dict[str, list[SurvivalRecord]] = {label: [] for label in labels}
+    groups: dict[str, list[tuple[float, bool]]] = {label: [] for label in labels}
     for record in records:
         label = group_of(record)
         if label not in groups:
             raise ValueError(f"record outside partition {partition}: {label!r}")
-        groups[label].append(record)
+        groups[label].append((record.duration_days, record.event_observed))
 
     curves = {label: kaplan_meier(groups[label]) for label in labels if groups[label]}
-    summaries = {label: _summary(curves[label]) if label in curves else None for label in labels}
+    summaries = {label: summarize(curves[label]) if label in curves else None for label in labels}
     test = error = None
     empty = [label for label in labels if label not in curves]
     if empty:
@@ -309,7 +280,6 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
     return GroupComparison(
         partition=partition,
         labels=labels,
-        groups=groups,
         curves=curves,
         summaries=summaries,
         test=test,

@@ -66,17 +66,6 @@ class SurvivalRecord:
         return self.censored == 1
 
 
-def make_key(occurrence: SmellOccurrence, ordinal: int = 0) -> InstanceKey:
-    """Key for one occurrence; the ordinal must come from assign_keys when
-    several same-rule occurrences share a file and entity path."""
-    return InstanceKey(
-        rule=occurrence.rule,
-        file=occurrence.file,
-        entity_path=occurrence.entity_path,
-        ordinal=ordinal,
-    )
-
-
 def _ordinals(occurrences: Sequence[SmellOccurrence]) -> list[int]:
     """Ordinal of each occurrence within its (rule, file, entity_path) group,
     parallel to the input: ascending begin_line, then end_line (occurrences
@@ -105,7 +94,10 @@ def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
     Within each (rule, file, entity_path) group, ordinals follow ascending
     begin_line (occurrences without line info sort first, in input order).
     """
-    return [make_key(occ, ordinal) for occ, ordinal in zip(occurrences, _ordinals(occurrences))]
+    return [
+        InstanceKey(occ.rule, occ.file, occ.entity_path, ordinal)
+        for occ, ordinal in zip(occurrences, _ordinals(occurrences))
+    ]
 
 
 def apply_rename_heuristic(

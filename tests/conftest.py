@@ -3,8 +3,8 @@ from __future__ import annotations
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
-from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
-from smellsurv.rules import RuleId, Scope, SmellOccurrence
+from smellsurv.ingest import History, SizeMetrics, VersionSnapshot, load_manifests
+from smellsurv.rules import RuleId, Scope, SmellOccurrence, default_ruleset
 from smellsurv.tracking import InstanceKey, SurvivalRecord
 
 BASE = datetime(2015, 1, 1, tzinfo=timezone.utc)
@@ -55,6 +55,17 @@ def record(
         duration_days=float(duration),
         timeframe=timeframe,
     )
+
+
+def pairs(records: list[SurvivalRecord]) -> list[tuple[float, bool]]:
+    """The (duration, event) pairs the statistics take."""
+    return [(r.duration_days, r.event_observed) for r in records]
+
+
+def load_manifest(table: str, base_dir) -> History:
+    """The one History of a single-app manifest, read with the default rules."""
+    (history,) = load_manifests(table, base_dir, default_ruleset())
+    return history
 
 
 NO_SMELL_REPORT = '<?xml version="1.0" encoding="UTF-8"?>\n<pmd version="2.9.1" timestamp="t"></pmd>\n'

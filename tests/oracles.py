@@ -7,6 +7,7 @@ sharing no code with the package.
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -180,16 +181,19 @@ def pmd_report_oracle(
 ) -> tuple[list, Counter]:
     """A PMD report read through a whole ElementTree, as the package once did.
 
-    Only the result and error types come from the package. Returns the sorted occurrences and the per-rule count of skipped
-    violations, or raises ReportParseError (with the byte offset of a
-    malformed document, computed from expat's line and column).
+    Only the result and error types come from the package. Returns the sorted
+    occurrences and the per-rule count of skipped violations, or raises
+    ReportParseError (with the byte offset of a malformed document, computed
+    from expat's line and column: lines break at CR LF, CR and LF, and a
+    column counts characters).
     """
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
         line, column = exc.position
-        lines = document.split(b"\n")
-        offset = sum(len(l) + 1 for l in lines[: line - 1]) + column
+        text = document.decode("utf-8", "surrogateescape")
+        line_starts = [0] + [m.end() for m in re.finditer(r"\r\n?|\n", text)]
+        offset = len(text[: line_starts[line - 1] + column].encode("utf-8", "surrogateescape"))
         raise ReportParseError(f"malformed at byte offset {offset}: {exc.msg}", byte_offset=offset) from exc
 
     def local_name(tag: str) -> str:

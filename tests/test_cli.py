@@ -25,11 +25,11 @@ from smellsurv.cli import (
     main,
 )
 from smellsurv import cli, survival
-from smellsurv.ingest import load_manifest
-from smellsurv.report import analyze_history, fmt_rate, records_csv
-from smellsurv.tracking import assign_timeframes, build_survival_records
+from smellsurv.report import analyze_history, fmt_rate, write_bundle
+from smellsurv.survival import kaplan_meier
+from smellsurv.tracking import assign_timeframes
 
-from conftest import history_from_bits, ts, write_no_smell_history
+from conftest import history_from_bits, load_manifest, pairs, ts, write_no_smell_history
 from oracles import logrank_oracle, records_oracle
 
 TRIAPP = Path(__file__).parent / "data" / "triapp"
@@ -73,6 +73,16 @@ def test_detect_unreadable_path_reports_error(tmp_path, capsys):
     assert len(err_lines) == 1
     record = json.loads(err_lines[0])
     assert "error" in record and "message" in record
+
+
+@pytest.mark.parametrize("model", [TRIAPP / "models" / "beta-0.9.json", Path("missing.json")], ids=["model", "no model"])
+def test_detect_accepts_only_csv_and_json_and_checks_them_first(tmp_path, capsys, model):
+    # detect writes no charts; a missing model shows the formats are checked before it is read
+    out = tmp_path / "out"
+    args = ["detect", "--code-model", str(tmp_path / model), "--version-id", "1", "--formats", "csv,svg", "--out", str(out)]
+    assert main(args) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "unknown output formats: svg"}
+    assert not out.exists()
 
 
 def test_detect_with_threshold_override(tmp_path):
@@ -213,12 +223,12 @@ def test_svg_outputs_are_wellformed_with_monotone_steps(triapp_out):
 # records CSV against the bitstring oracle, byte for byte
 # ---------------------------------------------------------------------------
 
-def test_records_csv_matches_oracle_byte_for_byte():
+def test_records_csv_matches_oracle_byte_for_byte(tmp_path):
     days = [0.0, 45.0, 100.0]
     bits_by_key = {"A/keep": "111", "A/lost": "110", "B/late": "011"}
     history = history_from_bits(bits_by_key, days=days, app="tri")
-    records = build_survival_records(history)
-    got = records_csv("tri", records)
+    write_bundle(analyze_history(history), tmp_path, {"csv"})
+    got = (tmp_path / "tri" / "records.csv").read_bytes().decode()
 
     timestamps = [ts(d) for d in days]
     split = ts(50.0)
@@ -252,10 +262,8 @@ def test_engineered_timeframes_reach_significance():
     comparison = bundle.timeframe
     assert comparison.test is not None
     view1, view2 = assign_timeframes(bundle.records, history)
-    assert comparison.groups == {"1": view1, "2": view2}
-    view1_pairs = [(r.duration_days, r.event_observed) for r in view1]
-    view2_pairs = [(r.duration_days, r.event_observed) for r in view2]
-    stat, p = logrank_oracle(view1_pairs, view2_pairs)
+    assert comparison.curves == {"1": kaplan_meier(pairs(view1)), "2": kaplan_meier(pairs(view2))}
+    stat, p = logrank_oracle(pairs(view1), pairs(view2))
     assert comparison.test.p_value == pytest.approx(p, abs=1e-9)
     assert comparison.test.p_value < 0.05
 
@@ -371,10 +379,10 @@ def test_gate_opens_only_the_two_latest_reports_per_app(tmp_path, monkeypatch, c
 
 def four_version_rows(tmp_path) -> list[list[str]]:
     """Manifest rows (header first) of a four-version app whose last two versions are sound."""
-    rows = [["app", "version", "timestamp", "report_path", "lloc"]]
+    rows = [["app", "version", "timestamp", "report_path", "lloc", "loc", "classes"]]
     for i in range(4):
         write_model(tmp_path / f"m{i}.json", 10)
-        rows.append(["demo", f"{i + 1}.0", f"2020-0{i + 1}-01", f"m{i}.json", "10000"])
+        rows.append(["demo", f"{i + 1}.0", f"2020-0{i + 1}-01", f"m{i}.json", "10000", "40000", "82"])
     return rows
 
 
@@ -392,18 +400,24 @@ def write_rows(tmp_path, rows) -> Path:
         (3, 1, "1.0", "duplicate version id"),
         (3, 2, "2020-01-01", "timestamps not strictly increasing"),
         (2, 3, "missing.json", "report file unreadable"),
+        (2, 5, "-1", "loc must be >= 0, got -1"),
+        (5, 6, "-95", "classes must be >= 0, got -95"),
     ],
-    ids=["bad timestamp", "zero lloc", "duplicate version", "equal timestamps", "missing report"],
+    ids=["bad timestamp", "zero lloc", "duplicate version", "equal timestamps", "missing report", "negative loc",
+         "negative classes"],
 )
 def test_gate_checks_every_row(tmp_path, capsys, row, column, value, message):
+    # and so does analyze, with the same error
     rows = four_version_rows(tmp_path)
     rows[row - 1][column] = value
     manifest = write_rows(tmp_path, rows)
-    assert main(["gate", "--manifest", str(manifest)]) == EXIT_ERROR
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ManifestError"
-    assert record["row"] == row
-    assert message in record["message"]
+    for command in (["gate"], ["analyze", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--manifest", str(manifest)]) == EXIT_ERROR
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ManifestError"
+        assert record["row"] == row
+        assert message in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_earlier_report_fails_analyze_but_not_gate(tmp_path, capsys):

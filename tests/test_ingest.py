@@ -9,20 +9,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smellsurv.cli import EXIT_ERROR, main
 from smellsurv.errors import ConfigError, ManifestError, ReportParseError
 from smellsurv.ingest import (
     History,
     SizeMetrics,
     VersionSnapshot,
-    load_manifest,
     load_manifests,
     normalize_path,
     parse_pmd_report,
     parse_timestamp,
 )
-from smellsurv.rules import RuleId, SmellOccurrence
+from smellsurv.rules import RuleId, SmellOccurrence, default_ruleset
 
-from conftest import history_from_bits, occurrence, ts
+from conftest import history_from_bits, load_manifest, occurrence, ts
 from oracles import pmd_report_oracle
 
 
@@ -123,6 +123,29 @@ def test_empty_report_file_is_malformed_at_offset_0(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "document, offset",
+    [
+        # expat counts columns in characters, and each é is two bytes
+        ('<pmd a="\u00e9\u00e9\u00e9\u00e9\u00e9"></x>'.encode(), 22),
+        # and it breaks lines at a lone CR too
+        (b"<pmd>\r<file>\r</pmd>", 15),
+    ],
+    ids=["multi-byte characters", "CR line breaks"],
+)
+def test_malformed_offset_counts_bytes(tmp_path, capsys, document, offset):
+    with pytest.raises(ReportParseError) as exc_info:
+        parse_pmd_report(document, "v1")
+    assert exc_info.value.byte_offset == offset
+    (tmp_path / "r1.xml").write_bytes(document)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,r1.xml,5000\n")
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err)
+    assert (record["error"], record["row"], record["byte_offset"]) == ("ReportParseError", 2, offset)
+    assert f"byte offset {offset} " in record["message"]
+
+
+@pytest.mark.parametrize(
     "prolog, reference",
     [
         # under an external DTD, expat skips an undeclared entity without an error
@@ -155,9 +178,10 @@ LINES = st.one_of(
     st.sampled_from(["", "x", "1.5", " 7 ", "+3", "0x1", "\u0663"]),
 )
 ENTITY_NAMES = st.one_of(st.none(), st.sampled_from(["", "A", "B", "m", "\u00e9", "a&amp;b"]))
-CONTENT = st.sampled_from(
-    ["", "", "long", "\n", "<!-- c -->", "<?pi x?>", "&amp;", "&#233;", "<![CDATA[<x/>]]>", "&ent;"]
-)
+CONTENT = st.sampled_from([
+    "", "", "long", "\n", "\r\n", "\r", "\u4e2d",
+    "<!-- c -->", "<?pi x?>", "&amp;", "&#233;", "<![CDATA[<x/>]]>", "&ent;",
+])
 DOCTYPES = [
     "",
     '<!DOCTYPE pmd [<!ENTITY ent "text">]>',
@@ -399,10 +423,8 @@ def test_multi_app_manifest(tmp_path):
         two,2.0,2020-06-01,r2.xml,7100
         """
     )
-    histories = load_manifests(manifest, base_dir=tmp_path)
+    histories = load_manifests(manifest, tmp_path, default_ruleset())
     assert sorted(h.app_name for h in histories) == ["one", "two"]
-    with pytest.raises(ManifestError, match="several apps"):
-        load_manifest(manifest, base_dir=tmp_path)
 
 
 def test_header_must_match(tmp_path):

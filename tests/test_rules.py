@@ -23,6 +23,8 @@ from smellsurv.rules import (
 
 from oracles import rules_oracle
 
+DEFAULTS = default_ruleset()
+
 
 def method(name="m", loc=0, params=0, file="src/a.php", parent="A"):
     return CodeEntity(
@@ -52,28 +54,28 @@ def test_scope_of_examples():
 
 
 def test_long_method_flagged():
-    occurrences = evaluate_rules([method(loc=150)], version_id="v1")
+    occurrences = evaluate_rules([method(loc=150)], DEFAULTS, "v1")
     assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
     assert occurrences[0].entity_path == "A/m"
     assert occurrences[0].version_id == "v1"
 
 
 def test_method_exactly_at_threshold_is_clean():
-    assert evaluate_rules([method(loc=100)], version_id="v1") == []
+    assert evaluate_rules([method(loc=100)], DEFAULTS, "v1") == []
 
 
 def test_class_at_and_over_thresholds():
     # children over (16 > 15), coupling exactly at 13: only one occurrence
-    occurrences = evaluate_rules([klass(noc=16, cbo=13)], version_id="v1")
+    occurrences = evaluate_rules([klass(noc=16, cbo=13)], DEFAULTS, "v1")
     assert [o.rule for o in occurrences] == [RuleId.NUMBER_OF_CHILDREN]
 
 
 def test_rules_apply_to_matching_kinds_only():
     # a 2000-line method is a long method, never a long class
-    occurrences = evaluate_rules([method(loc=2000)], version_id="v1")
+    occurrences = evaluate_rules([method(loc=2000)], DEFAULTS, "v1")
     assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
     function = CodeEntity(kind=EntityKind.FUNCTION, name="f", file="src/f.php", parameter_count=11)
-    occurrences = evaluate_rules([function], version_id="v1")
+    occurrences = evaluate_rules([function], DEFAULTS, "v1")
     assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
 
 
@@ -83,7 +85,7 @@ def test_output_ordering_is_file_entity_rule():
         method(name="a", loc=150, params=12, file="src/b.php"),
         klass(name="C", dit=11, file="src/a.php"),
     ]
-    occurrences = evaluate_rules(entities, version_id="v1")
+    occurrences = evaluate_rules(entities, DEFAULTS, "v1")
     assert [(o.file, o.entity_path, o.rule) for o in occurrences] == [
         ("src/a.php", "C", RuleId.DEPTH_OF_INHERITANCE),
         ("src/b.php", "A/a", RuleId.EXCESSIVE_METHOD_LENGTH),
@@ -100,8 +102,8 @@ def test_infinite_thresholds_flag_nothing():
 
 def test_default_ruleset_scope_balance():
     rules = default_ruleset()
-    assert sum(1 for r in rules if r.scope is Scope.LOCALIZED) == 3
-    assert sum(1 for r in rules if r.scope is Scope.SCATTERED) == 3
+    assert sum(1 for r in rules if scope_of(r.id) is Scope.LOCALIZED) == 3
+    assert sum(1 for r in rules if scope_of(r.id) is Scope.SCATTERED) == 3
 
 
 def test_duplicate_rule_rejected():
@@ -129,8 +131,8 @@ def test_increasing_a_metric_never_removes_occurrences(loc, params, dit, cbo, no
     bumped = dict(base)
     bumped[field] += bump
     for kind in (EntityKind.METHOD, EntityKind.CLASS):
-        before = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **base)], version_id="v")
-        after = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **bumped)], version_id="v")
+        before = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **base)], DEFAULTS, "v")
+        after = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **bumped)], DEFAULTS, "v")
         assert {o.rule for o in before} <= {o.rule for o in after}
 
 
@@ -169,7 +171,7 @@ def test_load_code_model(tmp_path):
     }))
     entities = load_code_model(path)
     assert len(entities) == 2
-    occurrences = evaluate_rules(entities, version_id="r1")
+    occurrences = evaluate_rules(entities, DEFAULTS, "r1")
     assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
 
 
@@ -223,7 +225,7 @@ def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_fact
     # what loads is well typed: it evaluates and sorts without error, and each
     # entity is a method over both the length and the parameter threshold
     entities = load_code_model(path)
-    assert len(evaluate_rules(entities, version_id="v")) == 2 * len(entities)
+    assert len(evaluate_rules(entities, DEFAULTS, "v")) == 2 * len(entities)
 
 
 # small metrics and thresholds, so that metrics often sit exactly at a threshold

@@ -18,8 +18,18 @@ from smellsurv.survival import (
     summarize,
 )
 
-from conftest import record
+from conftest import pairs, record
 from oracles import km_oracle, logrank_oracle, rmean_oracle, rmean_se_oracle
+
+
+def survival_at(curve: SurvivalCurve, t: float) -> float:
+    """S(t), right-continuous."""
+    s = 1.0
+    for p in curve.points:
+        if p.time_days > t:
+            break
+        s = p.survival
+    return s
 
 
 def curve_rows(curve: SurvivalCurve):
@@ -50,8 +60,8 @@ def test_all_censored_curve_stays_at_one():
 def test_event_then_censoring():
     curve = kaplan_meier([(5, True), (8, False)])
     assert curve_rows(curve) == [(5.0, 2, 1, 0.5), (8.0, 1, 0, 0.5)]
-    assert curve.survival_at(4.999) == 1.0
-    assert curve.survival_at(5) == 0.5
+    assert survival_at(curve, 4.999) == 1.0
+    assert survival_at(curve, 5) == 0.5
 
 
 def test_tied_event_and_censoring_processed_event_first():
@@ -72,11 +82,6 @@ def test_tie_at_later_time():
 def test_empty_input_rejected():
     with pytest.raises(ValueError, match="no records"):
         kaplan_meier([])
-
-
-def test_accepts_survival_records():
-    curve = kaplan_meier([record(5, True), record(8, False)])
-    assert curve_rows(curve) == [(5.0, 2, 1, 0.5), (8.0, 1, 0, 0.5)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,7 +119,7 @@ def test_median_na_when_curve_floors_above_half():
 
 def test_median_boundary_exactly_half_included():
     curve = kaplan_meier([(1418, True), (2000, False)])
-    assert curve.survival_at(1418) == 0.5
+    assert survival_at(curve, 1418) == 0.5
     assert median_survival(curve) == 1418
 
 
@@ -288,8 +293,7 @@ def test_logrank_matches_oracle(a, b):
 # ---------------------------------------------------------------------------
 
 def test_summarize_counts():
-    records = [record(d, True) for d in (1, 2, 3, 4, 5, 6)] + [record(9, False) for _ in range(4)]
-    summary = summarize(records)
+    summary = summarize(kaplan_meier([(d, True) for d in (1, 2, 3, 4, 5, 6)] + [(9, False)] * 4))
     assert (summary.found, summary.removed) == (10, 6)
     assert summary.pct_removed == pytest.approx(0.6)
     assert summary.removed <= summary.found
@@ -297,7 +301,7 @@ def test_summarize_counts():
 
 def test_summarize_zero_horizon_group():
     # instances first seen in the final snapshot have duration 0
-    summary = summarize([record(0, False), record(0, False)])
+    summary = summarize(kaplan_meier([(0, False), (0, False)]))
     assert (summary.rmean_days, summary.se_rmean) == (0.0, 0.0)
     assert summary.median_days is None
 
@@ -310,10 +314,7 @@ def test_compare_groups_by_scope():
     s_loc = comparison.summaries["localized"]
     s_sca = comparison.summaries["scattered"]
     assert s_sca.median_days == 2 * s_loc.median_days
-    stat, p = logrank_oracle(
-        [(r.duration_days, r.event_observed) for r in localized],
-        [(r.duration_days, r.event_observed) for r in scattered],
-    )
+    stat, p = logrank_oracle(pairs(localized), pairs(scattered))
     assert comparison.test.statistic == pytest.approx(stat, abs=1e-9)
     assert comparison.test.p_value == pytest.approx(p, abs=1e-9)
 
@@ -334,14 +335,14 @@ def test_compare_groups_empty_group_named():
     assert comparison.error == "empty group: scattered"
     assert comparison.summaries["scattered"] is None
     assert list(comparison.curves) == ["localized"]
-    assert comparison.summaries["localized"] == summarize(records)
+    assert comparison.summaries["localized"] == summarize(kaplan_meier(pairs(records)))
 
 
 def test_compare_groups_without_events_has_no_test():
     tf1 = [record(d, False, timeframe=1) for d in (5, 6)]
     tf2 = [record(d, False, timeframe=2) for d in (50,)]
     comparison = compare_groups(tf1 + tf2, "timeframe")
-    assert comparison.summaries == {"1": summarize(tf1), "2": summarize(tf2)}
+    assert comparison.summaries == {"1": summarize(kaplan_meier(pairs(tf1))), "2": summarize(kaplan_meier(pairs(tf2)))}
     assert comparison.test is None
     assert comparison.error == "test undefined: no events in the pooled data"
 

@@ -14,7 +14,6 @@ from smellsurv.tracking import (
     assign_keys,
     assign_timeframes,
     build_survival_records,
-    make_key,
     split_instant,
 )
 
@@ -54,11 +53,11 @@ def test_ordinals_follow_line_order():
     assert keys[1].ordinal == 0
 
 
-def test_make_key_fields():
-    occ = occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C")
-    key = make_key(occ, ordinal=2)
-    assert key == InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2)
-    assert key.location() == "x.php::C::2"
+def test_assign_keys_fields():
+    occ = occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C", begin_line=9, end_line=9)
+    keys = assign_keys([occ, occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C"), occ])
+    assert keys[2] == InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2)
+    assert keys[2].location() == "x.php::C::2"
 
 
 # ---------------------------------------------------------------------------
