@@ -87,6 +87,8 @@ def density_series(history: History) -> list[DensityPoint]:
 
 
 class AnomalyKind(Enum):
+    __hash__ = object.__hash__  # identity, as for the rule enums
+
     INCREASE_50 = "increase_50"
     INCREASE_100 = "increase_100"
     DECREASE_50 = "decrease_50"

@@ -30,8 +30,8 @@ from .report import (
     fmt_rate,
     occurrences_csv,
     occurrences_json,
-    write_atomic,
     write_bundle,
+    write_files,
 )
 from .rules import default_ruleset, evaluate_rules, load_code_model, load_ruleset
 from .tracking import TrackingOptions
@@ -74,10 +74,12 @@ def cmd_detect(args) -> int:
     entities = load_code_model(args.code_model)
     occurrences = evaluate_rules(entities, _ruleset(args), args.version_id)
     out_dir = Path(args.out)
+    files = {}
     if "csv" in formats:
-        write_atomic(out_dir / "occurrences.csv", occurrences_csv(occurrences))
+        files["occurrences.csv"] = occurrences_csv(occurrences)
     if "json" in formats:
-        write_atomic(out_dir / "occurrences.json", occurrences_json(occurrences))
+        files["occurrences.json"] = occurrences_json(occurrences)
+    write_files(out_dir, files)
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK
 

@@ -9,10 +9,12 @@ for day values, six significant digits for probabilities and rates).
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from .anomaly import (
     metric_change_rates,
 )
 from .ingest import History
-from .rules import RuleId, SmellOccurrence, scope_of
+from .rules import RULE_NAMES, SCOPE_NAMES, SmellOccurrence, scope_of
 from .survival import (
     GroupComparison,
     GroupSummary,
@@ -88,11 +90,24 @@ def _json_rows(table: Table) -> list[dict]:
     return [{column: _json_value(column, cell) for column, cell in zip(header, row)} for row in rows]
 
 
-def write_atomic(path: Path, content: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+def write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write the named files into out_dir as one: each goes to a .tmp file
+    beside its target, and no target is replaced until every .tmp file is
+    written. A target that is a directory, which a replace would refuse, is
+    refused first. A failed call leaves no .tmp file."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged = {out_dir / name: out_dir / f"{name}.tmp" for name in files}
+    try:
+        for (target, tmp), content in zip(staged.items(), files.values()):
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+            tmp.write_text(content, encoding="utf-8", newline="")
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def _csv_text(table: Table) -> str:
@@ -123,8 +138,8 @@ def _occurrence_table(occurrences: list[SmellOccurrence]) -> Table:
     rows = [
         [
             occ.version_id,
-            occ.rule.value,
-            scope_of(occ.rule).value,
+            RULE_NAMES[occ.rule],
+            SCOPE_NAMES[scope_of(occ.rule)],
             occ.file,
             occ.entity_path,
             "" if occ.begin_line is None else str(occ.begin_line),
@@ -163,16 +178,21 @@ RECORDS_HEADER = [
 
 
 def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
+    dates = {None: ""}  # each distinct date formatted once
+    for r in records:
+        for date in (r.first_date, r.end_date):
+            if date not in dates:
+                dates[date] = date.isoformat()
     rows = [
         [
             app,
-            r.key.rule.value,
-            r.scope.value,
+            RULE_NAMES[r.key.rule],
+            SCOPE_NAMES[r.scope],
             r.key.location(),
             r.first_version,
-            r.first_date.isoformat(),
+            dates[r.first_date],
             r.last_present_version,
-            "" if r.end_date is None else r.end_date.isoformat(),
+            dates[r.end_date],
             str(r.censored),
             fmt_days(r.duration_days),
             str(r.timeframe),
@@ -248,11 +268,9 @@ def _logrank_json(comparison: GroupComparison):
 def _counts_by_rule_table(history: History) -> Table:
     rows = []
     for snap in history.snapshots:
-        counts = {rid: 0 for rid in RuleId}
-        for occ in snap.occurrences:
-            counts[occ.rule] += 1
-        for rid in RuleId:
-            rows.append([snap.version_id, snap.timestamp.isoformat(), rid.value, str(counts[rid])])
+        counts = Counter([occ.rule for occ in snap.occurrences])
+        stamp = snap.timestamp.isoformat()
+        rows.extend([snap.version_id, stamp, name, str(counts[rid])] for rid, name in RULE_NAMES.items())
     return ["version", "timestamp", "rule", "count"], rows
 
 

@@ -13,16 +13,23 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
 
+# an enum member equals only itself, so it can hash by identity in C rather
+# than through the Python-level Enum.__hash__ (hash of its name)
 class Scope(Enum):
+    __hash__ = object.__hash__
+
     LOCALIZED = "localized"
     SCATTERED = "scattered"
 
 
 class RuleId(Enum):
+    __hash__ = object.__hash__
+
     EXCESSIVE_METHOD_LENGTH = "ExcessiveMethodLength"
     EXCESSIVE_CLASS_LENGTH = "ExcessiveClassLength"
     EXCESSIVE_PARAMETER_LIST = "ExcessiveParameterList"
@@ -32,6 +39,8 @@ class RuleId(Enum):
 
 
 class EntityKind(Enum):
+    __hash__ = object.__hash__
+
     CLASS = "class"
     METHOD = "method"
     FUNCTION = "function"
@@ -122,8 +131,7 @@ def load_ruleset(path: str | Path) -> list[SmellRule]:
     return [SmellRule(rid, thr) for rid, thr in thresholds.items()]
 
 
-@dataclass(frozen=True)
-class CodeEntity:
+class CodeEntity(NamedTuple):
     """One class, method, or free function with its measured metrics.
 
     Metrics that were not measured default to 0.
@@ -144,10 +152,7 @@ class CodeEntity:
         return f"{self.parent}/{self.name}" if self.parent else self.name
 
 
-@dataclass(frozen=True, slots=True)
-class SmellOccurrence:
-    """One rule violation at one location in one version."""
-
+class _OccurrenceFields(NamedTuple):
     rule: RuleId
     file: str
     entity_path: str
@@ -155,26 +160,37 @@ class SmellOccurrence:
     begin_line: int | None = None
     end_line: int | None = None
 
-    def __post_init__(self):
-        if self.begin_line is not None and self.end_line is not None and self.begin_line > self.end_line:
-            raise ValueError(f"begin_line {self.begin_line} > end_line {self.end_line}")
+
+class SmellOccurrence(_OccurrenceFields):
+    """One rule violation at one location in one version."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule, file, entity_path, version_id, begin_line=None, end_line=None):
+        if begin_line is not None and end_line is not None and begin_line > end_line:
+            raise ValueError(f"begin_line {begin_line} > end_line {end_line}")
+        return tuple.__new__(cls, (rule, file, entity_path, version_id, begin_line, end_line))
 
 
 _RULE_ORDER = {rid: i for i, rid in enumerate(RuleId)}
+RULE_NAMES = {rid: rid.value for rid in RuleId}
+SCOPE_NAMES = {scope: scope.value for scope in Scope}
 _KIND_BY_VALUE = {kind.value: kind for kind in EntityKind}
 _METRICS = ("loc", "parameter_count", "depth_of_inheritance", "coupling", "children_count")
 
 
-def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[str, float, int, RuleId]]]:
-    """Per entity kind, the (metric, threshold, rule order, rule) of each rule that applies."""
+def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[int, float, int, RuleId]]]:
+    """Per entity kind, the (metric's CodeEntity field index, threshold, rule
+    order, rule) of each rule that applies."""
     plan = {kind: [] for kind in EntityKind}
     seen = set()
     for rule in rules:
         if rule.id in seen:
             raise ConfigError(f"duplicate rule id {rule.id.value} in ruleset")
         seen.add(rule.id)
+        field = CodeEntity._fields.index(_RULE_METRIC[rule.id])
         for kind in _RULE_KINDS[rule.id]:
-            plan[kind].append((_RULE_METRIC[rule.id], rule.threshold, _RULE_ORDER[rule.id], rule.id))
+            plan[kind].append((field, rule.threshold, _RULE_ORDER[rule.id], rule.id))
     return plan
 
 
@@ -191,8 +207,8 @@ def evaluate_rules(
     fired = []
     for entity in entities:
         entity_path = None
-        for metric, threshold, order, rule in plan[entity.kind]:
-            if getattr(entity, metric) > threshold:
+        for field, threshold, order, rule in plan[entity.kind]:
+            if entity[field] > threshold:
                 if entity_path is None:
                     entity_path = entity.entity_path
                 fired.append((entity.file, entity_path, order, rule))

@@ -14,16 +14,15 @@ snapshot. Statistical consumers should read the flag as event_observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from datetime import datetime, timedelta
-from typing import Sequence
+from dataclasses import dataclass
+from datetime import datetime
+from typing import NamedTuple, Sequence
 
 from .ingest import History
 from .rules import RuleId, Scope, SmellOccurrence, _RULE_ORDER, scope_of
 
 
-@dataclass(frozen=True)
-class InstanceKey:
+class InstanceKey(NamedTuple):
     rule: RuleId
     file: str
     entity_path: str
@@ -175,8 +174,7 @@ def build_survival_records(
     timestamps = [snap.timestamp for snap in history.snapshots]
     version_ids = [snap.version_id for snap in history.snapshots]
     # presence is tracked over int ids, one per distinct (rule, file,
-    # entity_path, ordinal); an InstanceKey is built only when a record or a
-    # rename transition needs it
+    # entity_path, ordinal)
     ids: dict[tuple[RuleId, str, str, int], int] = {}
     keysets: list[set[int]] = []
     for snap in history.snapshots:
@@ -185,14 +183,7 @@ def build_survival_records(
             ids.setdefault((occ.rule, occ.file, occ.entity_path, ordinal), len(ids))
             for occ, ordinal in zip(occurrences, _ordinals(occurrences))
         })
-    fields_of = list(ids)
-    instance_keys: dict[int, InstanceKey] = {}
-
-    def key_of(key_id: int) -> InstanceKey:
-        key = instance_keys.get(key_id)
-        if key is None:
-            key = instance_keys[key_id] = InstanceKey(*fields_of[key_id])
-        return key
+    key_of = list(map(InstanceKey._make, ids))
 
     split = split_instant(history)
     final_idx = len(keysets) - 1
@@ -207,7 +198,7 @@ def build_survival_records(
         else:
             end_date = None
             duration = _days_between(first_date, timestamps[final_idx])
-        key = key_of(run.key)
+        key = key_of[run.key]
         records.append(
             SurvivalRecord(
                 key=key,
@@ -225,8 +216,8 @@ def build_survival_records(
     open_runs: dict[int, _Run] = {}
     for idx, keys in enumerate(keysets):
         if idx > 0 and options.rename_heuristic:
-            removed_now = {key_of(i): i for i in keysets[idx - 1] - keys}
-            added_now = {key_of(i): i for i in keys - keysets[idx - 1]}
+            removed_now = {key_of[i]: i for i in keysets[idx - 1] - keys}
+            added_now = {key_of[i]: i for i in keys - keysets[idx - 1]}
             for old_key, new_key in apply_rename_heuristic(set(removed_now), set(added_now)):
                 old, new = removed_now[old_key], added_now[new_key]
                 run = open_runs.get(old)
@@ -269,6 +260,16 @@ def build_survival_records(
     return records
 
 
+def _in_view(
+    r: SurvivalRecord, timeframe: int, censored: int, end_date: datetime | None, duration_days: float
+) -> SurvivalRecord:
+    """Record r as one timeframe's view has it, with that view's end."""
+    return SurvivalRecord(
+        r.key, r.scope, r.first_version, r.first_date, r.last_present_version,
+        end_date, censored, duration_days, timeframe,
+    )
+
+
 def assign_timeframes(
     records: list[SurvivalRecord],
     history: History,
@@ -283,20 +284,11 @@ def assign_timeframes(
     split = split_instant(history)
     view1 = []
     view2 = []
-    for record in records:
-        if record.first_date >= split:
-            view2.append(replace(record, timeframe=2))
-            continue
-        if record.censored == 1 and record.end_date is not None and record.end_date <= split:
-            view1.append(replace(record, timeframe=1))
+    for r in records:
+        if r.first_date >= split:
+            view2.append(_in_view(r, 2, r.censored, r.end_date, r.duration_days))
+        elif r.censored == 1 and r.end_date is not None and r.end_date <= split:
+            view1.append(_in_view(r, 1, r.censored, r.end_date, r.duration_days))
         else:
-            view1.append(
-                replace(
-                    record,
-                    timeframe=1,
-                    censored=0,
-                    end_date=None,
-                    duration_days=_days_between(record.first_date, split),
-                )
-            )
+            view1.append(_in_view(r, 1, 0, None, _days_between(r.first_date, split)))
     return view1, view2

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from smellsurv.anomaly import AnomalyKind, AnomalyThresholds, change_rate, density_series, flag_anomalies
 from smellsurv.cli import EXIT_OK, main
-from smellsurv.rules import Scope
 from smellsurv.survival import kaplan_meier, log_rank, median_survival, restricted_mean, summarize
 from smellsurv.tracking import TrackingOptions, build_survival_records
 

@@ -5,7 +5,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -94,6 +93,18 @@ def test_detect_with_threshold_override(tmp_path):
     rules.write_text(json.dumps({"ExcessiveMethodLength": 50}))
     assert main(["detect", "--code-model", str(model), "--version-id", "1", "--rules", str(rules), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(read_csv(tmp_path / "out" / "occurrences.csv")) == 1
+
+
+def test_detect_replaces_its_files_only_once_both_are_written(tmp_path, capsys):
+    # occurrences.json cannot be replaced, so the old occurrences.csv must stay
+    out = tmp_path / "out"
+    (out / "occurrences.json").mkdir(parents=True)
+    (out / "occurrences.csv").write_text("old\n")
+    args = ["detect", "--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "1", "--out", str(out)]
+    assert main(args) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+    assert sorted(p.name for p in out.iterdir()) == ["occurrences.csv", "occurrences.json"]
+    assert (out / "occurrences.csv").read_text() == "old\n"
 
 
 # ---------------------------------------------------------------------------

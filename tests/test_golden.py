@@ -11,6 +11,9 @@ them and says so.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from smellsurv.cli import EXIT_OK, main
 from conftest import write_no_smell_history
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -56,3 +60,14 @@ def test_detect_matches_golden(tmp_path, model):
     code = main(["detect", "--code-model", str(model), "--version-id", model.stem, "--formats", "csv,json", "--out", str(out)])
     assert code == EXIT_OK
     _assert_same_bundle(out, DATA / "detect_golden" / model.stem)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_bundle_does_not_depend_on_hash_order(tmp_path, hash_seed):
+    # strings hash by a per-process seed and the enums by address, so an
+    # output order taken from a set would move between these runs
+    out = tmp_path / "out"
+    args = ["analyze", "--manifest", str(DATA / "triapp" / "manifest.csv"), "--formats", "csv,json,svg", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
+    subprocess.run([sys.executable, "-m", "smellsurv.cli", *args], env=env, capture_output=True, check=True)
+    _assert_same_bundle(out, DATA / "triapp_golden")

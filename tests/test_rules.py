@@ -13,6 +13,7 @@ from smellsurv.rules import (
     EntityKind,
     RuleId,
     Scope,
+    SmellOccurrence,
     SmellRule,
     default_ruleset,
     evaluate_rules,
@@ -115,6 +116,13 @@ def test_duplicate_rule_rejected():
 def test_nonpositive_threshold_rejected():
     with pytest.raises(ConfigError, match="positive"):
         SmellRule(RuleId.EXCESSIVE_METHOD_LENGTH, 0)
+
+
+def test_occurrence_rejects_begin_line_after_end_line():
+    with pytest.raises(ValueError, match="begin_line 9 > end_line 8"):
+        SmellOccurrence(RuleId.EXCESSIVE_METHOD_LENGTH, "a.php", "A/m", "v1", 9, 8)
+    one_line = SmellOccurrence(RuleId.EXCESSIVE_METHOD_LENGTH, "a.php", "A/m", "v1", begin_line=9, end_line=9)
+    assert (one_line.begin_line, one_line.end_line) == (9, 9)
 
 
 metric_values = st.integers(min_value=0, max_value=2000)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
-from smellsurv.rules import RuleId
+from smellsurv.rules import CodeEntity, EntityKind, RuleId
 from smellsurv.tracking import (
     InstanceKey,
     TrackingOptions,
@@ -57,7 +57,22 @@ def test_assign_keys_fields():
     occ = occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C", begin_line=9, end_line=9)
     keys = assign_keys([occ, occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C"), occ])
     assert keys[2] == InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2)
+    assert hash(keys[2]) == hash(InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2))
     assert keys[2].location() == "x.php::C::2"
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (occurrence(), "begin_line"),
+        (CodeEntity(EntityKind.CLASS, "C", "c.php"), "loc"),
+        (InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 0), "ordinal"),
+    ],
+    ids=["SmellOccurrence", "CodeEntity", "InstanceKey"],
+)
+def test_value_types_refuse_assignment(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 1)
 
 
 # ---------------------------------------------------------------------------
