@@ -10,10 +10,11 @@ out of nowhere, treated as the strongest increase).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from typing import NamedTuple
 
+from .errors import Checked, ConfigError
 from .ingest import History
 from .tracking import split_instant
 
@@ -28,8 +29,7 @@ def change_rate(prev: float, cur: float) -> float:
     return 0.0 if cur == 0 else math.inf
 
 
-@dataclass(frozen=True)
-class DensityPoint:
+class DensityPoint(NamedTuple):
     version_id: str
     timestamp: datetime
     cs_count: int
@@ -94,21 +94,25 @@ class AnomalyKind(Enum):
     DECREASE_50 = "decrease_50"
 
 
-@dataclass(frozen=True)
-class AnomalyThresholds:
+class _ThresholdFields(NamedTuple):
     up: float = 0.5
     up2: float = 1.0
     down: float = -0.5
 
-    def __post_init__(self):
+
+class AnomalyThresholds(Checked, _ThresholdFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.down < 0 < self.up <= self.up2):
-            raise ValueError(
+            raise ConfigError(
                 f"thresholds must satisfy down < 0 < up <= up2, got {self.down}, {self.up}, {self.up2}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class AnomalyFlag:
+class AnomalyFlag(NamedTuple):
     version_id: str
     kind: AnomalyKind
     delta_rho: float
@@ -143,8 +147,7 @@ def flag_anomalies(
     return flags
 
 
-@dataclass(frozen=True)
-class ChangeRates:
+class ChangeRates(NamedTuple):
     """Relative change of the size metrics between two chosen versions.
 
     A rate is None when the metric is missing at either endpoint.

@@ -22,7 +22,7 @@ import tempfile
 from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
-from .errors import ManifestError, ReportParseError, SmellSurvError
+from .errors import ConfigError, ManifestError, ReportParseError, SmellSurvError
 from .ingest import load_manifests
 from .report import (
     FORMATS,
@@ -55,9 +55,9 @@ def _parse_formats(raw: str, allowed: tuple[str, ...]) -> set[str]:
     formats = {part.strip() for part in raw.split(",") if part.strip()}
     unknown = formats - set(allowed)
     if unknown:
-        raise ValueError(f"unknown output formats: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown output formats: {', '.join(sorted(unknown))}")
     if not formats:
-        raise ValueError("at least one output format is required")
+        raise ConfigError("at least one output format is required")
     return formats
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the base of the value
+types that check their fields."""
 
 
 class SmellSurvError(Exception):
@@ -11,7 +12,8 @@ class SmellSurvError(Exception):
 
 
 class ConfigError(SmellSurvError):
-    """Bad rule configuration (unknown rule id, non-positive threshold, ...)."""
+    """Bad configuration: an unknown rule id, a non-positive threshold, an
+    unknown output format, a negative gap tolerance, thresholds out of order."""
 
 
 class ReportParseError(SmellSurvError):
@@ -31,3 +33,18 @@ class ManifestError(SmellSurvError):
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
+
+
+class Checked:
+    """Base of a NamedTuple subclass whose ``__new__`` checks its fields.
+
+    NamedTuple's ``_make`` builds with ``tuple.__new__``, and ``_replace``
+    builds through ``_make``, so both would skip the check; here they go
+    through the constructor.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

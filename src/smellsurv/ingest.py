@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 from xml.parsers import expat
 
-from .errors import ManifestError, ReportParseError, SmellSurvError
+from .errors import Checked, ManifestError, ReportParseError, SmellSurvError
 from .rules import (
     RuleId,
     SmellOccurrence,
@@ -45,41 +45,50 @@ def parse_timestamp(text: str) -> datetime:
     return moment.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
-class SizeMetrics:
+class SizeMetrics(NamedTuple):
     lloc: int
     loc: int | None = None
     classes: int | None = None
 
 
-@dataclass(frozen=True)
-class VersionSnapshot:
+class _SnapshotFields(NamedTuple):
     version_id: str
     timestamp: datetime
     occurrences: tuple[SmellOccurrence, ...]
     size: SizeMetrics
 
-    def __post_init__(self):
+
+class VersionSnapshot(Checked, _SnapshotFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for occ in self.occurrences:
             if occ.version_id != self.version_id:
                 raise ValueError(
                     f"occurrence tagged {occ.version_id!r} placed in snapshot {self.version_id!r}"
                 )
+        return self
 
 
-@dataclass(frozen=True)
-class History:
-    """Snapshots of one application, ordered by strictly increasing timestamp."""
-
+class _HistoryFields(NamedTuple):
     app_name: str
     snapshots: tuple[VersionSnapshot, ...]
 
-    def __post_init__(self):
+
+class History(Checked, _HistoryFields):
+    """Snapshots of one application, ordered by strictly increasing timestamp."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for a, b in zip(self.snapshots, self.snapshots[1:]):
             if not a.timestamp < b.timestamp:
                 raise ValueError(
                     f"timestamps not strictly increasing: {a.version_id} !< {b.version_id}"
                 )
+        return self
 
 
 def normalize_path(path: str, strip_prefix: str | None = None) -> str:
@@ -96,10 +105,9 @@ def normalize_path(path: str, strip_prefix: str | None = None) -> str:
     return unified
 
 
-@dataclass
-class PmdParseResult:
+class PmdParseResult(NamedTuple):
     occurrences: list[SmellOccurrence]
-    skipped: Counter = field(default_factory=Counter)
+    skipped: Counter
 
     @property
     def skipped_count(self) -> int:
@@ -294,8 +302,7 @@ def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
     return rows
 
 
-@dataclass(frozen=True)
-class _ManifestRow:
+class _ManifestRow(NamedTuple):
     """A checked manifest row: everything about a version but its report's contents."""
 
     row: int

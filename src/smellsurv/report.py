@@ -15,8 +15,8 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import svgplot
 from .anomaly import (
@@ -299,8 +299,7 @@ def _flag_table(flags: list[AnomalyFlag]) -> Table:
 # the analyze bundle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalysisBundle:
+class AnalysisBundle(NamedTuple):
     """Everything cmd_analyze derives from one application's history, each
     part computed once; write_bundle only formats it."""
 
@@ -420,7 +419,7 @@ def _bundle_json(bundle: AnalysisBundle) -> str:
             "split_instant": split_instant(history).isoformat(),
         },
         "records": len(bundle.records),
-        "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in asdict(bundle.rates).items()},
+        "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in bundle.rates._asdict().items()},
         "anomaly_flags": _json_rows(_flag_table(bundle.flags)),
     }
     for c in (bundle.scope, bundle.timeframe):

@@ -10,12 +10,11 @@ threshold are clean.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import Checked, ConfigError
 
 
 # an enum member equals only itself, so it can hash by identity in C rather
@@ -89,14 +88,19 @@ def scope_of(rule_id: RuleId) -> Scope:
     return _RULE_SCOPE[rule_id]
 
 
-@dataclass(frozen=True)
-class SmellRule:
+class _RuleFields(NamedTuple):
     id: RuleId
     threshold: float
 
-    def __post_init__(self):
+
+class SmellRule(Checked, _RuleFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.threshold > 0:
             raise ConfigError(f"threshold for {self.id.value} must be positive, got {self.threshold}")
+        return self
 
     def applies_to(self, kind: EntityKind) -> bool:
         return kind in _RULE_KINDS[self.id]
@@ -161,7 +165,7 @@ class _OccurrenceFields(NamedTuple):
     end_line: int | None = None
 
 
-class SmellOccurrence(_OccurrenceFields):
+class SmellOccurrence(Checked, _OccurrenceFields):
     """One rule violation at one location in one version."""
 
     __slots__ = ()

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .tracking import SurvivalRecord
@@ -21,16 +20,14 @@ if TYPE_CHECKING:
 _LEVEL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     time_days: float
     n_at_risk: int
     n_events: int
     survival: float
 
 
-@dataclass(frozen=True)
-class SurvivalCurve:
+class SurvivalCurve(NamedTuple):
     """Product-limit step function; survival is 1 before the first point."""
 
     points: tuple[CurvePoint, ...]
@@ -125,8 +122,7 @@ def restricted_mean(curve: SurvivalCurve, tau: float | None = None) -> tuple[flo
     return area, math.sqrt(variance)
 
 
-@dataclass(frozen=True)
-class GroupSummary:
+class GroupSummary(NamedTuple):
     found: int
     removed: int
     pct_removed: float
@@ -155,8 +151,7 @@ def summarize(curve: SurvivalCurve) -> GroupSummary:
     )
 
 
-@dataclass(frozen=True)
-class LogRankResult:
+class LogRankResult(NamedTuple):
     statistic: float
     p_value: float
     observed: tuple[int, int]
@@ -226,8 +221,7 @@ def log_rank(pairs_a: Iterable[tuple[float, bool]], pairs_b: Iterable[tuple[floa
     )
 
 
-@dataclass(frozen=True)
-class GroupComparison:
+class GroupComparison(NamedTuple):
     """One two-way partition, analysed once.
 
     curves holds a KM curve for each non-empty group; an empty group's

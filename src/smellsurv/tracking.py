@@ -14,10 +14,10 @@ snapshot. Statistical consumers should read the flag as event_observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple, Sequence
 
+from .errors import Checked, ConfigError
 from .ingest import History
 from .rules import RuleId, Scope, SmellOccurrence, _RULE_ORDER, scope_of
 
@@ -32,18 +32,22 @@ class InstanceKey(NamedTuple):
         return f"{self.file}::{self.entity_path}::{self.ordinal}"
 
 
-@dataclass(frozen=True)
-class TrackingOptions:
+class _OptionFields(NamedTuple):
     gap_tolerance: int = 0
     rename_heuristic: bool = False
 
-    def __post_init__(self):
+
+class TrackingOptions(Checked, _OptionFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.gap_tolerance < 0:
-            raise ValueError(f"gap_tolerance must be >= 0, got {self.gap_tolerance}")
+            raise ConfigError(f"gap_tolerance must be >= 0, got {self.gap_tolerance}")
+        return self
 
 
-@dataclass(frozen=True)
-class SurvivalRecord:
+class _RecordFields(NamedTuple):
     key: InstanceKey
     scope: Scope
     first_version: str
@@ -54,11 +58,20 @@ class SurvivalRecord:
     duration_days: float
     timeframe: int
 
-    def __post_init__(self):
-        if (self.censored == 1) != (self.end_date is not None):
+
+class SurvivalRecord(Checked, _RecordFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, key, scope, first_version, first_date, last_present_version, end_date, censored, duration_days, timeframe
+    ):
+        if (censored == 1) != (end_date is not None):
             raise ValueError("censored=1 exactly when an end date is present")
-        if self.duration_days < 0:
-            raise ValueError(f"negative duration {self.duration_days}")
+        if duration_days < 0:
+            raise ValueError(f"negative duration {duration_days}")
+        return tuple.__new__(cls, (
+            key, scope, first_version, first_date, last_present_version, end_date, censored, duration_days, timeframe,
+        ))
 
     @property
     def event_observed(self) -> bool:
@@ -133,12 +146,16 @@ def apply_rename_heuristic(
     return pairs
 
 
-@dataclass
 class _Run:
-    key: int  # id of the key the instance was born under
-    first_idx: int
-    last_present_idx: int
-    gap: int = 0
+    """One open run of presence; key is the id of the key it was born under."""
+
+    __slots__ = ("key", "first_idx", "last_present_idx", "gap")
+
+    def __init__(self, key: int, first_idx: int, last_present_idx: int):
+        self.key = key
+        self.first_idx = first_idx
+        self.last_present_idx = last_present_idx
+        self.gap = 0
 
 
 def _days_between(start: datetime, end: datetime) -> float:
@@ -230,7 +247,7 @@ def build_survival_records(
         for key in keys:
             run = open_runs.get(key)
             if run is None:
-                open_runs[key] = _Run(key=key, first_idx=idx, last_present_idx=idx)
+                open_runs[key] = _Run(key, idx, idx)
             else:
                 run.last_present_idx = idx
                 run.gap = 0

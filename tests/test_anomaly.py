@@ -15,6 +15,7 @@ from smellsurv.anomaly import (
     flag_anomalies,
     metric_change_rates,
 )
+from smellsurv.errors import ConfigError
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
 
 from conftest import occurrence, ts
@@ -168,11 +169,11 @@ def test_quiet_series_has_no_flags():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AnomalyThresholds(up=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AnomalyThresholds(up=1.5, up2=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         AnomalyThresholds(down=0.5)
 
 

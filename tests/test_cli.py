@@ -80,7 +80,7 @@ def test_detect_accepts_only_csv_and_json_and_checks_them_first(tmp_path, capsys
     out = tmp_path / "out"
     args = ["detect", "--code-model", str(tmp_path / model), "--version-id", "1", "--formats", "csv,svg", "--out", str(out)]
     assert main(args) == EXIT_ERROR
-    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "unknown output formats: svg"}
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": "unknown output formats: svg"}
     assert not out.exists()
 
 
@@ -546,6 +546,33 @@ def test_analyze_manifest_row_error_carries_row_number(tmp_path, capsys):
 def test_unknown_format_rejected(tmp_path, capsys):
     code = main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "pdf", "--out", str(tmp_path)])
     assert code == EXIT_ERROR
+
+
+THRESHOLD_ORDER = "thresholds must satisfy down < 0 < up <= up2, got"
+
+
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("analyze", "--formats=pdf", "unknown output formats: pdf"),
+        ("analyze", "--formats=", "at least one output format is required"),
+        ("analyze", "--gap-tolerance=-1", "gap_tolerance must be >= 0, got -1"),
+        ("analyze", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
+        ("analyze", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
+        ("analyze", "--down=0.1", f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
+        ("gate", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
+        ("gate", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
+        ("gate", "--down=0.1", f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
+    ],
+)
+def test_a_bad_argument_value_is_a_config_error(tmp_path, capsys, command, flag, message):
+    out = tmp_path / "out"
+    args = [command, "--manifest", str(TRIAPP / "manifest.csv"), flag] + (["--out", str(out)] if command == "analyze" else [])
+    assert main(args) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_analyze_history_without_any_smells(tmp_path):

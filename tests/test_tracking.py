@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
-from smellsurv.rules import CodeEntity, EntityKind, RuleId
+from smellsurv.anomaly import AnomalyFlag, AnomalyKind, AnomalyThresholds, ChangeRates, DensityPoint
+from smellsurv.errors import ConfigError
+from smellsurv.ingest import History, PmdParseResult, SizeMetrics, VersionSnapshot, _ManifestRow
+from smellsurv.report import analyze_history
+from smellsurv.rules import CodeEntity, EntityKind, RuleId, SmellRule
+from smellsurv.survival import CurvePoint, GroupComparison, GroupSummary, LogRankResult, SurvivalCurve
 from smellsurv.tracking import (
     InstanceKey,
     TrackingOptions,
@@ -17,7 +23,7 @@ from smellsurv.tracking import (
     split_instant,
 )
 
-from conftest import history_from_bits, occurrence, ts
+from conftest import history_from_bits, occurrence, record, ts
 from oracles import records_oracle
 
 
@@ -61,18 +67,78 @@ def test_assign_keys_fields():
     assert keys[2].location() == "x.php::C::2"
 
 
-@pytest.mark.parametrize(
-    "value, field",
-    [
-        (occurrence(), "begin_line"),
-        (CodeEntity(EntityKind.CLASS, "C", "c.php"), "loc"),
-        (InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 0), "ordinal"),
-    ],
-    ids=["SmellOccurrence", "CodeEntity", "InstanceKey"],
-)
+SNAPSHOT = VersionSnapshot("v1", ts(0), (occurrence(),), SizeMetrics(lloc=10))
+LATER_SNAPSHOT = VersionSnapshot("v2", ts(10), (), SizeMetrics(lloc=10))
+POINT = CurvePoint(time_days=10.0, n_at_risk=2, n_events=1, survival=0.5)
+
+# one value of each immutable value type, and one of its fields
+VALUES = [
+    (occurrence(), "begin_line"),
+    (CodeEntity(EntityKind.CLASS, "C", "c.php"), "loc"),
+    (InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 0), "ordinal"),
+    (SizeMetrics(lloc=10), "lloc"),
+    (SNAPSHOT, "version_id"),
+    (History("demo", (SNAPSHOT, LATER_SNAPSHOT)), "snapshots"),
+    (PmdParseResult([], Counter()), "occurrences"),
+    (_ManifestRow(2, "v1", ts(0), SizeMetrics(lloc=10), Path("r.xml")), "row"),
+    (SmellRule(RuleId.NUMBER_OF_CHILDREN, 15), "threshold"),
+    (TrackingOptions(), "gap_tolerance"),
+    (record(5, True), "censored"),
+    (POINT, "survival"),
+    (SurvivalCurve((POINT,), tau=10.0), "tau"),
+    (GroupSummary(2, 1, 0.5, 10.0, 7.5, 2.5), "found"),
+    (LogRankResult(1.0, 0.3, (1, 0), (0.5, 0.5)), "p_value"),
+    (GroupComparison("scope", ("localized", "scattered"), {}, {}, None, "empty group: localized"), "error"),
+    (DensityPoint("v1", ts(0), 1, 10, 0.1, None, None, None), "rho"),
+    (AnomalyThresholds(), "up"),
+    (AnomalyFlag("v2", AnomalyKind.INCREASE_50, 0.6), "kind"),
+    (ChangeRates(None, 0.1, None), "d_lloc"),
+    (analyze_history(history_from_bits({"A/m": "110"}, days=[0, 10, 20])), "records"),
+]
+VALUE_IDS = [type(value).__name__ for value, _ in VALUES]
+
+
+@pytest.mark.parametrize("value, field", VALUES, ids=VALUE_IDS)
 def test_value_types_refuse_assignment(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, 1)
+
+
+@pytest.mark.parametrize("value, field", VALUES, ids=VALUE_IDS)
+def test_value_types_carry_no_instance_dict(value, field):
+    # a subclass of a NamedTuple without __slots__ = () gets a __dict__ per instance
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+# one valid value of each type whose constructor checks its fields, a change
+# that breaks the check, and the error it raises
+CHECKED = [
+    (occurrence(begin_line=1, end_line=5), {"begin_line": 9}, ValueError, "begin_line 9 > end_line 5"),
+    (SNAPSHOT, {"version_id": "v2"}, ValueError, "tagged 'v1' placed in snapshot 'v2'"),
+    (History("demo", (SNAPSHOT, LATER_SNAPSHOT)), {"snapshots": (LATER_SNAPSHOT, SNAPSHOT)}, ValueError,
+     "not strictly increasing"),
+    (SmellRule(RuleId.NUMBER_OF_CHILDREN, 15), {"threshold": 0}, ConfigError, "must be positive"),
+    (TrackingOptions(), {"gap_tolerance": -1}, ConfigError, "gap_tolerance must be >= 0"),
+    (AnomalyThresholds(), {"up2": 0.4}, ConfigError, "down < 0 < up <= up2"),
+    (record(5, True), {"end_date": None}, ValueError, "censored=1 exactly when an end date is present"),
+    (record(5, True), {"duration_days": -1.0}, ValueError, "negative duration"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, change, error, match",
+    CHECKED,
+    ids=[type(value).__name__ + "." + "".join(change) for value, change, _, _ in CHECKED],
+)
+def test_checked_value_types_check_every_way_they_are_built(value, change, error, match):
+    fields = value._asdict() | change
+    with pytest.raises(error, match=match):
+        type(value)(**fields)
+    with pytest.raises(error, match=match):
+        type(value)._make(fields.values())
+    with pytest.raises(error, match=match):
+        value._replace(**change)
 
 
 # ---------------------------------------------------------------------------
