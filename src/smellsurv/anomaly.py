@@ -60,7 +60,7 @@ def density_series(history: History) -> list[DensityPoint]:
     points = []
     prev: DensityPoint | None = None
     for snap in history.snapshots:
-        cs_count = len(snap.occurrences)
+        cs_count = len(snap.keys)
         lloc = snap.size.lloc
         rho = cs_count / lloc
         if prev is None:

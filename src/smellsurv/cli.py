@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
 from .errors import ConfigError, ManifestError, ReportParseError, SmellSurvError
-from .ingest import load_manifests
+from .ingest import load_manifests, read_manifest
 from .report import (
     FORMATS,
     analyze_history,
@@ -88,7 +88,7 @@ def _load_histories(args, latest: int | None = None) -> list:
     rules = _ruleset(args)
     manifest_path = Path(args.manifest)
     histories = load_manifests(
-        manifest_path.read_text(encoding="utf-8"),
+        read_manifest(manifest_path),
         base_dir=manifest_path.parent,
         rules=rules,
         strip_prefix=args.strip_prefix,

@@ -26,6 +26,7 @@ from .rules import (
     evaluate_rules,
     load_code_model,
 )
+from .tracking import InstanceKey, assign_keys
 
 MANIFEST_COLUMNS = ("app", "version", "timestamp", "report_path", "lloc")
 MANIFEST_OPTIONAL_COLUMNS = ("loc", "classes")
@@ -51,24 +52,13 @@ class SizeMetrics(NamedTuple):
     classes: int | None = None
 
 
-class _SnapshotFields(NamedTuple):
+class VersionSnapshot(NamedTuple):
+    """One version: the instance key of each occurrence in its report."""
+
     version_id: str
     timestamp: datetime
-    occurrences: tuple[SmellOccurrence, ...]
+    keys: tuple[InstanceKey, ...]
     size: SizeMetrics
-
-
-class VersionSnapshot(Checked, _SnapshotFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for occ in self.occurrences:
-            if occ.version_id != self.version_id:
-                raise ValueError(
-                    f"occurrence tagged {occ.version_id!r} placed in snapshot {self.version_id!r}"
-                )
-        return self
 
 
 class _HistoryFields(NamedTuple):
@@ -121,9 +111,12 @@ def _malformed(offset: int, line: int, column: int, message: str) -> ReportParse
     )
 
 
-def _is(name: str, local: str) -> bool:
-    """Whether an expat name, "uri}local" or bare, has this local part."""
-    return name == local or name.endswith("}" + local)
+class _LocalNames(dict):
+    """Expat name, "uri}local" or bare -> its local part, split once per name."""
+
+    def __missing__(self, name: str) -> str:
+        local = self[name] = name.rpartition("}")[2]
+        return local
 
 
 _RULES_BY_NAME = {rid.value: (_RULE_ORDER[rid], rid) for rid in RuleId}
@@ -148,6 +141,7 @@ def parse_pmd_report(
     data = document.encode("utf-8") if isinstance(document, str) else document
     intern = ({} if strings is None else strings).setdefault
     rules = _RULES_BY_NAME
+    local = _LocalNames()
     rows = []
     skipped = Counter()
     # a wrong root or a bad violation is raised only once the whole document
@@ -160,7 +154,7 @@ def parse_pmd_report(
         nonlocal depth, file_path
         depth += 1
         if depth == 3:
-            if file_path is None or not _is(name, "violation"):
+            if file_path is None or local[name] != "violation":
                 return
             rule_name = attrs.get("rule", "")
             known = rules.get(rule_name)
@@ -191,10 +185,10 @@ def parse_pmd_report(
             ))
         elif depth == 2:
             file_path = None
-            if not problems and _is(name, "file"):  # nothing is read under a wrong root
+            if not problems and local[name] == "file":  # nothing is read under a wrong root
                 path = normalize_path(attrs.get("name", ""), strip_prefix)
                 file_path = intern(path, path)
-        elif depth == 1 and not _is(name, "pmd"):
+        elif depth == 1 and local[name] != "pmd":
             tag = "{" + name if "}" in name else name
             problems.append(f"expected root element 'pmd', found {tag!r}")
 
@@ -257,29 +251,33 @@ def _load_report_file(
             except ReportParseError as exc:
                 raise ReportParseError(f"PMD report {path}: {exc}", byte_offset=exc.byte_offset) from exc
         entities = _code_model_entities(data, path)
-    occurrences = evaluate_rules(entities, rules, version_id)
-    if strip_prefix is None:
-        return occurrences
-    return [
-        SmellOccurrence(
-            rule=o.rule,
-            file=normalize_path(o.file, strip_prefix),
-            entity_path=o.entity_path,
-            version_id=o.version_id,
-            begin_line=o.begin_line,
-            end_line=o.end_line,
-        )
-        for o in occurrences
-    ]
+    if strip_prefix is not None:
+        # before the rules run, so that names merged here sort and key as one file
+        entities = [e._replace(file=normalize_path(e.file, strip_prefix)) for e in entities]
+    return evaluate_rules(entities, rules, version_id)
+
+
+def read_manifest(path: Path) -> str:
+    """A manifest's text; an unreadable or non-UTF-8 file is a ManifestError naming it."""
+    try:
+        data = path.read_bytes()
+        return data.decode("utf-8")
+    except OSError as exc:
+        raise ManifestError(f"manifest {path} unreadable: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"manifest {path} is not UTF-8: byte {exc.start}: {exc.reason}", row=line) from exc
 
 
 def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
     reader = csv.reader(io.StringIO(table))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ManifestError("manifest is empty", row=1) from None
-    header = [h.strip() for h in header]
+        records = list(reader)
+    except csv.Error as exc:  # an over-long field, or NUL before Python 3.11
+        raise ManifestError(f"manifest is not valid CSV: {exc}", row=reader.line_num) from exc
+    if not records:
+        raise ManifestError("manifest is empty", row=1)
+    header = [h.strip() for h in records[0]]
     required = list(MANIFEST_COLUMNS)
     if header[: len(required)] != required:
         raise ManifestError(
@@ -291,7 +289,7 @@ def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
         if col not in MANIFEST_OPTIONAL_COLUMNS:
             raise ManifestError(f"unknown manifest column {col!r}", row=1)
     rows = []
-    for i, record in enumerate(reader, start=2):
+    for i, record in enumerate(records[1:], start=2):
         if not record or all(not cell.strip() for cell in record):
             continue
         if len(record) != len(header):
@@ -318,7 +316,7 @@ def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow
         raise ManifestError("empty version id", row=row_no)
     try:
         timestamp = parse_timestamp(row["timestamp"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: out of range once in UTC
         raise ManifestError(f"bad timestamp {row['timestamp']!r}: {exc}", row=row_no) from exc
     try:
         lloc = int(row["lloc"])
@@ -347,6 +345,8 @@ def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow
         report_path.stat()
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=row_no) from exc
+    except ValueError as exc:  # a NUL byte
+        raise ManifestError(f"report path {str(report_path)!r}: {exc}", row=row_no) from exc
     return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
 
@@ -355,7 +355,7 @@ def _check_manifest(table: str, base_dir: Path) -> dict[str, list[_ManifestRow]]
     per_app: dict[str, list[tuple[int, dict[str, str]]]] = {}
     for row_no, row in _parse_manifest_rows(table):
         app = row["app"].strip()
-        if not app or app in (".", "..") or "/" in app or "\\" in app:
+        if not app or app in (".", "..") or "/" in app or "\\" in app or "\0" in app:
             raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
         per_app.setdefault(app, []).append((row_no, row))
 
@@ -388,9 +388,9 @@ def _snapshot_from_row(
     entry: _ManifestRow,
     rules: list[SmellRule],
     strip_prefix: str | None,
-    strings: dict[str, str],
+    strings: dict,
 ) -> VersionSnapshot:
-    """Read one checked row's report; every error carries the row."""
+    """Read and key one checked row's report; every error carries the row."""
     try:
         occurrences = _load_report_file(entry.report_path, entry.version_id, rules, strip_prefix, strings)
     except OSError as exc:
@@ -398,12 +398,8 @@ def _snapshot_from_row(
     except SmellSurvError as exc:
         exc.row = entry.row
         raise
-    return VersionSnapshot(
-        version_id=entry.version_id,
-        timestamp=entry.timestamp,
-        occurrences=tuple(occurrences),
-        size=entry.size,
-    )
+    keys = assign_keys(occurrences)  # interned, so a key present in many versions is one object
+    return VersionSnapshot(entry.version_id, entry.timestamp, tuple(map(strings.setdefault, keys, keys)), entry.size)
 
 
 def load_manifests(
@@ -423,7 +419,7 @@ def load_manifests(
     recent reports are read and its History holds just those versions.
     """
     checked = _check_manifest(table, Path(base_dir))
-    strings: dict[str, str] = {}  # one copy of each file name and entity path
+    strings: dict = {}  # one copy of each file name, entity path and key; a str never equals a key
     return [
         History(
             app_name=app,

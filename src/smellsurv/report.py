@@ -268,7 +268,7 @@ def _logrank_json(comparison: GroupComparison):
 def _counts_by_rule_table(history: History) -> Table:
     rows = []
     for snap in history.snapshots:
-        counts = Counter([occ.rule for occ in snap.occurrences])
+        counts = Counter([key.rule for key in snap.keys])
         stamp = snap.timestamp.isoformat()
         rows.extend([snap.version_id, stamp, name, str(counts[rid])] for rid, name in RULE_NAMES.items())
     return ["version", "timestamp", "rule", "count"], rows

@@ -1,4 +1,4 @@
-"""Turning per-version occurrence sets into per-instance survival records.
+"""Keying each version, and turning per-version key sets into survival records.
 
 An instance is identified by (rule, file, entity path, ordinal); the ordinal
 separates multiple same-rule occurrences in one entity and is assigned by
@@ -15,11 +15,13 @@ snapshot. Statistical consumers should read the flag as event_observed.
 from __future__ import annotations
 
 from datetime import datetime
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Checked, ConfigError
-from .ingest import History
 from .rules import RuleId, Scope, SmellOccurrence, _RULE_ORDER, scope_of
+
+if TYPE_CHECKING:  # ingest imports this module to key each report
+    from .ingest import History
 
 
 class InstanceKey(NamedTuple):
@@ -78,38 +80,22 @@ class SurvivalRecord(Checked, _RecordFields):
         return self.censored == 1
 
 
-def _ordinals(occurrences: Sequence[SmellOccurrence]) -> list[int]:
-    """Ordinal of each occurrence within its (rule, file, entity_path) group,
-    parallel to the input: ascending begin_line, then end_line (occurrences
-    without line info sort first, in input order)."""
-    groups: dict[tuple[RuleId, str, str], list[int]] = {}
-    for idx, occ in enumerate(occurrences):
-        groups.setdefault((occ.rule, occ.file, occ.entity_path), []).append(idx)
-    ordinals = [0] * len(occurrences)
-    for members in groups.values():
-        if len(members) == 1:
-            continue
-        members.sort(
-            key=lambda i: (
-                occurrences[i].begin_line if occurrences[i].begin_line is not None else -1,
-                occurrences[i].end_line if occurrences[i].end_line is not None else -1,
-            )
-        )
-        for ordinal, i in enumerate(members):
-            ordinals[i] = ordinal
-    return ordinals
-
-
 def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
     """Keys for one version's occurrences, parallel to the input list.
 
-    Within each (rule, file, entity_path) group, ordinals follow ascending
-    begin_line (occurrences without line info sort first, in input order).
+    Ordinals count up from 0 within each (rule, file, entity_path) group, in
+    list order. The loaders list a group in line order: ascending begin_line,
+    then end_line, with occurrences without line info first, in document
+    order.
     """
-    return [
-        InstanceKey(occ.rule, occ.file, occ.entity_path, ordinal)
-        for occ, ordinal in zip(occurrences, _ordinals(occurrences))
-    ]
+    counts: dict[tuple[RuleId, str, str], int] = {}
+    keys = []
+    for occ in occurrences:
+        group = occ[:3]
+        ordinal = counts.get(group, 0)
+        counts[group] = ordinal + 1
+        keys.append(InstanceKey(*group, ordinal))
+    return keys
 
 
 def apply_rename_heuristic(
@@ -190,17 +176,10 @@ def build_survival_records(
 
     timestamps = [snap.timestamp for snap in history.snapshots]
     version_ids = [snap.version_id for snap in history.snapshots]
-    # presence is tracked over int ids, one per distinct (rule, file,
-    # entity_path, ordinal)
-    ids: dict[tuple[RuleId, str, str, int], int] = {}
-    keysets: list[set[int]] = []
-    for snap in history.snapshots:
-        occurrences = snap.occurrences
-        keysets.append({
-            ids.setdefault((occ.rule, occ.file, occ.entity_path, ordinal), len(ids))
-            for occ, ordinal in zip(occurrences, _ordinals(occurrences))
-        })
-    key_of = list(map(InstanceKey._make, ids))
+    # presence is tracked over int ids, one per distinct key
+    ids: dict[InstanceKey, int] = {}
+    keysets = [{ids.setdefault(key, len(ids)) for key in snap.keys} for snap in history.snapshots]
+    key_of = list(ids)
 
     split = split_instant(history)
     final_idx = len(keysets) - 1

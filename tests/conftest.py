@@ -98,18 +98,10 @@ def history_from_bits(
         days = [float(30 * i) for i in range(n_versions)]
     snapshots = []
     for i in range(n_versions):
-        version_id = f"v{i + 1}"
-        occurrences = tuple(
-            occurrence(rule=rule, entity_path=key, version_id=version_id)
-            for key, bits in sorted(bits_by_key.items())
-            if bits[i] == "1"
+        keys = tuple(
+            InstanceKey(rule, "src/a.php", key, 0) for key, bits in sorted(bits_by_key.items()) if bits[i] == "1"
         )
         snapshots.append(
-            VersionSnapshot(
-                version_id=version_id,
-                timestamp=ts(days[i]),
-                occurrences=occurrences,
-                size=SizeMetrics(lloc=lloc),
-            )
+            VersionSnapshot(version_id=f"v{i + 1}", timestamp=ts(days[i]), keys=keys, size=SizeMetrics(lloc=lloc))
         )
     return History(app_name=app, snapshots=tuple(snapshots))

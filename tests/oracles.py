@@ -252,3 +252,24 @@ def pmd_report_oracle(
         )
     )
     return occurrences, skipped
+
+
+def keys_oracle(occurrences: list) -> list[tuple]:
+    """(rule, file, entity_path, ordinal) of each occurrence, parallel to the
+    input, as the package once keyed a version: within each (rule, file,
+    entity_path) group, ordinals follow ascending begin_line, then end_line,
+    where a missing line sorts as -1 and ties keep input order."""
+    groups: dict[tuple, list[int]] = {}
+    for idx, occ in enumerate(occurrences):
+        groups.setdefault((occ.rule, occ.file, occ.entity_path), []).append(idx)
+    ordinals = [0] * len(occurrences)
+    for members in groups.values():
+        members.sort(
+            key=lambda i: (
+                -1 if occurrences[i].begin_line is None else occurrences[i].begin_line,
+                -1 if occurrences[i].end_line is None else occurrences[i].end_line,
+            )
+        )
+        for ordinal, i in enumerate(members):
+            ordinals[i] = ordinal
+    return [(occ.rule, occ.file, occ.entity_path, ordinal) for occ, ordinal in zip(occurrences, ordinals)]

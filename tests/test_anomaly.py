@@ -17,22 +17,20 @@ from smellsurv.anomaly import (
 )
 from smellsurv.errors import ConfigError
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
+from smellsurv.rules import RuleId
+from smellsurv.tracking import InstanceKey
 
-from conftest import occurrence, ts
+from conftest import ts
 
 
 def make_history(counts, llocs, locs=None, classes=None, app="demo"):
     snapshots = []
     for i, (count, lloc) in enumerate(zip(counts, llocs)):
-        version = f"v{i + 1}"
-        occurrences = tuple(
-            occurrence(entity_path=f"e{j}", version_id=version) for j in range(count)
-        )
         snapshots.append(
             VersionSnapshot(
-                version_id=version,
+                version_id=f"v{i + 1}",
                 timestamp=ts(30 * i),
-                occurrences=occurrences,
+                keys=tuple(InstanceKey(RuleId.EXCESSIVE_METHOD_LENGTH, "src/a.php", f"e{j}", 0) for j in range(count)),
                 size=SizeMetrics(
                     lloc=lloc,
                     loc=locs[i] if locs else None,

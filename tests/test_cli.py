@@ -407,6 +407,9 @@ def write_rows(tmp_path, rows) -> Path:
     "row, column, value, message",
     [
         (2, 2, "nope", "bad timestamp"),
+        # out of range only once converted to UTC
+        (2, 2, "0001-01-01T00:00+01:00", "bad timestamp '0001-01-01T00:00+01:00'"),
+        (5, 2, "9999-12-31T23:59-01:00", "bad timestamp '9999-12-31T23:59-01:00'"),
         (2, 4, "0", "lloc must be positive"),
         (3, 1, "1.0", "duplicate version id"),
         (3, 2, "2020-01-01", "timestamps not strictly increasing"),
@@ -414,8 +417,8 @@ def write_rows(tmp_path, rows) -> Path:
         (2, 5, "-1", "loc must be >= 0, got -1"),
         (5, 6, "-95", "classes must be >= 0, got -95"),
     ],
-    ids=["bad timestamp", "zero lloc", "duplicate version", "equal timestamps", "missing report", "negative loc",
-         "negative classes"],
+    ids=["bad timestamp", "timestamp before year 1 in UTC", "timestamp after year 9999 in UTC", "zero lloc",
+         "duplicate version", "equal timestamps", "missing report", "negative loc", "negative classes"],
 )
 def test_gate_checks_every_row(tmp_path, capsys, row, column, value, message):
     # and so does analyze, with the same error
@@ -758,6 +761,54 @@ def test_app_name_must_be_one_path_component(tmp_path, capsys, app):
         assert (record["error"], record["row"]) == ("ManifestError", 2)
         assert "one path component" in record["message"]
     assert not (tmp_path / "run").exists()
+
+
+def _long_report_path(rows):
+    rows[2][3] = "x" * 131_073  # csv's default field size limit is 131,072
+
+
+def _nul_in_report_path(rows):
+    rows[2][3] = "m1\0.json"  # csv refuses the line before Python 3.11, stat refuses the path after
+
+
+def _nul_in_app_name(rows):
+    for row in rows[1:]:
+        row[0] = "de\0mo"
+
+
+def _latin_1_version(rows):
+    rows[3][1] = "3.0\xe9"
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@pytest.mark.parametrize(
+    "edit, row",
+    [(_long_report_path, 3), (_nul_in_report_path, 3), (_nul_in_app_name, 2), (_latin_1_version, 4)],
+    ids=["over-long field", "NUL in report path", "NUL in app name", "not UTF-8"],
+)
+def test_bad_manifest_bytes_are_a_manifest_error_with_the_row(tmp_path, capsys, command, edit, row):
+    rows = four_version_rows(tmp_path)
+    edit(rows)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes("".join(",".join(r) + "\n" for r in rows).encode("latin-1"))
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert (record["error"], record["row"]) == ("ManifestError", row)
+    if edit is _latin_1_version:
+        assert str(manifest) in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+def test_an_unreadable_manifest_is_a_manifest_error_naming_it(tmp_path, capsys, command, name):
+    manifest = tmp_path / name
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ManifestError" and "row" not in record
+    assert str(manifest) in record["message"]
 
 
 def test_importing_the_cli_pulls_in_no_network_modules():

@@ -3,7 +3,9 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import tempfile
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,11 @@ from smellsurv.ingest import (
     parse_pmd_report,
     parse_timestamp,
 )
-from smellsurv.rules import RuleId, SmellOccurrence, default_ruleset
+from smellsurv.rules import RuleId, default_ruleset, evaluate_rules, load_code_model
+from smellsurv.tracking import InstanceKey, assign_keys
 
-from conftest import history_from_bits, load_manifest, occurrence, ts
-from oracles import pmd_report_oracle
+from conftest import history_from_bits, load_manifest, ts
+from oracles import keys_oracle, pmd_report_oracle
 
 
 def pmd(body: str) -> str:
@@ -274,6 +277,38 @@ def test_parse_pmd_report_matches_the_element_tree_oracle(document, strip_prefix
     assert _outcome(parse) == _outcome(lambda: pmd_report_oracle(document, "v1", strip_prefix))
 
 
+@st.composite
+def grouped_pmd_documents(draw):
+    """One file of violations of two rules on two entities, with missing,
+    equal and descending lines, so that each group holds several."""
+    violations = []
+    for _ in range(draw(st.integers(0, 8))):
+        rule = draw(st.sampled_from(["ExcessiveMethodLength", "ExcessiveParameterList"]))
+        begin, end = draw(st.lists(st.one_of(st.none(), st.integers(-1, 4)), min_size=2, max_size=2))
+        if begin is not None and end is not None and begin > end:
+            begin, end = end, begin
+        method = draw(st.sampled_from(["", ' method="m"']))
+        lines = "".join(f' {name}="{n}"' for name, n in (("beginline", begin), ("endline", end)) if n is not None)
+        violations.append(f'<violation rule="{rule}" class="A"{method}{lines}/>')
+    return f'<pmd><file name="a.php">{"".join(violations)}</file></pmd>'.encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    document=st.one_of(pmd_documents(), grouped_pmd_documents()),
+    strip_prefix=st.sampled_from([None, "/work/app", "C:\\work"]),
+)
+def test_keys_of_a_parsed_report_match_the_key_oracle(document, strip_prefix):
+    # the oracle orders each group by its lines; assign_keys counts in list order
+    try:
+        expected = keys_oracle(pmd_report_oracle(document, "v1", strip_prefix)[0])
+    except ReportParseError:
+        with pytest.raises(ReportParseError):
+            parse_pmd_report(document, "v1", strip_prefix)
+        return
+    assert assign_keys(parse_pmd_report(document, "v1", strip_prefix).occurrences) == expected
+
+
 def test_path_normalization_and_prefix_strip():
     assert normalize_path("C:\\work\\app\\x.php", "C:\\work\\app") == "x.php"
     assert normalize_path("/work/app/x.php", "/work/app/") == "x.php"
@@ -308,7 +343,7 @@ def test_load_manifest_sorts_by_timestamp(tmp_path):
     history = load_manifest(MANIFEST, base_dir=tmp_path)
     assert history.app_name == "demo"
     assert [s.version_id for s in history.snapshots] == ["1.0", "2.0", "3.0"]
-    assert [len(s.occurrences) for s in history.snapshots] == [1, 0, 1]
+    assert [len(s.keys) for s in history.snapshots] == [1, 0, 1]
     assert history.snapshots[0].size == SizeMetrics(lloc=5000)
 
 
@@ -380,8 +415,60 @@ def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
         """
     )
     history = load_manifest(manifest, base_dir=tmp_path)
-    assert [len(s.occurrences) for s in history.snapshots] == [1, 0]
-    assert history.snapshots[0].occurrences[0].rule is RuleId.EXCESSIVE_METHOD_LENGTH
+    assert [len(s.keys) for s in history.snapshots] == [1, 0]
+    assert history.snapshots[0].keys[0].rule is RuleId.EXCESSIVE_METHOD_LENGTH
+
+
+CODE_MODEL_FILES = ["/work/a.php", "\\work\\a.php", "/work\\a.php", "a.php", "b.php"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    entities=st.lists(
+        st.fixed_dictionaries({
+            "kind": st.just("method"),
+            "name": st.sampled_from(["m", "n"]),
+            "file": st.sampled_from(CODE_MODEL_FILES),
+            "parent": st.just("A"),
+            "loc": st.integers(99, 102),
+            "parameter_count": st.integers(9, 12),
+        }),
+        max_size=8,
+    ),
+)
+def test_code_model_keys_match_the_key_oracle_when_strip_prefix_merges_files(entities):
+    # /work/a.php, \work\a.php and /work\a.php are all a.php once the prefix is stripped
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.json"
+        model.write_text(json.dumps(entities))
+        manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,m.json,4000\n"
+        (history,) = load_manifests(manifest, tmp, default_ruleset(), strip_prefix="/work")
+        # the order the package once keyed in: the rules run on the file names
+        # as written, and the names are normalized after
+        raw = evaluate_rules(load_code_model(model), default_ruleset(), "1.0")
+    expected = keys_oracle([occ._replace(file=normalize_path(occ.file, "/work")) for occ in raw])
+    assert Counter(history.snapshots[0].keys) == Counter(expected)
+
+
+def test_a_key_present_in_many_versions_is_one_object(tmp_path):
+    violation = '<violation beginline="1" endline="150" rule="ExcessiveMethodLength" class="A" method="m"/>'
+    (tmp_path / "r1.xml").write_text(pmd(f'<file name="a.php">{violation}</file>'))
+    (tmp_path / "r2.xml").write_text(pmd(f'<file name="a.php">{violation}{violation}</file>'))
+    (tmp_path / "m3.json").write_text(json.dumps([
+        {"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150},
+    ]))
+    manifest = textwrap.dedent(
+        """\
+        app,version,timestamp,report_path,lloc
+        demo,1.0,2020-01-01,r1.xml,5000
+        demo,2.0,2020-06-01,r2.xml,5000
+        demo,3.0,2020-12-01,m3.json,5000
+        """
+    )
+    v1, v2, v3 = load_manifest(manifest, base_dir=tmp_path).snapshots
+    assert [key.ordinal for key in v2.keys] == [0, 1]
+    assert v1.keys[0] is v2.keys[0] is v3.keys[0]
+    assert all(type(key) is InstanceKey for snap in (v1, v2, v3) for key in snap.keys)
 
 
 def test_extensionless_code_model_is_opened_once(tmp_path, monkeypatch):
@@ -401,7 +488,7 @@ def test_extensionless_code_model_is_opened_once(tmp_path, monkeypatch):
     manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,model,4000\n"
     history = load_manifest(manifest, base_dir=tmp_path)
     assert opened == [model]
-    assert [o.rule for o in history.snapshots[0].occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
+    assert [key.rule for key in history.snapshots[0].keys] == [RuleId.EXCESSIVE_METHOD_LENGTH]
 
 
 def test_extensionless_code_model_error_names_the_path(tmp_path):
@@ -432,16 +519,6 @@ def test_header_must_match(tmp_path):
         load_manifest("application,version,timestamp,report_path,lloc\n", base_dir=tmp_path)
 
 
-def test_snapshot_rejects_foreign_occurrences():
-    with pytest.raises(ValueError, match="tagged"):
-        VersionSnapshot(
-            version_id="v2",
-            timestamp=ts(0),
-            occurrences=(occurrence(version_id="v1"),),
-            size=SizeMetrics(lloc=100),
-        )
-
-
 def test_history_requires_strictly_increasing_timestamps():
     snap1 = VersionSnapshot("v1", ts(0), (), SizeMetrics(lloc=10))
     snap2 = VersionSnapshot("v2", ts(0), (), SizeMetrics(lloc=10))
@@ -462,15 +539,9 @@ def history_to_json(history: History) -> str:
                     "loc": snap.size.loc,
                     "classes": snap.size.classes,
                 },
-                "occurrences": [
-                    {
-                        "rule": occ.rule.value,
-                        "file": occ.file,
-                        "entity_path": occ.entity_path,
-                        "begin_line": occ.begin_line,
-                        "end_line": occ.end_line,
-                    }
-                    for occ in snap.occurrences
+                "keys": [
+                    {"rule": key.rule.value, "file": key.file, "entity_path": key.entity_path, "ordinal": key.ordinal}
+                    for key in snap.keys
                 ],
             }
             for snap in history.snapshots
@@ -483,23 +554,14 @@ def history_from_json(document: str) -> History:
     doc = json.loads(document)
     snapshots = []
     for snap in doc["snapshots"]:
-        version_id = snap["version"]
-        occurrences = tuple(
-            SmellOccurrence(
-                rule=RuleId(occ["rule"]),
-                file=occ["file"],
-                entity_path=occ["entity_path"],
-                version_id=version_id,
-                begin_line=occ["begin_line"],
-                end_line=occ["end_line"],
-            )
-            for occ in snap["occurrences"]
-        )
         snapshots.append(
             VersionSnapshot(
-                version_id=version_id,
+                version_id=snap["version"],
                 timestamp=parse_timestamp(snap["timestamp"]),
-                occurrences=occurrences,
+                keys=tuple(
+                    InstanceKey(RuleId(key["rule"]), key["file"], key["entity_path"], key["ordinal"])
+                    for key in snap["keys"]
+                ),
                 size=SizeMetrics(
                     lloc=snap["size"]["lloc"],
                     loc=snap["size"]["loc"],

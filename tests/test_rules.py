@@ -21,8 +21,9 @@ from smellsurv.rules import (
     load_ruleset,
     scope_of,
 )
+from smellsurv.tracking import assign_keys
 
-from oracles import rules_oracle
+from oracles import keys_oracle, rules_oracle
 
 DEFAULTS = default_ruleset()
 
@@ -262,6 +263,16 @@ oracle_thresholds = st.one_of(
 )
 
 
+def code_entities(entities: list[dict]) -> list[CodeEntity]:
+    return [
+        CodeEntity(
+            kind=EntityKind(entity["kind"]),
+            **{field: value for field, value in entity.items() if field != "kind"},
+        )
+        for entity in entities
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     entities=oracle_entities,
@@ -270,15 +281,16 @@ oracle_thresholds = st.one_of(
 )
 def test_evaluate_rules_matches_the_brute_force_oracle(entities, rule_ids, thresholds):
     rules = [SmellRule(rid, threshold) for rid, threshold in zip(rule_ids, thresholds)]
-    code_entities = [
-        CodeEntity(
-            kind=EntityKind(entity["kind"]),
-            **{field: value for field, value in entity.items() if field != "kind"},
-        )
-        for entity in entities
-    ]
-    occurrences = evaluate_rules(code_entities, rules, "v")
+    occurrences = evaluate_rules(code_entities(entities), rules, "v")
     assert [(o.file, o.entity_path, o.rule.value) for o in occurrences] == rules_oracle(
         entities, {rule.id.value: rule.threshold for rule in rules}
     )
     assert all(o.version_id == "v" and o.begin_line is None and o.end_line is None for o in occurrences)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entities=oracle_entities)
+def test_keys_of_rule_output_match_the_key_oracle(entities):
+    # two files, two names and two parents: the same entity path often fires twice
+    occurrences = evaluate_rules(code_entities(entities), [SmellRule(rid, 1) for rid in RuleId], "v")
+    assert assign_keys(occurrences) == keys_oracle(occurrences)

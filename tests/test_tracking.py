@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from smellsurv.anomaly import AnomalyFlag, AnomalyKind, AnomalyThresholds, ChangeRates, DensityPoint
 from smellsurv.errors import ConfigError
-from smellsurv.ingest import History, PmdParseResult, SizeMetrics, VersionSnapshot, _ManifestRow
+from smellsurv.ingest import History, PmdParseResult, SizeMetrics, VersionSnapshot, _ManifestRow, parse_pmd_report
 from smellsurv.report import analyze_history
 from smellsurv.rules import CodeEntity, EntityKind, RuleId, SmellRule
 from smellsurv.survival import CurvePoint, GroupComparison, GroupSummary, LogRankResult, SurvivalCurve
@@ -52,11 +52,16 @@ def test_line_shift_keeps_key():
 
 
 def test_ordinals_follow_line_order():
-    low = occurrence(entity_path="", begin_line=10, end_line=60)
-    high = occurrence(entity_path="", begin_line=200, end_line=260)
-    keys = assign_keys([high, low])  # input order must not matter
-    assert keys[0].ordinal == 1
-    assert keys[1].ordinal == 0
+    # the parser lists a group in line order, whatever the document's order
+    doc = (
+        '<pmd><file name="a.php">'
+        '<violation beginline="200" endline="260" rule="ExcessiveMethodLength"/>'
+        '<violation beginline="10" endline="60" rule="ExcessiveMethodLength"/>'
+        "</file></pmd>"
+    )
+    occurrences = parse_pmd_report(doc, "v1").occurrences
+    keys = assign_keys(occurrences)
+    assert [(o.begin_line, k.ordinal) for o, k in zip(occurrences, keys)] == [(10, 0), (200, 1)]
 
 
 def test_assign_keys_fields():
@@ -67,7 +72,11 @@ def test_assign_keys_fields():
     assert keys[2].location() == "x.php::C::2"
 
 
-SNAPSHOT = VersionSnapshot("v1", ts(0), (occurrence(),), SizeMetrics(lloc=10))
+def k(rule=RuleId.EXCESSIVE_CLASS_LENGTH, file="old.php", entity="C", ordinal=0):
+    return InstanceKey(rule, file, entity, ordinal)
+
+
+SNAPSHOT = VersionSnapshot("v1", ts(0), (k(),), SizeMetrics(lloc=10))
 LATER_SNAPSHOT = VersionSnapshot("v2", ts(10), (), SizeMetrics(lloc=10))
 POINT = CurvePoint(time_days=10.0, n_at_risk=2, n_events=1, survival=0.5)
 
@@ -115,7 +124,6 @@ def test_value_types_carry_no_instance_dict(value, field):
 # that breaks the check, and the error it raises
 CHECKED = [
     (occurrence(begin_line=1, end_line=5), {"begin_line": 9}, ValueError, "begin_line 9 > end_line 5"),
-    (SNAPSHOT, {"version_id": "v2"}, ValueError, "tagged 'v1' placed in snapshot 'v2'"),
     (History("demo", (SNAPSHOT, LATER_SNAPSHOT)), {"snapshots": (LATER_SNAPSHOT, SNAPSHOT)}, ValueError,
      "not strictly increasing"),
     (SmellRule(RuleId.NUMBER_OF_CHILDREN, 15), {"threshold": 0}, ConfigError, "must be positive"),
@@ -195,10 +203,6 @@ def test_disjoint_lives_make_multiple_records():
 # rename heuristic
 # ---------------------------------------------------------------------------
 
-def k(rule=RuleId.EXCESSIVE_CLASS_LENGTH, file="old.php", entity="C", ordinal=0):
-    return InstanceKey(rule, file, entity, ordinal)
-
-
 def test_rename_pairs_on_matching_rule_and_entity():
     pairs = apply_rename_heuristic({k(file="old.php")}, {k(file="new.php")})
     assert pairs == [(k(file="old.php"), k(file="new.php"))]
@@ -226,15 +230,8 @@ def test_rename_splices_instance_across_file_move():
         {"unused": "111"}, days=[0, 50, 120], rule=RuleId.EXCESSIVE_METHOD_LENGTH
     )
     # rebuild by hand: class C long in old.php for v1-v2, then in new.php for v3
-    from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
-
     def snap(version, day, file):
-        return VersionSnapshot(
-            version,
-            ts(day),
-            (occurrence(rule=RuleId.EXCESSIVE_CLASS_LENGTH, file=file, entity_path="C", version_id=version),),
-            SizeMetrics(lloc=1000),
-        )
+        return VersionSnapshot(version, ts(day), (k(file=file),), SizeMetrics(lloc=1000))
 
     history = History("renamed", (snap("v1", 0, "old.php"), snap("v2", 50, "old.php"), snap("v3", 120, "new.php")))
     plain = build_survival_records(history)
@@ -247,8 +244,8 @@ def test_rename_splices_instance_across_file_move():
 
 
 def history_from_placed_bits(bits_by_place: dict[tuple[str, str, RuleId], str]) -> History:
-    """History in which the occurrence of rule at (file, entity path) is
-    present in version i exactly when its bit string has '1' at i."""
+    """History in which the key of rule at (file, entity path) is present in
+    version i exactly when its bit string has '1' at i."""
     n_versions = len(next(iter(bits_by_place.values())))
     return History(
         "placed",
@@ -256,11 +253,7 @@ def history_from_placed_bits(bits_by_place: dict[tuple[str, str, RuleId], str]) 
             VersionSnapshot(
                 f"v{i + 1}",
                 ts(10.0 * i),
-                tuple(
-                    occurrence(rule=rule, file=file, entity_path=entity, version_id=f"v{i + 1}")
-                    for (file, entity, rule), bits in bits_by_place.items()
-                    if bits[i] == "1"
-                ),
+                tuple(k(rule, file, entity) for (file, entity, rule), bits in bits_by_place.items() if bits[i] == "1"),
                 SizeMetrics(lloc=1000),
             )
             for i in range(n_versions)
@@ -391,7 +384,7 @@ def test_conservation_against_raw_counts():
             for r in records
             if version_index[r.first_version] <= v <= version_index[r.last_present_version]
         )
-        assert open_at_v == len(snap.occurrences)
+        assert open_at_v == len(snap.keys)
 
 
 @settings(max_examples=100, deadline=None)
