@@ -71,14 +71,17 @@ def _thresholds(args) -> AnomalyThresholds:
 
 def cmd_detect(args) -> int:
     formats = _parse_formats(args.formats, ("csv", "json"))
-    entities = load_code_model(args.code_model)
-    occurrences = evaluate_rules(entities, _ruleset(args), args.version_id)
+    try:
+        entities = load_code_model(args.code_model)
+    except OSError as exc:
+        raise ConfigError(f"code model {args.code_model} unreadable: {exc.strerror or exc}") from exc
+    occurrences = evaluate_rules(entities, _ruleset(args))
     out_dir = Path(args.out)
     files = {}
     if "csv" in formats:
-        files["occurrences.csv"] = occurrences_csv(occurrences)
+        files["occurrences.csv"] = occurrences_csv(args.version_id, occurrences)
     if "json" in formats:
-        files["occurrences.json"] = occurrences_json(occurrences)
+        files["occurrences.json"] = occurrences_json(args.version_id, occurrences)
     write_files(out_dir, files)
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK

@@ -18,8 +18,8 @@ from xml.parsers import expat
 
 from .errors import Checked, ManifestError, ReportParseError, SmellSurvError
 from .rules import (
+    Occurrence,
     RuleId,
-    SmellOccurrence,
     SmellRule,
     _RULE_ORDER,
     _code_model_entities,
@@ -96,7 +96,7 @@ def normalize_path(path: str, strip_prefix: str | None = None) -> str:
 
 
 class PmdParseResult(NamedTuple):
-    occurrences: list[SmellOccurrence]
+    occurrences: list[Occurrence]
     skipped: Counter
 
     @property
@@ -124,7 +124,6 @@ _RULES_BY_NAME = {rid.value: (_RULE_ORDER[rid], rid) for rid in RuleId}
 
 def parse_pmd_report(
     document: bytes | str,
-    version_id: str,
     strip_prefix: str | None = None,
     strings: dict[str, str] | None = None,
 ) -> PmdParseResult:
@@ -177,11 +176,12 @@ def parse_pmd_report(
                 return
             parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
             entity_path = "/".join(filter(None, parts))
-            # the row number settles ties (a missing line sorts as -1) in document
-            # order, so the sort never compares a RuleId or a None
+            # lines order each group for its ordinals; the row number settles ties
+            # (a missing line sorts as -1) in document order, so the sort never
+            # compares a RuleId or a None
             rows.append((
                 file_path, -1 if b is None else b, -1 if e is None else e, known[0],
-                intern(entity_path, entity_path), len(rows), known[1], b, e,
+                intern(entity_path, entity_path), len(rows), known[1],
             ))
         elif depth == 2:
             file_path = None
@@ -219,22 +219,15 @@ def parse_pmd_report(
     if problems:
         raise ReportParseError(problems[0])
     rows.sort()
-    return PmdParseResult(
-        occurrences=[
-            SmellOccurrence(rule, file, entity_path, version_id, begin, end)
-            for file, _, _, _, entity_path, _, rule, begin, end in rows
-        ],
-        skipped=skipped,
-    )
+    return PmdParseResult([(rule, file, entity_path) for file, _, _, _, entity_path, _, rule in rows], skipped)
 
 
 def _load_report_file(
     path: Path,
-    version_id: str,
     rules: list[SmellRule],
     strip_prefix: str | None,
     strings: dict[str, str],
-) -> list[SmellOccurrence]:
+) -> list[Occurrence]:
     """Dispatch on report flavor: PMD XML or code-model JSON.
 
     Extension decides (.xml vs .json); anything else is sniffed by its first
@@ -247,14 +240,14 @@ def _load_report_file(
         data = path.read_bytes()
         if suffix == ".xml" or data.lstrip()[:1] == b"<":
             try:
-                return parse_pmd_report(data, version_id, strip_prefix, strings).occurrences
+                return parse_pmd_report(data, strip_prefix, strings).occurrences
             except ReportParseError as exc:
                 raise ReportParseError(f"PMD report {path}: {exc}", byte_offset=exc.byte_offset) from exc
         entities = _code_model_entities(data, path)
     if strip_prefix is not None:
         # before the rules run, so that names merged here sort and key as one file
         entities = [e._replace(file=normalize_path(e.file, strip_prefix)) for e in entities]
-    return evaluate_rules(entities, rules, version_id)
+    return evaluate_rules(entities, rules)
 
 
 def read_manifest(path: Path) -> str:
@@ -271,13 +264,17 @@ def read_manifest(path: Path) -> str:
 
 def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
     reader = csv.reader(io.StringIO(table))
+    records = []  # (the physical line the record starts on, its cells)
+    start = 1
     try:
-        records = list(reader)
+        for record in reader:
+            records.append((start, record))
+            start = reader.line_num + 1
     except csv.Error as exc:  # an over-long field, or NUL before Python 3.11
         raise ManifestError(f"manifest is not valid CSV: {exc}", row=reader.line_num) from exc
     if not records:
         raise ManifestError("manifest is empty", row=1)
-    header = [h.strip() for h in records[0]]
+    header = [h.strip() for h in records[0][1]]
     required = list(MANIFEST_COLUMNS)
     if header[: len(required)] != required:
         raise ManifestError(
@@ -289,7 +286,7 @@ def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
         if col not in MANIFEST_OPTIONAL_COLUMNS:
             raise ManifestError(f"unknown manifest column {col!r}", row=1)
     rows = []
-    for i, record in enumerate(records[1:], start=2):
+    for i, record in records[1:]:
         if not record or all(not cell.strip() for cell in record):
             continue
         if len(record) != len(header):
@@ -392,7 +389,7 @@ def _snapshot_from_row(
 ) -> VersionSnapshot:
     """Read and key one checked row's report; every error carries the row."""
     try:
-        occurrences = _load_report_file(entry.report_path, entry.version_id, rules, strip_prefix, strings)
+        occurrences = _load_report_file(entry.report_path, rules, strip_prefix, strings)
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=entry.row) from exc
     except SmellSurvError as exc:

@@ -29,7 +29,7 @@ from .anomaly import (
     metric_change_rates,
 )
 from .ingest import History
-from .rules import RULE_NAMES, SCOPE_NAMES, SmellOccurrence, scope_of
+from .rules import RULE_NAMES, SCOPE_NAMES, Occurrence, scope_of
 from .survival import (
     GroupComparison,
     GroupSummary,
@@ -134,28 +134,21 @@ def _json_line(doc) -> str:
 OCCURRENCE_HEADER = ["version", "rule", "scope", "file", "entity_path", "begin_line", "end_line"]
 
 
-def _occurrence_table(occurrences: list[SmellOccurrence]) -> Table:
+def _occurrence_table(version_id: str, occurrences: list[Occurrence]) -> Table:
+    # a code model carries no line numbers, so begin_line and end_line stay empty
     rows = [
-        [
-            occ.version_id,
-            RULE_NAMES[occ.rule],
-            SCOPE_NAMES[scope_of(occ.rule)],
-            occ.file,
-            occ.entity_path,
-            "" if occ.begin_line is None else str(occ.begin_line),
-            "" if occ.end_line is None else str(occ.end_line),
-        ]
-        for occ in occurrences
+        [version_id, RULE_NAMES[rule], SCOPE_NAMES[scope_of(rule)], file, entity_path, "", ""]
+        for rule, file, entity_path in occurrences
     ]
     return OCCURRENCE_HEADER, rows
 
 
-def occurrences_csv(occurrences: list[SmellOccurrence]) -> str:
-    return _csv_text(_occurrence_table(occurrences))
+def occurrences_csv(version_id: str, occurrences: list[Occurrence]) -> str:
+    return _csv_text(_occurrence_table(version_id, occurrences))
 
 
-def occurrences_json(occurrences: list[SmellOccurrence]) -> str:
-    return _json_text(_json_rows(_occurrence_table(occurrences)))
+def occurrences_json(version_id: str, occurrences: list[Occurrence]) -> str:
+    return _json_text(_json_rows(_occurrence_table(version_id, occurrences)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +319,6 @@ def analyze_history(
     if thresholds is None:
         thresholds = AnomalyThresholds()
     records = build_survival_records(history, options)
-    view1, view2 = assign_timeframes(records, history)
     series = density_series(history)
     return AnalysisBundle(
         history=history,
@@ -334,7 +326,7 @@ def analyze_history(
         records=records,
         km_all=kaplan_meier([(r.duration_days, r.event_observed) for r in records]) if records else None,
         scope=compare_groups(records, "scope"),
-        timeframe=compare_groups(view1 + view2, "timeframe"),
+        timeframe=compare_groups(assign_timeframes(records, history), "timeframe"),
         series=series,
         flags=flag_anomalies(series, thresholds),
         rates=metric_change_rates(history),

@@ -116,11 +116,13 @@ def load_ruleset(path: str | Path) -> list[SmellRule]:
     Rules not named keep their defaults. Unknown rule names are a
     configuration error.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"rules file {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"rules file {path} unreadable: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"rules file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"rules file {path}: expected a JSON object of rule -> threshold")
     by_name = {rid.value: rid for rid in RuleId}
@@ -156,24 +158,8 @@ class CodeEntity(NamedTuple):
         return f"{self.parent}/{self.name}" if self.parent else self.name
 
 
-class _OccurrenceFields(NamedTuple):
-    rule: RuleId
-    file: str
-    entity_path: str
-    version_id: str
-    begin_line: int | None = None
-    end_line: int | None = None
-
-
-class SmellOccurrence(Checked, _OccurrenceFields):
-    """One rule violation at one location in one version."""
-
-    __slots__ = ()
-
-    def __new__(cls, rule, file, entity_path, version_id, begin_line=None, end_line=None):
-        if begin_line is not None and end_line is not None and begin_line > end_line:
-            raise ValueError(f"begin_line {begin_line} > end_line {end_line}")
-        return tuple.__new__(cls, (rule, file, entity_path, version_id, begin_line, end_line))
+# one rule violation in one version: (rule, file, entity_path)
+Occurrence = tuple[RuleId, str, str]
 
 
 _RULE_ORDER = {rid: i for i, rid in enumerate(RuleId)}
@@ -201,8 +187,7 @@ def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[int, float
 def evaluate_rules(
     entities: list[CodeEntity],
     rules: list[SmellRule],
-    version_id: str,
-) -> list[SmellOccurrence]:
+) -> list[Occurrence]:
     """Flag every (entity, rule) pair whose metric strictly exceeds the threshold.
 
     Output is ordered by (file, entity_path, rule).
@@ -218,7 +203,7 @@ def evaluate_rules(
                 fired.append((entity.file, entity_path, order, rule))
     # equal (file, entity_path, order) means the same rule, so no RuleId is ever compared
     fired.sort()
-    return [SmellOccurrence(rule, file, entity_path, version_id) for file, entity_path, _, rule in fired]
+    return [(rule, file, entity_path) for file, entity_path, _, rule in fired]
 
 
 def load_code_model(path: str | Path) -> list[CodeEntity]:

@@ -152,7 +152,7 @@ def threshold_chart(
 ) -> str:
     """Line chart of a change-rate series with horizontal threshold guides.
 
-    None/undefined values break the line; infinite values are drawn clipped
+    None values break the line; infinite values are drawn clipped
     to the top of the frame.
     """
     finite = [y for _, y in points if y is not None and math.isfinite(y)]
@@ -181,12 +181,8 @@ def threshold_chart(
         if y is None:
             pen_down = False
             continue
-        y_draw = min(y, y_hi) if not math.isnan(y) else None
-        if y_draw is None:
-            pen_down = False
-            continue
         cmd = "L" if pen_down else "M"
-        path.append(f"{cmd} {_fmt(frame.px(x))} {_fmt(frame.py(y_draw))}")
+        path.append(f"{cmd} {_fmt(frame.px(x))} {_fmt(frame.py(min(y, y_hi)))}")
         pen_down = True
     if path:
         body.append(f'<path d="{" ".join(path)}" fill="none" stroke="#1b6ca8" stroke-width="2"/>')

@@ -18,7 +18,7 @@ from datetime import datetime
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import Checked, ConfigError
-from .rules import RuleId, Scope, SmellOccurrence, _RULE_ORDER, scope_of
+from .rules import Occurrence, RuleId, Scope, _RULE_ORDER, scope_of
 
 if TYPE_CHECKING:  # ingest imports this module to key each report
     from .ingest import History
@@ -80,7 +80,7 @@ class SurvivalRecord(Checked, _RecordFields):
         return self.censored == 1
 
 
-def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
+def assign_keys(occurrences: list[Occurrence]) -> list[InstanceKey]:
     """Keys for one version's occurrences, parallel to the input list.
 
     Ordinals count up from 0 within each (rule, file, entity_path) group, in
@@ -88,10 +88,9 @@ def assign_keys(occurrences: list[SmellOccurrence]) -> list[InstanceKey]:
     then end_line, with occurrences without line info first, in document
     order.
     """
-    counts: dict[tuple[RuleId, str, str], int] = {}
+    counts: dict[Occurrence, int] = {}
     keys = []
-    for occ in occurrences:
-        group = occ[:3]
+    for group in occurrences:
         ordinal = counts.get(group, 0)
         counts[group] = ordinal + 1
         keys.append(InstanceKey(*group, ordinal))
@@ -135,13 +134,12 @@ def apply_rename_heuristic(
 class _Run:
     """One open run of presence; key is the id of the key it was born under."""
 
-    __slots__ = ("key", "first_idx", "last_present_idx", "gap")
+    __slots__ = ("key", "first_idx", "last_present_idx")
 
     def __init__(self, key: int, first_idx: int, last_present_idx: int):
         self.key = key
         self.first_idx = first_idx
         self.last_present_idx = last_present_idx
-        self.gap = 0
 
 
 def _days_between(start: datetime, end: datetime) -> float:
@@ -186,8 +184,10 @@ def build_survival_records(
 
     records: list[SurvivalRecord] = []
 
-    def close_run(run: _Run, censored: int) -> None:
+    def close_run(run: _Run) -> None:
+        # a run absent from the final snapshot was removed, dated at its first absence
         first_date = timestamps[run.first_idx]
+        censored = 1 if run.last_present_idx < final_idx else 0
         if censored:
             end_date = timestamps[run.last_present_idx + 1]
             duration = _days_between(first_date, end_date)
@@ -229,20 +229,13 @@ def build_survival_records(
                 open_runs[key] = _Run(key, idx, idx)
             else:
                 run.last_present_idx = idx
-                run.gap = 0
 
-        expired = []
-        for key, run in open_runs.items():
-            if key in keys:
-                continue
-            run.gap += 1
-            if run.gap > options.gap_tolerance:
-                expired.append(key)
+        expired = [key for key, run in open_runs.items() if idx - run.last_present_idx > options.gap_tolerance]
         for key in expired:
-            close_run(open_runs.pop(key), censored=1)
+            close_run(open_runs.pop(key))
 
     for run in open_runs.values():
-        close_run(run, censored=1 if run.gap > 0 else 0)
+        close_run(run)
 
     records.sort(
         key=lambda r: (
@@ -256,35 +249,18 @@ def build_survival_records(
     return records
 
 
-def _in_view(
-    r: SurvivalRecord, timeframe: int, censored: int, end_date: datetime | None, duration_days: float
-) -> SurvivalRecord:
-    """Record r as one timeframe's view has it, with that view's end."""
-    return SurvivalRecord(
-        r.key, r.scope, r.first_version, r.first_date, r.last_present_version,
-        end_date, censored, duration_days, timeframe,
-    )
-
-
-def assign_timeframes(
-    records: list[SurvivalRecord],
-    history: History,
-) -> tuple[list[SurvivalRecord], list[SurvivalRecord]]:
+def assign_timeframes(records: list[SurvivalRecord], history: History) -> list[SurvivalRecord]:
     """Split records at the temporal midpoint into two sub-study views.
 
-    View 1 holds records born before the split, re-censored as if the study
-    ended there: a removal observed after the split (or never) becomes
-    censored=0 with duration measured to the split. View 2 holds records
-    born at or after the split, unchanged.
+    Timeframe 1 holds records born before the split, re-censored as if the
+    study ended there: a removal observed after the split (or never) becomes
+    censored=0 with duration measured to the split. Timeframe 2 holds records
+    born at or after the split, unchanged. Both come back in one list, in
+    input order.
     """
     split = split_instant(history)
-    view1 = []
-    view2 = []
-    for r in records:
-        if r.first_date >= split:
-            view2.append(_in_view(r, 2, r.censored, r.end_date, r.duration_days))
-        elif r.censored == 1 and r.end_date is not None and r.end_date <= split:
-            view1.append(_in_view(r, 1, r.censored, r.end_date, r.duration_days))
-        else:
-            view1.append(_in_view(r, 1, 0, None, _days_between(r.first_date, split)))
-    return view1, view2
+    return [
+        r if r.first_date >= split or (r.censored == 1 and r.end_date <= split)
+        else r._replace(censored=0, end_date=None, duration_days=_days_between(r.first_date, split))
+        for r in records
+    ]

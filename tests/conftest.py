@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot, load_manifests
-from smellsurv.rules import RuleId, Scope, SmellOccurrence, default_ruleset
+from smellsurv.rules import Occurrence, RuleId, Scope, default_ruleset
 from smellsurv.tracking import InstanceKey, SurvivalRecord
 
 BASE = datetime(2015, 1, 1, tzinfo=timezone.utc)
@@ -18,18 +18,8 @@ def occurrence(
     rule: RuleId = RuleId.EXCESSIVE_METHOD_LENGTH,
     file: str = "src/a.php",
     entity_path: str = "A/m",
-    version_id: str = "v1",
-    begin_line: int | None = None,
-    end_line: int | None = None,
-) -> SmellOccurrence:
-    return SmellOccurrence(
-        rule=rule,
-        file=file,
-        entity_path=entity_path,
-        version_id=version_id,
-        begin_line=begin_line,
-        end_line=end_line,
-    )
+) -> Occurrence:
+    return rule, file, entity_path
 
 
 _record_counter = iter(range(10**9))

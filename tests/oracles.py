@@ -10,9 +10,10 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter
+from typing import NamedTuple
 
 from smellsurv.errors import ReportParseError
-from smellsurv.rules import RuleId, SmellOccurrence
+from smellsurv.rules import RuleId
 
 
 def km_oracle(pairs: list[tuple[float, bool]]) -> list[tuple[float, int, int, float]]:
@@ -176,13 +177,22 @@ def rules_oracle(entities: list[dict], thresholds: dict[str, float]) -> list[tup
     return [(file, path, rule) for file, path, _, rule in sorted(fired)]
 
 
-def pmd_report_oracle(
-    document: bytes, version_id: str, strip_prefix: str | None = None
-) -> tuple[list, Counter]:
+class Violation(NamedTuple):
+    """One violation as the oracles read it: its (rule, file, entity_path)
+    group and its lines."""
+
+    rule: RuleId
+    file: str
+    entity_path: str
+    begin_line: int | None = None
+    end_line: int | None = None
+
+
+def pmd_report_oracle(document: bytes, strip_prefix: str | None = None) -> tuple[list[Violation], Counter]:
     """A PMD report read through a whole ElementTree, as the package once did.
 
-    Only the result and error types come from the package. Returns the sorted
-    occurrences and the per-rule count of skipped violations, or raises
+    Only the rule ids and the error type come from the package. Returns the
+    sorted violations and the per-rule count of skipped ones, or raises
     ReportParseError (with the byte offset of a malformed document, computed
     from expat's line and column: lines break at CR LF, CR and LF, and a
     column counts characters).
@@ -230,18 +240,15 @@ def pmd_report_oracle(
             parts = [violation.get(attr) for attr in ("package", "class", "method", "function")]
             begin, end = violation.get("beginline"), violation.get("endline")
             try:
-                occurrences.append(
-                    SmellOccurrence(
-                        rule=rule,
-                        file=file_path,
-                        entity_path="/".join(p for p in parts if p),
-                        version_id=version_id,
-                        begin_line=int(begin) if begin is not None else None,
-                        end_line=int(end) if end is not None else None,
-                    )
-                )
+                begin_line = int(begin) if begin is not None else None
+                end_line = int(end) if end is not None else None
             except ValueError:
                 raise ReportParseError(f"bad lines {begin!r}, {end!r} in {file_path!r}") from None
+            if begin_line is not None and end_line is not None and begin_line > end_line:
+                raise ReportParseError(f"lines {begin_line} > {end_line} in {file_path!r}")
+            occurrences.append(
+                Violation(rule, file_path, "/".join(p for p in parts if p), begin_line, end_line)
+            )
     occurrences.sort(
         key=lambda o: (
             o.file,
@@ -254,8 +261,8 @@ def pmd_report_oracle(
     return occurrences, skipped
 
 
-def keys_oracle(occurrences: list) -> list[tuple]:
-    """(rule, file, entity_path, ordinal) of each occurrence, parallel to the
+def keys_oracle(occurrences: list[Violation]) -> list[tuple]:
+    """(rule, file, entity_path, ordinal) of each violation, parallel to the
     input, as the package once keyed a version: within each (rule, file,
     entity_path) group, ordinals follow ascending begin_line, then end_line,
     where a missing line sorts as -1 and ties keep input order."""

@@ -272,7 +272,8 @@ def test_engineered_timeframes_reach_significance():
     bundle = analyze_history(history)
     comparison = bundle.timeframe
     assert comparison.test is not None
-    view1, view2 = assign_timeframes(bundle.records, history)
+    views = assign_timeframes(bundle.records, history)
+    view1, view2 = ([r for r in views if r.timeframe == t] for t in (1, 2))
     assert comparison.curves == {"1": kaplan_meier(pairs(view1)), "2": kaplan_meier(pairs(view2))}
     stat, p = logrank_oracle(pairs(view1), pairs(view2))
     assert comparison.test.p_value == pytest.approx(p, abs=1e-9)
@@ -688,6 +689,36 @@ def test_non_utf8_rules_file_is_a_config_error_naming_it(tmp_path, capsys, comma
     assert str(rules) in record["message"]
 
 
+@pytest.mark.parametrize("command", ["detect", "gate"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_rules_file_is_a_config_error_naming_it(tmp_path, capsys, command, kind):
+    rules = tmp_path / "rules.json"
+    if kind == "directory":
+        rules.mkdir()
+    manifest = write_rows(tmp_path, four_version_rows(tmp_path))
+    args = {
+        "detect": ["--code-model", str(tmp_path / "m0.json"), "--version-id", "1", "--out", str(tmp_path / "out")],
+        "gate": ["--manifest", str(manifest)],
+    }[command]
+    assert main([command, *args, "--rules", str(rules)]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "row" not in record
+    assert record["message"].startswith(f"rules file {rules} unreadable: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_unreadable_code_model_is_a_config_error_naming_it(tmp_path, capsys, kind):
+    model = tmp_path / "model.json"
+    if kind == "directory":
+        model.mkdir()
+    assert main(["detect", "--code-model", str(model), "--version-id", "1", "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "row" not in record
+    assert record["message"].startswith(f"code model {model} unreadable: ")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # an analyze run is published whole
 # ---------------------------------------------------------------------------
@@ -798,6 +829,23 @@ def test_bad_manifest_bytes_are_a_manifest_error_with_the_row(tmp_path, capsys, 
     if edit is _latin_1_version:
         assert str(manifest) in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+def test_row_is_the_line_a_manifest_record_starts_on(tmp_path, capsys, command):
+    # the quoted app name of line 2 runs on to line 3, so the bad timestamp is on line 4
+    four_version_rows(tmp_path)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "app,version,timestamp,report_path,lloc\n"
+        '"a\nb",1.0,2020-01-01,m0.json,10000\n'
+        "demo,2.0,nope,m1.json,10000\n"
+    )
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert (record["error"], record["row"]) == ("ManifestError", 4)
+    assert record["message"].startswith("bad timestamp 'nope'")
 
 
 @pytest.mark.parametrize("command", ["analyze", "gate"])

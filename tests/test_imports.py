@@ -1,8 +1,10 @@
-"""Every module-level import in src/ and tests/ is used.
+"""Every module-level import in src/ and tests/ is used, and so is every
+module-level name defined in src/.
 
 No linter runs in CI, so this walks each file's syntax tree instead: a name
 bound by an import at module level (including under a module-level ``if`` or
-``try``) must be read somewhere in the same file.
+``try``) must be read somewhere in the same file, and a function, class or
+variable defined at module level in src/ must be read somewhere in src/.
 
 Every command pays for what the CLI imports, so the heavy modules it does not
 need are pinned out of it too.
@@ -22,9 +24,9 @@ ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    bound: dict[str, int] = {}
+def module_statements(tree: ast.Module) -> list[ast.stmt]:
+    """The statements run at module level, those under an ``if`` or ``try`` included."""
+    found = []
     statements = list(tree.body)
     while statements:
         node = statements.pop()
@@ -33,7 +35,16 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Try):
             statements.extend(node.body + node.orelse + node.finalbody)
             statements.extend(s for handler in node.handlers for s in handler.body)
-        elif isinstance(node, ast.Import):
+        else:
+            found.append(node)
+    return found
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in module_statements(tree):
+        if isinstance(node, ast.Import):
             for alias in node.names:
                 bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -46,6 +57,44 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_module_level_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions, classes and assigned names that no source reads,
+    as a name or as an attribute, as "module: name"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        for node in module_statements(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused.extend(f"{module}: {name}" for name in names if name not in read)
+    return sorted(unused)
+
+
+def test_no_unused_module_level_name_in_src():
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")}
+    assert unused_names(sources) == []
+
+
+def test_the_check_finds_an_unused_name():
+    sources = {
+        "a.py": "import b\nX = 1\nY: int = X\ndef f(): pass\nclass C: pass\nif True:\n    Z = b.g()\n",
+        "b.py": "from a import f\ndef g(): return f()\nclass D: pass\n",
+    }
+    assert unused_names(sources) == ["a.py: C", "a.py: Y", "a.py: Z", "b.py: D"]
 
 
 def test_the_check_finds_an_unused_import():

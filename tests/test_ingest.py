@@ -26,7 +26,7 @@ from smellsurv.rules import RuleId, default_ruleset, evaluate_rules, load_code_m
 from smellsurv.tracking import InstanceKey, assign_keys
 
 from conftest import history_from_bits, load_manifest, ts
-from oracles import keys_oracle, pmd_report_oracle
+from oracles import Violation, keys_oracle, pmd_report_oracle
 
 
 def pmd(body: str) -> str:
@@ -45,14 +45,8 @@ def test_single_violation_mapped():
         '<violation beginline="5" endline="130" rule="ExcessiveMethodLength" package="App" class="B" method="m">long</violation>'
         "</file>"
     )
-    result = parse_pmd_report(doc.encode(), "v1")
-    assert len(result.occurrences) == 1
-    occ = result.occurrences[0]
-    assert occ.rule is RuleId.EXCESSIVE_METHOD_LENGTH
-    assert occ.file == "a/b.php"
-    assert occ.entity_path == "App/B/m"
-    assert (occ.begin_line, occ.end_line) == (5, 130)
-    assert occ.version_id == "v1"
+    result = parse_pmd_report(doc.encode())
+    assert result.occurrences == [(RuleId.EXCESSIVE_METHOD_LENGTH, "a/b.php", "App/B/m")]
     assert result.skipped_count == 0
 
 
@@ -62,52 +56,59 @@ def test_unknown_rules_skipped_and_counted():
         '<violation beginline="1" endline="9" rule="CyclomaticComplexity">x</violation>'
         "</file>"
     )
-    result = parse_pmd_report(doc.encode(), "v1")
+    result = parse_pmd_report(doc.encode())
     assert result.occurrences == []
     assert result.skipped == {"CyclomaticComplexity": 1}
     assert result.skipped_count == 1
 
 
 def test_multi_file_report_in_file_line_order():
+    # in z.php, line order differs from document, rule and entity path order
     doc = pmd(
         '<file name="z.php">'
-        '<violation beginline="40" endline="60" rule="ExcessiveParameterList" function="f"/>'
-        '<violation beginline="3" endline="200" rule="ExcessiveClassLength" class="Z"/>'
+        '<violation beginline="40" endline="200" rule="ExcessiveClassLength" class="Z"/>'
+        '<violation beginline="3" endline="20" rule="ExcessiveParameterList" function="f"/>'
         "</file>"
         '<file name="a.php">'
         '<violation beginline="9" endline="170" rule="ExcessiveMethodLength" class="A" method="m"/>'
         "</file>"
     )
-    result = parse_pmd_report(doc.encode(), "v2")
-    assert [(o.file, o.begin_line, o.rule) for o in result.occurrences] == [
-        ("a.php", 9, RuleId.EXCESSIVE_METHOD_LENGTH),
-        ("z.php", 3, RuleId.EXCESSIVE_CLASS_LENGTH),
-        ("z.php", 40, RuleId.EXCESSIVE_PARAMETER_LIST),
+    result = parse_pmd_report(doc.encode())
+    assert result.occurrences == [
+        (RuleId.EXCESSIVE_METHOD_LENGTH, "a.php", "A/m"),
+        (RuleId.EXCESSIVE_PARAMETER_LIST, "z.php", "f"),
+        (RuleId.EXCESSIVE_CLASS_LENGTH, "z.php", "Z"),
     ]
 
 
 def test_violations_with_equal_sort_keys_stay_in_document_order():
-    # a missing line sorts as -1, so these two tie on every sort key
+    # a missing line sorts as -1, so A's three violations tie on every sort key
+    # (the sort compares neither a None nor a RuleId) and all sort before the
+    # line-0 violation of class "0", whose path sorts first
     doc = pmd(
         '<file name="a.php">'
+        '<violation beginline="0" endline="4" rule="ExcessiveClassLength" class="0"/>'
         '<violation beginline="-1" endline="4" rule="ExcessiveClassLength" class="A"/>'
         '<violation endline="4" rule="ExcessiveClassLength" class="A"/>'
         '<violation beginline="-1" endline="4" rule="ExcessiveClassLength" class="A"/>'
         "</file>"
     )
-    result = parse_pmd_report(doc.encode(), "v1")
-    assert [o.begin_line for o in result.occurrences] == [-1, None, -1]
+    occurrences = parse_pmd_report(doc.encode()).occurrences
+    assert occurrences == [(RuleId.EXCESSIVE_CLASS_LENGTH, "a.php", "A")] * 3 + [
+        (RuleId.EXCESSIVE_CLASS_LENGTH, "a.php", "0")
+    ]
+    assert [(k.entity_path, k.ordinal) for k in assign_keys(occurrences)] == [("A", 0), ("A", 1), ("A", 2), ("0", 0)]
 
 
 def test_empty_report_is_empty_result():
-    result = parse_pmd_report(pmd("").encode(), "v1")
+    result = parse_pmd_report(pmd("").encode())
     assert result.occurrences == [] and result.skipped_count == 0
 
 
 def test_malformed_xml_names_byte_offset():
     doc = b'<?xml version="1.0"?>\n<pmd>\n<file name="a.php">\n</pmd>'
     with pytest.raises(ReportParseError) as exc_info:
-        parse_pmd_report(doc, "v1")
+        parse_pmd_report(doc)
     err = exc_info.value
     assert err.byte_offset is not None
     assert f"byte offset {err.byte_offset}" in str(err)
@@ -137,7 +138,7 @@ def test_empty_report_file_is_malformed_at_offset_0(tmp_path):
 )
 def test_malformed_offset_counts_bytes(tmp_path, capsys, document, offset):
     with pytest.raises(ReportParseError) as exc_info:
-        parse_pmd_report(document, "v1")
+        parse_pmd_report(document)
     assert exc_info.value.byte_offset == offset
     (tmp_path / "r1.xml").write_bytes(document)
     manifest = tmp_path / "manifest.csv"
@@ -165,13 +166,13 @@ def test_entity_that_cannot_be_read_is_malformed_at_its_offset(prolog, reference
         "</file></pmd>"
     ).encode()
     with pytest.raises(ReportParseError) as exc_info:
-        parse_pmd_report(doc, "v1")
+        parse_pmd_report(doc)
     assert exc_info.value.byte_offset == doc.index(reference.encode())
 
 
 def test_wrong_root_rejected():
     with pytest.raises(ReportParseError, match="pmd"):
-        parse_pmd_report(b"<results></results>", "v1")
+        parse_pmd_report(b"<results></results>")
 
 
 RULE_NAMES = [rid.value for rid in RuleId] + ["CyclomaticComplexity", "excessiveclasslength", ""]
@@ -271,10 +272,14 @@ def _outcome(parse):
 @given(document=pmd_documents(), strip_prefix=st.sampled_from([None, "/work/app", "C:\\work"]))
 def test_parse_pmd_report_matches_the_element_tree_oracle(document, strip_prefix):
     def parse():
-        result = parse_pmd_report(document, "v1", strip_prefix)
+        result = parse_pmd_report(document, strip_prefix)
         return result.occurrences, result.skipped
 
-    assert _outcome(parse) == _outcome(lambda: pmd_report_oracle(document, "v1", strip_prefix))
+    def parse_by_oracle():
+        violations, skipped = pmd_report_oracle(document, strip_prefix)
+        return [(v.rule, v.file, v.entity_path) for v in violations], skipped
+
+    assert _outcome(parse) == _outcome(parse_by_oracle)
 
 
 @st.composite
@@ -301,12 +306,12 @@ def grouped_pmd_documents(draw):
 def test_keys_of_a_parsed_report_match_the_key_oracle(document, strip_prefix):
     # the oracle orders each group by its lines; assign_keys counts in list order
     try:
-        expected = keys_oracle(pmd_report_oracle(document, "v1", strip_prefix)[0])
+        expected = keys_oracle(pmd_report_oracle(document, strip_prefix)[0])
     except ReportParseError:
         with pytest.raises(ReportParseError):
-            parse_pmd_report(document, "v1", strip_prefix)
+            parse_pmd_report(document, strip_prefix)
         return
-    assert assign_keys(parse_pmd_report(document, "v1", strip_prefix).occurrences) == expected
+    assert assign_keys(parse_pmd_report(document, strip_prefix).occurrences) == expected
 
 
 def test_path_normalization_and_prefix_strip():
@@ -314,8 +319,8 @@ def test_path_normalization_and_prefix_strip():
     assert normalize_path("/work/app/x.php", "/work/app/") == "x.php"
     assert normalize_path("/other/x.php", "/work/app") == "/other/x.php"
     doc = pmd('<file name="/work/app/src/a.php"><violation beginline="1" endline="200" rule="ExcessiveClassLength" class="A"/></file>')
-    result = parse_pmd_report(doc.encode(), "v1", strip_prefix="/work/app")
-    assert result.occurrences[0].file == "src/a.php"
+    result = parse_pmd_report(doc.encode(), strip_prefix="/work/app")
+    assert result.occurrences == [(RuleId.EXCESSIVE_CLASS_LENGTH, "src/a.php", "A")]
 
 
 MANIFEST = textwrap.dedent(
@@ -445,8 +450,8 @@ def test_code_model_keys_match_the_key_oracle_when_strip_prefix_merges_files(ent
         (history,) = load_manifests(manifest, tmp, default_ruleset(), strip_prefix="/work")
         # the order the package once keyed in: the rules run on the file names
         # as written, and the names are normalized after
-        raw = evaluate_rules(load_code_model(model), default_ruleset(), "1.0")
-    expected = keys_oracle([occ._replace(file=normalize_path(occ.file, "/work")) for occ in raw])
+        raw = evaluate_rules(load_code_model(model), default_ruleset())
+    expected = keys_oracle([Violation(rule, normalize_path(file, "/work"), path) for rule, file, path in raw])
     assert Counter(history.snapshots[0].keys) == Counter(expected)
 
 

@@ -13,7 +13,6 @@ from smellsurv.rules import (
     EntityKind,
     RuleId,
     Scope,
-    SmellOccurrence,
     SmellRule,
     default_ruleset,
     evaluate_rules,
@@ -23,7 +22,7 @@ from smellsurv.rules import (
 )
 from smellsurv.tracking import assign_keys
 
-from oracles import keys_oracle, rules_oracle
+from oracles import Violation, keys_oracle, rules_oracle
 
 DEFAULTS = default_ruleset()
 
@@ -56,29 +55,27 @@ def test_scope_of_examples():
 
 
 def test_long_method_flagged():
-    occurrences = evaluate_rules([method(loc=150)], DEFAULTS, "v1")
-    assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
-    assert occurrences[0].entity_path == "A/m"
-    assert occurrences[0].version_id == "v1"
+    occurrences = evaluate_rules([method(loc=150)], DEFAULTS)
+    assert [(rule, entity_path) for rule, _, entity_path in occurrences] == [(RuleId.EXCESSIVE_METHOD_LENGTH, "A/m")]
 
 
 def test_method_exactly_at_threshold_is_clean():
-    assert evaluate_rules([method(loc=100)], DEFAULTS, "v1") == []
+    assert evaluate_rules([method(loc=100)], DEFAULTS) == []
 
 
 def test_class_at_and_over_thresholds():
     # children over (16 > 15), coupling exactly at 13: only one occurrence
-    occurrences = evaluate_rules([klass(noc=16, cbo=13)], DEFAULTS, "v1")
-    assert [o.rule for o in occurrences] == [RuleId.NUMBER_OF_CHILDREN]
+    occurrences = evaluate_rules([klass(noc=16, cbo=13)], DEFAULTS)
+    assert [rule for rule, _, _ in occurrences] == [RuleId.NUMBER_OF_CHILDREN]
 
 
 def test_rules_apply_to_matching_kinds_only():
     # a 2000-line method is a long method, never a long class
-    occurrences = evaluate_rules([method(loc=2000)], DEFAULTS, "v1")
-    assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
+    occurrences = evaluate_rules([method(loc=2000)], DEFAULTS)
+    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
     function = CodeEntity(kind=EntityKind.FUNCTION, name="f", file="src/f.php", parameter_count=11)
-    occurrences = evaluate_rules([function], DEFAULTS, "v1")
-    assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
+    occurrences = evaluate_rules([function], DEFAULTS)
+    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
 
 
 def test_output_ordering_is_file_entity_rule():
@@ -87,8 +84,8 @@ def test_output_ordering_is_file_entity_rule():
         method(name="a", loc=150, params=12, file="src/b.php"),
         klass(name="C", dit=11, file="src/a.php"),
     ]
-    occurrences = evaluate_rules(entities, DEFAULTS, "v1")
-    assert [(o.file, o.entity_path, o.rule) for o in occurrences] == [
+    occurrences = evaluate_rules(entities, DEFAULTS)
+    assert [(file, entity_path, rule) for rule, file, entity_path in occurrences] == [
         ("src/a.php", "C", RuleId.DEPTH_OF_INHERITANCE),
         ("src/b.php", "A/a", RuleId.EXCESSIVE_METHOD_LENGTH),
         ("src/b.php", "A/a", RuleId.EXCESSIVE_PARAMETER_LIST),
@@ -99,7 +96,7 @@ def test_output_ordering_is_file_entity_rule():
 def test_infinite_thresholds_flag_nothing():
     rules = [SmellRule(rid, math.inf) for rid in RuleId]
     entities = [method(loc=10**9, params=10**9), klass(loc=10**9, dit=10**9, cbo=10**9, noc=10**9)]
-    assert evaluate_rules(entities, rules, "v1") == []
+    assert evaluate_rules(entities, rules) == []
 
 
 def test_default_ruleset_scope_balance():
@@ -111,19 +108,12 @@ def test_default_ruleset_scope_balance():
 def test_duplicate_rule_rejected():
     rules = default_ruleset() + [SmellRule(RuleId.EXCESSIVE_METHOD_LENGTH, 50)]
     with pytest.raises(ConfigError, match="duplicate"):
-        evaluate_rules([method(loc=60)], rules, "v1")
+        evaluate_rules([method(loc=60)], rules)
 
 
 def test_nonpositive_threshold_rejected():
     with pytest.raises(ConfigError, match="positive"):
         SmellRule(RuleId.EXCESSIVE_METHOD_LENGTH, 0)
-
-
-def test_occurrence_rejects_begin_line_after_end_line():
-    with pytest.raises(ValueError, match="begin_line 9 > end_line 8"):
-        SmellOccurrence(RuleId.EXCESSIVE_METHOD_LENGTH, "a.php", "A/m", "v1", 9, 8)
-    one_line = SmellOccurrence(RuleId.EXCESSIVE_METHOD_LENGTH, "a.php", "A/m", "v1", begin_line=9, end_line=9)
-    assert (one_line.begin_line, one_line.end_line) == (9, 9)
 
 
 metric_values = st.integers(min_value=0, max_value=2000)
@@ -140,9 +130,9 @@ def test_increasing_a_metric_never_removes_occurrences(loc, params, dit, cbo, no
     bumped = dict(base)
     bumped[field] += bump
     for kind in (EntityKind.METHOD, EntityKind.CLASS):
-        before = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **base)], DEFAULTS, "v")
-        after = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **bumped)], DEFAULTS, "v")
-        assert {o.rule for o in before} <= {o.rule for o in after}
+        before = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **base)], DEFAULTS)
+        after = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **bumped)], DEFAULTS)
+        assert {rule for rule, _, _ in before} <= {rule for rule, _, _ in after}
 
 
 def test_load_ruleset_overrides(tmp_path):
@@ -159,8 +149,8 @@ def test_infinite_threshold_loads_and_never_fires(tmp_path):
     path.write_text('{"ExcessiveMethodLength": Infinity}')
     rules = load_ruleset(path)
     assert {r.id: r.threshold for r in rules}[RuleId.EXCESSIVE_METHOD_LENGTH] == math.inf
-    occurrences = evaluate_rules([method(loc=10**9, params=10**9)], rules, "v1")
-    assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
+    occurrences = evaluate_rules([method(loc=10**9, params=10**9)], rules)
+    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
 
 
 def test_load_ruleset_unknown_rule(tmp_path):
@@ -180,8 +170,8 @@ def test_load_code_model(tmp_path):
     }))
     entities = load_code_model(path)
     assert len(entities) == 2
-    occurrences = evaluate_rules(entities, DEFAULTS, "r1")
-    assert [o.rule for o in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
+    occurrences = evaluate_rules(entities, DEFAULTS)
+    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
 
 
 def test_load_code_model_bare_list_and_errors(tmp_path):
@@ -234,7 +224,7 @@ def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_fact
     # what loads is well typed: it evaluates and sorts without error, and each
     # entity is a method over both the length and the parameter threshold
     entities = load_code_model(path)
-    assert len(evaluate_rules(entities, DEFAULTS, "v")) == 2 * len(entities)
+    assert len(evaluate_rules(entities, DEFAULTS)) == 2 * len(entities)
 
 
 # small metrics and thresholds, so that metrics often sit exactly at a threshold
@@ -281,16 +271,15 @@ def code_entities(entities: list[dict]) -> list[CodeEntity]:
 )
 def test_evaluate_rules_matches_the_brute_force_oracle(entities, rule_ids, thresholds):
     rules = [SmellRule(rid, threshold) for rid, threshold in zip(rule_ids, thresholds)]
-    occurrences = evaluate_rules(code_entities(entities), rules, "v")
-    assert [(o.file, o.entity_path, o.rule.value) for o in occurrences] == rules_oracle(
+    occurrences = evaluate_rules(code_entities(entities), rules)
+    assert [(file, entity_path, rule.value) for rule, file, entity_path in occurrences] == rules_oracle(
         entities, {rule.id.value: rule.threshold for rule in rules}
     )
-    assert all(o.version_id == "v" and o.begin_line is None and o.end_line is None for o in occurrences)
 
 
 @settings(max_examples=200, deadline=None)
 @given(entities=oracle_entities)
 def test_keys_of_rule_output_match_the_key_oracle(entities):
     # two files, two names and two parents: the same entity path often fires twice
-    occurrences = evaluate_rules(code_entities(entities), [SmellRule(rid, 1) for rid in RuleId], "v")
-    assert assign_keys(occurrences) == keys_oracle(occurrences)
+    occurrences = evaluate_rules(code_entities(entities), [SmellRule(rid, 1) for rid in RuleId])
+    assert assign_keys(occurrences) == keys_oracle([Violation(*occ) for occ in occurrences])

@@ -38,35 +38,36 @@ def key_of(records, entity_path):
 # ---------------------------------------------------------------------------
 
 def test_distinct_entities_get_distinct_keys():
-    occ1 = occurrence(entity_path="A/m1", begin_line=10, end_line=120)
-    occ2 = occurrence(entity_path="A/m2", begin_line=200, end_line=320)
-    keys = assign_keys([occ1, occ2])
+    keys = assign_keys([occurrence(entity_path="A/m1"), occurrence(entity_path="A/m2")])
     assert keys[0] != keys[1]
     assert {k.ordinal for k in keys} == {0}
 
 
+def parsed_keys(*violations: str) -> list[InstanceKey]:
+    """Keys of a one-file PMD report holding the given violation elements."""
+    doc = f'<pmd><file name="a.php">{"".join(violations)}</file></pmd>'
+    return assign_keys(parse_pmd_report(doc).occurrences)
+
+
 def test_line_shift_keeps_key():
-    before = occurrence(entity_path="A/m1", begin_line=100, end_line=220)
-    after = occurrence(entity_path="A/m1", begin_line=130, end_line=250, version_id="v2")
-    assert assign_keys([before]) == assign_keys([after])
+    before = parsed_keys('<violation beginline="100" endline="220" rule="ExcessiveMethodLength" class="A" method="m1"/>')
+    after = parsed_keys('<violation beginline="130" endline="250" rule="ExcessiveMethodLength" class="A" method="m1"/>')
+    assert before == after
 
 
 def test_ordinals_follow_line_order():
-    # the parser lists a group in line order, whatever the document's order
-    doc = (
-        '<pmd><file name="a.php">'
-        '<violation beginline="200" endline="260" rule="ExcessiveMethodLength"/>'
-        '<violation beginline="10" endline="60" rule="ExcessiveMethodLength"/>'
-        "</file></pmd>"
+    # the parser lists violations in line order, whatever the document's order,
+    # so m's ordinals count from its violation at line 10
+    keys = parsed_keys(
+        '<violation beginline="200" endline="260" rule="ExcessiveMethodLength" class="A" method="m"/>',
+        '<violation beginline="100" endline="160" rule="ExcessiveMethodLength" class="A" method="n"/>',
+        '<violation beginline="10" endline="60" rule="ExcessiveMethodLength" class="A" method="m"/>',
     )
-    occurrences = parse_pmd_report(doc, "v1").occurrences
-    keys = assign_keys(occurrences)
-    assert [(o.begin_line, k.ordinal) for o, k in zip(occurrences, keys)] == [(10, 0), (200, 1)]
+    assert [(k.entity_path, k.ordinal) for k in keys] == [("A/m", 0), ("A/n", 0), ("A/m", 1)]
 
 
 def test_assign_keys_fields():
-    occ = occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C", begin_line=9, end_line=9)
-    keys = assign_keys([occ, occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C"), occ])
+    keys = assign_keys([occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C")] * 3)
     assert keys[2] == InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2)
     assert hash(keys[2]) == hash(InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2))
     assert keys[2].location() == "x.php::C::2"
@@ -82,7 +83,6 @@ POINT = CurvePoint(time_days=10.0, n_at_risk=2, n_events=1, survival=0.5)
 
 # one value of each immutable value type, and one of its fields
 VALUES = [
-    (occurrence(), "begin_line"),
     (CodeEntity(EntityKind.CLASS, "C", "c.php"), "loc"),
     (InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 0), "ordinal"),
     (SizeMetrics(lloc=10), "lloc"),
@@ -123,7 +123,6 @@ def test_value_types_carry_no_instance_dict(value, field):
 # one valid value of each type whose constructor checks its fields, a change
 # that breaks the check, and the error it raises
 CHECKED = [
-    (occurrence(begin_line=1, end_line=5), {"begin_line": 9}, ValueError, "begin_line 9 > end_line 5"),
     (History("demo", (SNAPSHOT, LATER_SNAPSHOT)), {"snapshots": (LATER_SNAPSHOT, SNAPSHOT)}, ValueError,
      "not strictly increasing"),
     (SmellRule(RuleId.NUMBER_OF_CHILDREN, 15), {"threshold": 0}, ConfigError, "must be positive"),
@@ -309,38 +308,35 @@ def test_timeframe_views():
     # split at day 50; E1 born day 0 removed day 80 (after split), E2 born day 60
     history = history_from_bits({"E1": "1110", "E2": "0011"}, days=[0, 30, 60, 100])
     records = build_survival_records(history)
-    view1, view2 = assign_timeframes(records, history)
-    assert [r.key.entity_path for r in view1] == ["E1"]
-    assert [r.key.entity_path for r in view2] == ["E2"]
-    truncated = view1[0]
+    truncated, late = assign_timeframes(records, history)
+    assert [r.key.entity_path for r in (truncated, late)] == ["E1", "E2"]
     assert truncated.censored == 0
     assert truncated.end_date is None
     assert truncated.duration_days == 50.0
     assert truncated.timeframe == 1
-    assert view2[0].timeframe == 2
-    assert view2[0].duration_days == 40.0
+    assert late is records[1]
+    assert late.timeframe == 2
+    assert late.duration_days == 40.0
 
 
 def test_removal_before_split_stays_observed_in_view1():
     history = history_from_bits({"E1": "1100"}, days=[0, 10, 40, 100])
     records = build_survival_records(history)
-    view1, view2 = assign_timeframes(records, history)
-    assert view2 == []
-    assert [(r.censored, r.duration_days) for r in view1] == [(1, 40.0)]
+    assert assign_timeframes(records, history) == records
+    assert [(r.censored, r.duration_days, r.timeframe) for r in records] == [(1, 40.0, 1)]
 
 
 def test_record_born_exactly_at_split_goes_to_view2():
     history = history_from_bits({"E1": "1001", "E2": "0101"}, days=[0, 50, 80, 100])
     records = build_survival_records(history)
-    view1, view2 = assign_timeframes(records, history)
+    views = assign_timeframes(records, history)
     # E2's first run starts at day 50 == split
-    assert any(r.key.entity_path == "E2" and r.timeframe == 2 for r in view2)
-    assert all(r.key.entity_path != "E2" or r.first_date >= ts(50) for r in view2)
+    assert [(r.first_date, r.timeframe) for r in views if r.key.entity_path == "E2"] == [(ts(50), 2), (ts(100), 2)]
 
 
 def test_empty_records_make_empty_views():
     history = history_from_bits({"E1": "00"}, days=[0, 10])
-    assert assign_timeframes([], history) == ([], [])
+    assert assign_timeframes([], history) == []
 
 
 # ---------------------------------------------------------------------------
