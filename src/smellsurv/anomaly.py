@@ -14,7 +14,6 @@ from datetime import datetime
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import Checked, ConfigError
 from .ingest import History
 from .tracking import split_instant
 
@@ -94,22 +93,12 @@ class AnomalyKind(Enum):
     DECREASE_50 = "decrease_50"
 
 
-class _ThresholdFields(NamedTuple):
+class AnomalyThresholds(NamedTuple):
+    """Flag limits on delta_rho; the CLI keeps down < 0 < up <= up2."""
+
     up: float = 0.5
     up2: float = 1.0
     down: float = -0.5
-
-
-class AnomalyThresholds(Checked, _ThresholdFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (self.down < 0 < self.up <= self.up2):
-            raise ConfigError(
-                f"thresholds must satisfy down < 0 < up <= up2, got {self.down}, {self.up}, {self.up2}"
-            )
-        return self
 
 
 class AnomalyFlag(NamedTuple):

@@ -19,10 +19,11 @@ import os
 import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
-from .errors import ConfigError, ManifestError, ReportParseError, SmellSurvError
+from .errors import ConfigError, ManifestError, OutputError, ReportParseError, SmellSurvError
 from .ingest import load_manifests, read_manifest
 from .report import (
     FORMATS,
@@ -42,9 +43,9 @@ EXIT_GATE_FAILED = 2
 EXIT_INSUFFICIENT_HISTORY = 3
 
 
-def _error_record(exc: BaseException) -> str:
+def _error_record(exc: SmellSurvError) -> str:
     doc: dict = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, SmellSurvError) and exc.row is not None:
+    if exc.row is not None:
         doc["row"] = exc.row
     if isinstance(exc, ReportParseError) and exc.byte_offset is not None:
         doc["byte_offset"] = exc.byte_offset
@@ -66,7 +67,19 @@ def _ruleset(args) -> list:
 
 
 def _thresholds(args) -> AnomalyThresholds:
+    if not (args.down < 0 < args.up <= args.up2):
+        raise ConfigError(f"thresholds must satisfy down < 0 < up <= up2, got {args.down}, {args.up}, {args.up2}")
     return AnomalyThresholds(up=args.up, up2=args.up2, down=args.down)
+
+
+@contextmanager
+def _writing_under(out_dir: Path):
+    """Turn a failure to create, write, replace or remove a file under out_dir
+    into an OutputError naming out_dir."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or text utf-8 cannot encode
+        raise OutputError(f"cannot write under --out {out_dir}: {exc}") from exc
 
 
 def cmd_detect(args) -> int:
@@ -75,6 +88,8 @@ def cmd_detect(args) -> int:
         entities = load_code_model(args.code_model)
     except OSError as exc:
         raise ConfigError(f"code model {args.code_model} unreadable: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL byte
+        raise ConfigError(f"code model {args.code_model}: {exc}") from exc
     occurrences = evaluate_rules(entities, _ruleset(args))
     out_dir = Path(args.out)
     files = {}
@@ -82,7 +97,8 @@ def cmd_detect(args) -> int:
         files["occurrences.csv"] = occurrences_csv(args.version_id, occurrences)
     if "json" in formats:
         files["occurrences.json"] = occurrences_json(args.version_id, occurrences)
-    write_files(out_dir, files)
+    with _writing_under(out_dir):
+        write_files(out_dir, files)
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK
 
@@ -110,6 +126,8 @@ def _insufficient_history(histories) -> str | None:
 
 def cmd_analyze(args) -> int:
     formats = _parse_formats(args.formats, FORMATS)
+    if args.gap_tolerance < 0:
+        raise ConfigError(f"gap_tolerance must be >= 0, got {args.gap_tolerance}")
     options = TrackingOptions(gap_tolerance=args.gap_tolerance, rename_heuristic=args.rename_heuristic)
     thresholds = _thresholds(args)
     histories = _load_histories(args)
@@ -117,32 +135,36 @@ def cmd_analyze(args) -> int:
     if short:
         raise ManifestError(short)
     out_dir = Path(args.out)
-    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # the whole run is staged, then each app dir is swapped in whole, so a
-    # failed run leaves out_dir as it was (or absent, with the parents it
-    # created) and a re-run leaves no stale files
-    staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
+    with _writing_under(out_dir):
+        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # the whole run is staged, then each app dir is swapped in whole, so a
+        # failed run leaves out_dir as it was (or absent, with the parents it
+        # created) and a re-run leaves no stale files
+        staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
     discard = staging
     try:
         new, old = staging / "new", staging / "old"
-        old.mkdir()
         lines = []
         for history in sorted(histories, key=lambda h: h.app_name):
             bundle = analyze_history(history, options, thresholds)
-            written = write_bundle(bundle, new, formats)
+            with _writing_under(out_dir):
+                written = write_bundle(bundle, new, formats)
             lines.append(f"{bundle.app}: {len(bundle.records)} records, {len(written)} files -> {out_dir / bundle.app}")
-        for history in histories:
-            target = out_dir / history.app_name
-            if target.exists():
-                os.replace(target, old / history.app_name)
-            os.replace(new / history.app_name, target)
+        with _writing_under(out_dir):
+            old.mkdir()
+            for history in histories:
+                target = out_dir / history.app_name
+                if target.exists():
+                    os.replace(target, old / history.app_name)
+                os.replace(new / history.app_name, target)
     except BaseException:
         if created:
             discard = created[-1]
         raise
     finally:
-        shutil.rmtree(discard)
+        with _writing_under(out_dir):
+            shutil.rmtree(discard)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -223,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SmellSurvError, ValueError, OSError) as exc:
+    except SmellSurvError as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_ERROR
 

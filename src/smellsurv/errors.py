@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and the base of the value
-types that check their fields."""
+"""Exception types shared across the toolkit.
+
+Every input is checked where it is read, and every failure is raised as a
+``SmellSurvError`` subclass: the CLI reports only these.
+"""
 
 
 class SmellSurvError(Exception):
@@ -12,7 +15,8 @@ class SmellSurvError(Exception):
 
 
 class ConfigError(SmellSurvError):
-    """Bad configuration: an unknown rule id, a non-positive threshold, an
+    """Bad configuration: an unreadable or malformed rules file or
+    ``detect --code-model``, an unknown rule id, a non-positive threshold, an
     unknown output format, a negative gap tolerance, thresholds out of order."""
 
 
@@ -35,16 +39,6 @@ class ManifestError(SmellSurvError):
         self.row = row
 
 
-class Checked:
-    """Base of a NamedTuple subclass whose ``__new__`` checks its fields.
-
-    NamedTuple's ``_make`` builds with ``tuple.__new__``, and ``_replace``
-    builds through ``_make``, so both would skip the check; here they go
-    through the constructor.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+class OutputError(SmellSurvError):
+    """A file or directory under ``--out`` could not be created, written,
+    replaced or removed."""

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 from xml.parsers import expat
 
-from .errors import Checked, ManifestError, ReportParseError, SmellSurvError
+from .errors import ManifestError, ReportParseError, SmellSurvError
 from .rules import (
     Occurrence,
     RuleId,
@@ -61,24 +61,11 @@ class VersionSnapshot(NamedTuple):
     size: SizeMetrics
 
 
-class _HistoryFields(NamedTuple):
-    app_name: str
-    snapshots: tuple[VersionSnapshot, ...]
-
-
-class History(Checked, _HistoryFields):
+class History(NamedTuple):
     """Snapshots of one application, ordered by strictly increasing timestamp."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for a, b in zip(self.snapshots, self.snapshots[1:]):
-            if not a.timestamp < b.timestamp:
-                raise ValueError(
-                    f"timestamps not strictly increasing: {a.version_id} !< {b.version_id}"
-                )
-        return self
+    app_name: str
+    snapshots: tuple[VersionSnapshot, ...]
 
 
 def normalize_path(path: str, strip_prefix: str | None = None) -> str:
@@ -260,6 +247,8 @@ def read_manifest(path: Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ManifestError(f"manifest {path} is not UTF-8: byte {exc.start}: {exc.reason}", row=line) from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise ManifestError(f"manifest {path} unreadable: {exc}") from exc
 
 
 def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:

@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import Checked, ConfigError
+from .errors import ConfigError
 
 
 # an enum member equals only itself, so it can hash by identity in C rather
@@ -88,19 +88,9 @@ def scope_of(rule_id: RuleId) -> Scope:
     return _RULE_SCOPE[rule_id]
 
 
-class _RuleFields(NamedTuple):
+class SmellRule(NamedTuple):
     id: RuleId
-    threshold: float
-
-
-class SmellRule(Checked, _RuleFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.threshold > 0:
-            raise ConfigError(f"threshold for {self.id.value} must be positive, got {self.threshold}")
-        return self
+    threshold: float  # > 0: load_ruleset refuses any other
 
     def applies_to(self, kind: EntityKind) -> bool:
         return kind in _RULE_KINDS[self.id]
@@ -121,7 +111,9 @@ def load_ruleset(path: str | Path) -> list[SmellRule]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"rules file {path} unreadable: {exc.strerror or exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # not UTF-8, not JSON, an integer over the digit limit, a NUL in the path;
+    # or nested too deep for the decoder
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"rules file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"rules file {path}: expected a JSON object of rule -> threshold")
@@ -173,11 +165,7 @@ def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[int, float
     """Per entity kind, the (metric's CodeEntity field index, threshold, rule
     order, rule) of each rule that applies."""
     plan = {kind: [] for kind in EntityKind}
-    seen = set()
     for rule in rules:
-        if rule.id in seen:
-            raise ConfigError(f"duplicate rule id {rule.id.value} in ruleset")
-        seen.add(rule.id)
         field = CodeEntity._fields.index(_RULE_METRIC[rule.id])
         for kind in _RULE_KINDS[rule.id]:
             plan[kind].append((field, rule.threshold, _RULE_ORDER[rule.id], rule.id))
@@ -222,7 +210,8 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
         raw = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"code model {path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # not JSON, an integer over the digit limit, or nested too deep for the decoder
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"code model {path}: {exc}") from exc
     if isinstance(raw, dict):
         raw = raw.get("entities")

@@ -17,7 +17,6 @@ from __future__ import annotations
 from datetime import datetime
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import Checked, ConfigError
 from .rules import Occurrence, RuleId, Scope, _RULE_ORDER, scope_of
 
 if TYPE_CHECKING:  # ingest imports this module to key each report
@@ -34,50 +33,31 @@ class InstanceKey(NamedTuple):
         return f"{self.file}::{self.entity_path}::{self.ordinal}"
 
 
-class _OptionFields(NamedTuple):
-    gap_tolerance: int = 0
+class TrackingOptions(NamedTuple):
+    gap_tolerance: int = 0  # >= 0: the CLI refuses any other
     rename_heuristic: bool = False
 
 
-class TrackingOptions(Checked, _OptionFields):
-    __slots__ = ()
+class SurvivalRecord(NamedTuple):
+    """One run of presence; end_date is set exactly when its removal was
+    observed, so censored and event_observed are read from it."""
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.gap_tolerance < 0:
-            raise ConfigError(f"gap_tolerance must be >= 0, got {self.gap_tolerance}")
-        return self
-
-
-class _RecordFields(NamedTuple):
     key: InstanceKey
     scope: Scope
     first_version: str
     first_date: datetime
     last_present_version: str
     end_date: datetime | None
-    censored: int
     duration_days: float
     timeframe: int
 
-
-class SurvivalRecord(Checked, _RecordFields):
-    __slots__ = ()
-
-    def __new__(
-        cls, key, scope, first_version, first_date, last_present_version, end_date, censored, duration_days, timeframe
-    ):
-        if (censored == 1) != (end_date is not None):
-            raise ValueError("censored=1 exactly when an end date is present")
-        if duration_days < 0:
-            raise ValueError(f"negative duration {duration_days}")
-        return tuple.__new__(cls, (
-            key, scope, first_version, first_date, last_present_version, end_date, censored, duration_days, timeframe,
-        ))
+    @property
+    def censored(self) -> int:
+        return 0 if self.end_date is None else 1
 
     @property
     def event_observed(self) -> bool:
-        return self.censored == 1
+        return self.end_date is not None
 
 
 def assign_keys(occurrences: list[Occurrence]) -> list[InstanceKey]:
@@ -187,13 +167,8 @@ def build_survival_records(
     def close_run(run: _Run) -> None:
         # a run absent from the final snapshot was removed, dated at its first absence
         first_date = timestamps[run.first_idx]
-        censored = 1 if run.last_present_idx < final_idx else 0
-        if censored:
-            end_date = timestamps[run.last_present_idx + 1]
-            duration = _days_between(first_date, end_date)
-        else:
-            end_date = None
-            duration = _days_between(first_date, timestamps[final_idx])
+        end_date = timestamps[run.last_present_idx + 1] if run.last_present_idx < final_idx else None
+        duration = _days_between(first_date, end_date or timestamps[final_idx])
         key = key_of[run.key]
         records.append(
             SurvivalRecord(
@@ -203,7 +178,6 @@ def build_survival_records(
                 first_date=first_date,
                 last_present_version=version_ids[run.last_present_idx],
                 end_date=end_date,
-                censored=censored,
                 duration_days=duration,
                 timeframe=1 if first_date < split else 2,
             )
@@ -260,7 +234,7 @@ def assign_timeframes(records: list[SurvivalRecord], history: History) -> list[S
     """
     split = split_instant(history)
     return [
-        r if r.first_date >= split or (r.censored == 1 and r.end_date <= split)
-        else r._replace(censored=0, end_date=None, duration_days=_days_between(r.first_date, split))
+        r if r.first_date >= split or (r.end_date is not None and r.end_date <= split)
+        else r._replace(end_date=None, duration_days=_days_between(r.first_date, split))
         for r in records
     ]

@@ -41,7 +41,6 @@ def record(
         first_date=ts(0),
         last_present_version="v?",
         end_date=ts(duration) if event else None,
-        censored=1 if event else 0,
         duration_days=float(duration),
         timeframe=timeframe,
     )

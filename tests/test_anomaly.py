@@ -15,7 +15,6 @@ from smellsurv.anomaly import (
     flag_anomalies,
     metric_change_rates,
 )
-from smellsurv.errors import ConfigError
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
 from smellsurv.rules import RuleId
 from smellsurv.tracking import InstanceKey
@@ -164,15 +163,6 @@ def test_first_version_never_flagged():
 def test_quiet_series_has_no_flags():
     series = [point("v1", None)] + [point(f"v{i}", d) for i, d in enumerate([0.49, -0.49, 0.2, 0.0], start=2)]
     assert flag_anomalies(series) == []
-
-
-def test_threshold_validation():
-    with pytest.raises(ConfigError):
-        AnomalyThresholds(up=-0.1)
-    with pytest.raises(ConfigError):
-        AnomalyThresholds(up=1.5, up2=1.0)
-    with pytest.raises(ConfigError):
-        AnomalyThresholds(down=0.5)
 
 
 deltas = st.one_of(

@@ -24,6 +24,7 @@ from smellsurv.cli import (
     main,
 )
 from smellsurv import cli, survival
+from smellsurv.errors import SmellSurvError
 from smellsurv.report import analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
@@ -102,7 +103,9 @@ def test_detect_replaces_its_files_only_once_both_are_written(tmp_path, capsys):
     (out / "occurrences.csv").write_text("old\n")
     args = ["detect", "--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "1", "--out", str(out)]
     assert main(args) == EXIT_ERROR
-    assert json.loads(capsys.readouterr().err)["error"] == "IsADirectoryError"
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "OutputError"
+    assert record["message"].startswith(f"cannot write under --out {out}: [Errno 21] Is a directory")
     assert sorted(p.name for p in out.iterdir()) == ["occurrences.csv", "occurrences.json"]
     assert (out / "occurrences.csv").read_text() == "old\n"
 
@@ -563,6 +566,7 @@ THRESHOLD_ORDER = "thresholds must satisfy down < 0 < up <= up2, got"
         ("analyze", "--gap-tolerance=-1", "gap_tolerance must be >= 0, got -1"),
         ("analyze", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
         ("analyze", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
+        ("analyze", "--up=1.5", f"{THRESHOLD_ORDER} -0.5, 1.5, 1.0"),
         ("analyze", "--down=0.1", f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
         ("gate", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
         ("gate", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
@@ -719,6 +723,116 @@ def test_an_unreadable_code_model_is_a_config_error_naming_it(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+# documents json refuses past its decoder's limits: an integer literal over
+# the int-to-str digit limit, and arrays nested deeper than the recursion limit
+UNDECODABLE_JSON = {
+    "over-long integer": b'{"ExcessiveMethodLength": ' + b"9" * 5000 + b"}",
+    "deep nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
+@pytest.mark.parametrize("case", UNDECODABLE_JSON)
+def test_json_the_decoder_refuses_is_a_config_error_naming_the_file(tmp_path, capsys, command, case):
+    # detect reads it as --code-model, gate as --rules, analyze as a manifest row's code model
+    rows = four_version_rows(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNDECODABLE_JSON[case])
+    if command == "analyze":
+        rows[3][3] = bad.name
+    manifest = write_rows(tmp_path, rows)
+    args = {
+        "analyze": ["--manifest", str(manifest), "--out", str(tmp_path / "out")],
+        "detect": ["--code-model", str(bad), "--version-id", "1", "--out", str(tmp_path / "out")],
+        "gate": ["--manifest", str(manifest), "--rules", str(bad)],
+    }[command]
+    assert main([command, *args]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{'rules file' if command == 'gate' else 'code model'} {bad}: ")
+    assert record.get("row") == (4 if command == "analyze" else None)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, error, message",
+    [
+        ("gate", "--manifest", "ManifestError", "manifest {path} unreadable: embedded null byte"),
+        ("gate", "--rules", "ConfigError", "rules file {path}: embedded null byte"),
+        ("detect", "--code-model", "ConfigError", "code model {path}: embedded null byte"),
+        ("detect", "--out", "OutputError", "cannot write under --out {path}: embedded null byte"),
+        ("analyze", "--out", "OutputError", "cannot write under --out {path}: embedded null byte"),
+    ],
+    ids=["manifest", "rules", "code model", "detect out", "analyze out"],
+)
+def test_a_nul_byte_in_a_path_flag_is_a_typed_error_naming_the_path(tmp_path, capsys, command, flag, error, message):
+    manifest = write_rows(tmp_path, four_version_rows(tmp_path))
+    (tmp_path / "rules.json").write_text("{}")
+    args = {
+        "analyze": {"--manifest": str(manifest), "--out": str(tmp_path / "out")},
+        "detect": {"--code-model": str(tmp_path / "m0.json"), "--version-id": "1", "--out": str(tmp_path / "out")},
+        "gate": {"--manifest": str(manifest), "--rules": str(tmp_path / "rules.json")},
+    }[command]
+    path = args[flag] = str(tmp_path / "a\0b")
+    assert main([command, *(part for item in args.items() for part in item)]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": message.format(path=path)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m0.json", "m1.json", "m2.json", "m3.json", "manifest.csv", "rules.json"]
+
+
+# cells and bytes that have broken a manifest reader: quoting, NUL, CR/LF, a
+# BOM, bytes that are not UTF-8, over-long fields and numbers, missing or odd
+# report paths, and timestamps out of range
+ODD_CELLS = [
+    "", " ", "nope", "0", "-1", "1.5", "9" * 5000, "x" * 131_073, "1.0", "missing.json", ".", "..", "/",
+    "a/b", "manifest.csv", "2020-01-01", "2020-02-30", "0001-01-01T00:00+01:00", "9999-12-31T23:59-01:00",
+    '"a,b"', '"a""b"', '"open', 'a"b', '"a\nb"', "\0", "\ufeff", "é",
+]
+ODD_BYTES = [b'"', b",", b"\n", b"\r", b"\r\n", b"\0", b"\xff", b"\xc3", b"\xef\xbb\xbf"]
+
+
+@st.composite
+def mutated_manifests(draw, rows):
+    # most examples keep a readable header, line ending and encoding, so that
+    # the rows behind them are reached too
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows[1:] * 3 + rows[:1]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS) | st.text(max_size=6))
+    newline = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    text = "".join(",".join(row) + newline for row in rows)
+    encoding = draw(st.sampled_from(["utf-8"] * 5 + ["utf-8-sig", "utf-16", "latin-1"]))
+    data = text.encode(encoding, errors="replace")
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.sampled_from(ODD_BYTES) | st.binary(max_size=3)) + data[at + cut:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_manifest_exits_cleanly_or_with_one_typed_error_record(fuzz_dir, command, data):
+    manifest = fuzz_dir / "manifest.csv"
+    manifest.write_bytes(data.draw(mutated_manifests(four_version_rows(fuzz_dir))))
+    out = ["--out", str(fuzz_dir / "out")] if command == "analyze" else []
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main([command, "--manifest", str(manifest), *out])
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_GATE_FAILED, EXIT_INSUFFICIENT_HISTORY)
+    if code == EXIT_ERROR:
+        (line,) = stderr.getvalue().splitlines()
+        assert json.loads(line)["error"] in {cls.__name__ for cls in SmellSurvError.__subclasses__()}
+    else:
+        assert stderr.getvalue() == ""
+
+
 # ---------------------------------------------------------------------------
 # an analyze run is published whole
 # ---------------------------------------------------------------------------
@@ -774,7 +888,9 @@ def test_failing_run_removes_the_out_directories_it_created(tmp_path, monkeypatc
     monkeypatch.setattr(cli, "write_bundle", failing)
     out = tmp_path / "new" / "x"
     assert main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--out", str(out)]) == EXIT_ERROR
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "OutputError", "message": f"cannot write under --out {out}: no space left on device",
+    }
     assert not (tmp_path / "new").exists()
     assert sorted(tree(tmp_path)) == []
 

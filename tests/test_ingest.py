@@ -25,7 +25,7 @@ from smellsurv.ingest import (
 from smellsurv.rules import RuleId, default_ruleset, evaluate_rules, load_code_model
 from smellsurv.tracking import InstanceKey, assign_keys
 
-from conftest import history_from_bits, load_manifest, ts
+from conftest import history_from_bits, load_manifest
 from oracles import Violation, keys_oracle, pmd_report_oracle
 
 
@@ -522,13 +522,6 @@ def test_multi_app_manifest(tmp_path):
 def test_header_must_match(tmp_path):
     with pytest.raises(ManifestError, match="header"):
         load_manifest("application,version,timestamp,report_path,lloc\n", base_dir=tmp_path)
-
-
-def test_history_requires_strictly_increasing_timestamps():
-    snap1 = VersionSnapshot("v1", ts(0), (), SizeMetrics(lloc=10))
-    snap2 = VersionSnapshot("v2", ts(0), (), SizeMetrics(lloc=10))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        History(app_name="x", snapshots=(snap1, snap2))
 
 
 def history_to_json(history: History) -> str:

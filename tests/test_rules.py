@@ -105,15 +105,13 @@ def test_default_ruleset_scope_balance():
     assert sum(1 for r in rules if scope_of(r.id) is Scope.SCATTERED) == 3
 
 
-def test_duplicate_rule_rejected():
-    rules = default_ruleset() + [SmellRule(RuleId.EXCESSIVE_METHOD_LENGTH, 50)]
-    with pytest.raises(ConfigError, match="duplicate"):
-        evaluate_rules([method(loc=60)], rules)
-
-
-def test_nonpositive_threshold_rejected():
-    with pytest.raises(ConfigError, match="positive"):
-        SmellRule(RuleId.EXCESSIVE_METHOD_LENGTH, 0)
+def test_nonpositive_threshold_rejected(tmp_path):
+    path = tmp_path / "rules.json"
+    for value in ("0", "-1", "NaN", "true", '"10"'):
+        path.write_text(f'{{"ExcessiveMethodLength": {value}}}')
+        with pytest.raises(ConfigError) as info:
+            load_ruleset(path)
+        assert str(info.value) == f"rules file {path}: threshold for ExcessiveMethodLength must be a positive number"
 
 
 metric_values = st.integers(min_value=0, max_value=2000)

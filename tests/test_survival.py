@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +287,42 @@ def test_logrank_matches_oracle(a, b):
     stat, p = logrank_oracle(a, b)
     assert result.statistic == pytest.approx(stat, abs=1e-9)
     assert result.p_value == pytest.approx(p, abs=1e-9)
+
+
+def test_km_and_logrank_match_scipy():
+    # a second oracle, written by others: scipy's product-limit sf and log-rank
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(2021)
+
+    def sample():
+        # whole days, so that events tie with each other and with censorings
+        return [(float(rng.randint(1, 15)), rng.random() < 0.6) for _ in range(rng.randint(1, 25))]
+
+    def censored(group):
+        return stats.CensoredData(uncensored=[t for t, e in group if e], right=[t for t, e in group if not e])
+
+    tests = 0
+    for _ in range(200):
+        a, b = sample(), sample()
+        sf = stats.ecdf(censored(a)).sf
+        for point in kaplan_meier(a).points:
+            assert point.survival == pytest.approx(sf.evaluate(point.time_days), abs=1e-12)
+        if not any(e for _, e in a + b):
+            continue  # the test is undefined, and log_rank says so
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = stats.logrank(censored(a), censored(b))
+        result = log_rank(a, b)
+        if math.isnan(expected.statistic):
+            # the pooled variance is 0, and so is O - E: scipy divides 0 by 0,
+            # log_rank reads no difference
+            assert (result.statistic, result.p_value) == (0.0, 1.0)
+            continue
+        # scipy's statistic is the signed z; its square is the chi-square
+        assert result.statistic == pytest.approx(expected.statistic ** 2, rel=1e-9, abs=1e-12)
+        assert result.p_value == pytest.approx(expected.pvalue, abs=1e-12)
+        tests += 1
+    assert tests > 150
 
 
 # ---------------------------------------------------------------------------
