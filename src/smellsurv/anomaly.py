@@ -21,8 +21,6 @@ from .tracking import split_instant
 def change_rate(prev: float, cur: float) -> float:
     """Relative change cur/prev - 1; 0 -> 0 gives 0.0, 0 -> positive gives
     +infinity."""
-    if prev < 0 or cur < 0:
-        raise ValueError(f"change rates are defined for non-negative values, got {prev}, {cur}")
     if prev > 0:
         return cur / prev - 1.0
     return 0.0 if cur == 0 else math.inf
@@ -147,15 +145,11 @@ class ChangeRates(NamedTuple):
     d_classes: float | None
 
 
-def metric_change_rates(history: History, split: datetime | None = None) -> ChangeRates:
-    """Size change between the last version at or before the split and the
-    last version overall. Default split: the temporal midpoint."""
-    if split is None:
-        split = split_instant(history)
-    before = [snap for snap in history.snapshots if snap.timestamp <= split]
-    if not before:
-        raise ValueError("no snapshot at or before the split instant")
-    start = before[-1].size
+def metric_change_rates(history: History) -> ChangeRates:
+    """Size change between the last version at or before the temporal
+    midpoint and the last version overall."""
+    split = split_instant(history)
+    start = [snap for snap in history.snapshots if snap.timestamp <= split][-1].size
     end = history.snapshots[-1].size
 
     def optional_rate(a: int | None, b: int | None) -> float | None:

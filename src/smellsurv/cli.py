@@ -82,8 +82,28 @@ def _writing_under(out_dir: Path):
         raise OutputError(f"cannot write under --out {out_dir}: {exc}") from exc
 
 
+@contextmanager
+def _creating(out_dir: Path):
+    """Create out_dir and its missing parents; if the block then fails,
+    remove the directories this created."""
+    with _writing_under(out_dir):
+        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+        out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created:
+            with _writing_under(out_dir):
+                shutil.rmtree(created[-1])
+        raise
+
+
 def cmd_detect(args) -> int:
     formats = _parse_formats(args.formats, ("csv", "json"))
+    try:
+        args.version_id.encode("utf-8")
+    except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 arrive as lone surrogates
+        raise ConfigError(f"--version-id {args.version_id!r} is not UTF-8 text") from exc
     try:
         entities = load_code_model(args.code_model)
     except OSError as exc:
@@ -97,7 +117,7 @@ def cmd_detect(args) -> int:
         files["occurrences.csv"] = occurrences_csv(args.version_id, occurrences)
     if "json" in formats:
         files["occurrences.json"] = occurrences_json(args.version_id, occurrences)
-    with _writing_under(out_dir):
+    with _creating(out_dir), _writing_under(out_dir):
         write_files(out_dir, files)
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK
@@ -135,36 +155,30 @@ def cmd_analyze(args) -> int:
     if short:
         raise ManifestError(short)
     out_dir = Path(args.out)
-    with _writing_under(out_dir):
-        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
+    with _creating(out_dir):
         # the whole run is staged, then each app dir is swapped in whole, so a
         # failed run leaves out_dir as it was (or absent, with the parents it
         # created) and a re-run leaves no stale files
-        staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
-    discard = staging
-    try:
-        new, old = staging / "new", staging / "old"
-        lines = []
-        for history in sorted(histories, key=lambda h: h.app_name):
-            bundle = analyze_history(history, options, thresholds)
+        with _writing_under(out_dir):
+            staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
+        try:
+            new, old = staging / "new", staging / "old"
+            lines = []
+            for history in sorted(histories, key=lambda h: h.app_name):
+                bundle = analyze_history(history, options, thresholds)
+                with _writing_under(out_dir):
+                    written = write_bundle(bundle, new, formats)
+                lines.append(f"{bundle.app}: {len(bundle.records)} records, {len(written)} files -> {out_dir / bundle.app}")
             with _writing_under(out_dir):
-                written = write_bundle(bundle, new, formats)
-            lines.append(f"{bundle.app}: {len(bundle.records)} records, {len(written)} files -> {out_dir / bundle.app}")
-        with _writing_under(out_dir):
-            old.mkdir()
-            for history in histories:
-                target = out_dir / history.app_name
-                if target.exists():
-                    os.replace(target, old / history.app_name)
-                os.replace(new / history.app_name, target)
-    except BaseException:
-        if created:
-            discard = created[-1]
-        raise
-    finally:
-        with _writing_under(out_dir):
-            shutil.rmtree(discard)
+                old.mkdir()
+                for history in histories:
+                    target = out_dir / history.app_name
+                    if target.exists():
+                        os.replace(target, old / history.app_name)
+                    os.replace(new / history.app_name, target)
+        finally:
+            with _writing_under(out_dir):
+                shutil.rmtree(staging)
     print("\n".join(lines))
     return EXIT_OK
 

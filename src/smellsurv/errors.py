@@ -15,9 +15,11 @@ class SmellSurvError(Exception):
 
 
 class ConfigError(SmellSurvError):
-    """Bad configuration: an unreadable or malformed rules file or
-    ``detect --code-model``, an unknown rule id, a non-positive threshold, an
-    unknown output format, a negative gap tolerance, thresholds out of order."""
+    """Bad configuration: an unreadable or malformed rules file or code
+    model (a lone surrogate in an entity's strings included), an unknown rule
+    id, a non-positive threshold, an unknown output format, a negative gap
+    tolerance, thresholds out of order, a ``--version-id`` UTF-8 cannot
+    encode."""
 
 
 class ReportParseError(SmellSurvError):

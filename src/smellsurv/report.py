@@ -95,7 +95,6 @@ def write_files(out_dir: Path, files: dict[str, str]) -> None:
     beside its target, and no target is replaced until every .tmp file is
     written. A target that is a directory, which a replace would refuse, is
     refused first. A failed call leaves no .tmp file."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     staged = {out_dir / name: out_dir / f"{name}.tmp" for name in files}
     try:
         for (target, tmp), content in zip(staged.items(), files.values()):

@@ -206,6 +206,8 @@ def load_code_model(path: str | Path) -> list[CodeEntity]:
 
 def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
     """Entities of a code model already read as bytes; errors name path."""
+    # after a strict decode only a \u escape makes a lone surrogate; a one-byte search (memchr) is the cheap test
+    escaped = b"\\" in data
     try:
         raw = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -229,6 +231,12 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
         name, file, parent = get("name"), get("file"), get("parent", "")
         if type(name) is not str or type(file) is not str or type(parent) is not str:
             raise ConfigError(f"code model {path}: entity #{i}: name, file and parent must be strings")
+        if escaped:
+            for field, text in (("name", name), ("file", file), ("parent", parent)):
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise ConfigError(f"code model {path}: entity #{i}: {field} holds a lone surrogate") from exc
         metrics = (
             get("loc", 0), get("parameter_count", 0), get("depth_of_inheritance", 0),
             get("coupling", 0), get("children_count", 0),

@@ -1,7 +1,8 @@
 """Kaplan-Meier estimation, restricted means, and the two-group log-rank test.
 
-All operations consume (duration, event_observed) pairs. A survival record's
-censored flag means "removal observed", so it IS the event indicator. Tied
+``kaplan_meier`` consumes (duration, event_observed) pairs and yields a
+point at every distinct duration, so its curve is also the group's risk
+table; the restricted mean and the log-rank test read that table. Tied
 times follow the standard convention that events are processed before
 censorings, i.e. subjects censored at t still count as at risk at t.
 """
@@ -9,8 +10,8 @@ censorings, i.e. subjects censored at t still count as at risk at t.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .tracking import SurvivalRecord
@@ -31,7 +32,11 @@ class SurvivalCurve(NamedTuple):
     """Product-limit step function; survival is 1 before the first point."""
 
     points: tuple[CurvePoint, ...]
-    tau: float
+
+    @property
+    def tau(self) -> float:
+        """The observed horizon: the last point's time."""
+        return self.points[-1].time_days
 
 
 def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
@@ -57,7 +62,7 @@ def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
         if events:
             s *= 1.0 - events / at_risk
         points.append(CurvePoint(time_days=t, n_at_risk=at_risk, n_events=events, survival=s))
-    return SurvivalCurve(points=tuple(points), tau=points[-1].time_days)
+    return SurvivalCurve(points=tuple(points))
 
 
 def median_survival(curve: SurvivalCurve) -> float | None:
@@ -69,57 +74,28 @@ def median_survival(curve: SurvivalCurve) -> float | None:
     return None
 
 
-def restricted_mean(curve: SurvivalCurve, tau: float | None = None) -> tuple[float, float]:
-    """Area under the survival step function on [0, tau], with its standard
-    error from the Greenwood-style variance
-    sum_i A_i^2 * d_i / (n_i * (n_i - d_i)) over event times t_i <= tau,
+def restricted_mean(curve: SurvivalCurve) -> tuple[float, float]:
+    """Area under the survival step function on [0, tau], tau the curve's
+    horizon, with its standard error from the Greenwood-style variance
+    sum_i A_i^2 * d_i / (n_i * (n_i - d_i)) over event times t_i < tau,
     where A_i is the area under S on [t_i, tau] (terms with n_i == d_i are
-    skipped).
+    skipped). A zero horizon gives (0.0, 0.0).
 
-    Runs in O(curve points): the step segments are built once, the area is
-    their forward sum, and a suffix sum of the segment areas filled from the
-    back gives each A_i by lookup, since every curve time below tau starts
-    a segment (and A_i is 0 at tau itself).
+    Runs in O(curve points): the first step segment starts at 0 and each
+    point below tau starts the next one, so A_i is the suffix sum of the
+    segment areas after segment i.
     """
-    if tau is None:
-        tau = curve.tau
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if tau > curve.tau:
-        raise ValueError(f"tau {tau} exceeds the observed horizon {curve.tau}")
-
-    # step segments of S on [0, tau]
-    prev_time = 0.0
-    level = 1.0
-    segments = []  # (start, end, level) covering [0, tau]
-    for p in curve.points:
-        if p.time_days >= tau:
-            break
-        if p.time_days > prev_time:
-            segments.append((prev_time, p.time_days, level))
-        prev_time = p.time_days
-        level = p.survival
-    if tau > prev_time:
-        segments.append((prev_time, tau, level))
-    area = sum((end - start) * lvl for start, end, lvl in segments)
-
-    tail_area = [0.0] * len(segments)  # area under S from segment k's start to tau
-    running = 0.0
-    for k in range(len(segments) - 1, -1, -1):
-        start, end, lvl = segments[k]
-        running += (end - start) * lvl
-        tail_area[k] = running
-
+    points = curve.points
+    times = [p.time_days for p in points]
+    levels = [1.0] + [p.survival for p in points[:-1]]
+    areas = [(end - start) * level for start, end, level in zip([0.0, *times], times, levels)]
+    tail_areas = list(accumulate(reversed(areas[1:])))[::-1]
     variance = 0.0
-    k = 0
-    for p in curve.points:
-        if p.time_days >= tau:
-            break
-        while segments[k][0] < p.time_days:
-            k += 1
+    # zip stops before the point at tau, whose A_i is 0
+    for p, tail_area in zip(points, tail_areas):
         if 0 < p.n_events < p.n_at_risk:
-            variance += tail_area[k] ** 2 * p.n_events / (p.n_at_risk * (p.n_at_risk - p.n_events))
-    return area, math.sqrt(variance)
+            variance += tail_area ** 2 * p.n_events / (p.n_at_risk * (p.n_at_risk - p.n_events))
+    return sum(areas), math.sqrt(variance)
 
 
 class GroupSummary(NamedTuple):
@@ -136,11 +112,7 @@ def summarize(curve: SurvivalCurve) -> GroupSummary:
     own horizon; the counts are the first risk set and the events."""
     found = curve.points[0].n_at_risk
     removed = sum(p.n_events for p in curve.points)
-    if curve.tau > 0:
-        rmean, se = restricted_mean(curve)
-    else:
-        # every instance was first seen in the final snapshot: zero horizon
-        rmean, se = 0.0, 0.0
+    rmean, se = restricted_mean(curve)
     return GroupSummary(
         found=found,
         removed=removed,
@@ -154,70 +126,53 @@ def summarize(curve: SurvivalCurve) -> GroupSummary:
 class LogRankResult(NamedTuple):
     statistic: float
     p_value: float
-    observed: tuple[int, int]
-    expected: tuple[float, float]
     warning: str | None = None
 
 
-def _chi2_sf_1df(x: float) -> float:
-    return math.erfc(math.sqrt(x / 2.0))
+def _risk_sets(points: tuple[CurvePoint, ...], times: list[float]) -> Iterator[tuple[int, int]]:
+    """(at risk, events) of one group at each of the ascending times: the
+    at-risk count of its first point at or after t, and that point's events
+    when it lies at t."""
+    rest = chain(points, [CurvePoint(math.inf, 0, 0, 0.0)])  # nobody is at risk past the last point
+    p = next(rest)
+    for t in times:
+        while p.time_days < t:
+            p = next(rest)
+        yield p.n_at_risk, p.n_events if p.time_days == t else 0
 
 
-def log_rank(pairs_a: Iterable[tuple[float, bool]], pairs_b: Iterable[tuple[float, bool]]) -> LogRankResult:
-    """Two-group log-rank test.
+def log_rank(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> LogRankResult:
+    """Two-group log-rank test over the groups' KM risk tables.
 
     At each distinct pooled event time, the expected events in group A follow
     the hypergeometric mean n_A * d / n with variance
     d * (n_A/n) * (1 - n_A/n) * (n - d) / (n - 1) (skipped when n == 1); the
     statistic (O_A - E_A)^2 / V is chi-square with 1 degree of freedom.
     """
-    pairs_a, pairs_b = list(pairs_a), list(pairs_b)
-    if not pairs_a or not pairs_b:
-        raise ValueError("both groups must be non-empty")
-
-    durs_a = sorted(t for t, _ in pairs_a)
-    durs_b = sorted(t for t, _ in pairs_b)
-    events_a: dict[float, int] = {}
-    events_b: dict[float, int] = {}
-    for t, event in pairs_a:
-        if event:
-            events_a[t] = events_a.get(t, 0) + 1
-    for t, event in pairs_b:
-        if event:
-            events_b[t] = events_b.get(t, 0) + 1
-    event_times = sorted(set(events_a) | set(events_b))
-    if not event_times:
+    a, b = curve_a.points, curve_b.points
+    times = sorted({p.time_days for p in (*a, *b) if p.n_events})
+    if not times:
         raise ValueError("test undefined: no events in the pooled data")
 
     observed_a = 0
     expected_a = 0.0
     variance = 0.0
-    total_events = 0
-    for t in event_times:
-        n_a = len(durs_a) - bisect_left(durs_a, t)
-        n_b = len(durs_b) - bisect_left(durs_b, t)
+    for (n_a, d_a), (n_b, d_b) in zip(_risk_sets(a, times), _risk_sets(b, times)):
         n = n_a + n_b
-        d_a = events_a.get(t, 0)
-        d = d_a + events_b.get(t, 0)
+        d = d_a + d_b
         observed_a += d_a
         expected_a += n_a * d / n
-        total_events += d
         if n > 1:
             share = n_a / n
             variance += d * share * (1.0 - share) * (n - d) / (n - 1)
 
     diff = observed_a - expected_a
     statistic = diff * diff / variance if variance > 0 else 0.0
-    p_value = _chi2_sf_1df(statistic)
-    warning = None
-    if sum(events_a.values()) == 0 or sum(events_b.values()) == 0:
-        warning = "a group has no observed events; the test is unreliable"
+    eventless = not any(p.n_events for p in a) or not any(p.n_events for p in b)
     return LogRankResult(
         statistic=statistic,
-        p_value=p_value,
-        observed=(observed_a, total_events - observed_a),
-        expected=(expected_a, total_events - expected_a),
-        warning=warning,
+        p_value=math.erfc(math.sqrt(statistic / 2.0)),  # chi-square survival function, 1 df
+        warning="a group has no observed events; the test is unreliable" if eventless else None,
     )
 
 
@@ -236,6 +191,13 @@ class GroupComparison(NamedTuple):
     error: str | None
 
 
+# partition -> (its two group labels, the label of a record)
+_PARTITIONS = {
+    "scope": (("localized", "scattered"), lambda r: r.scope.value),
+    "timeframe": (("1", "2"), lambda r: str(r.timeframe)),
+}
+
+
 def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupComparison:
     """Curves, summaries and log-rank over a two-way partition of the records.
 
@@ -244,23 +206,12 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
     the truncated sub-study records from assign_timeframes. An empty group
     or a pooled sample without events leaves the test undefined.
     """
-    if partition == "scope":
-        labels = ("localized", "scattered")
-        group_of = lambda r: r.scope.value
-    elif partition == "timeframe":
-        labels = ("1", "2")
-        group_of = lambda r: str(r.timeframe)
-    else:
-        raise ValueError(f"unknown partition {partition!r}")
-
+    labels, group_of = _PARTITIONS[partition]
     groups: dict[str, list[tuple[float, bool]]] = {label: [] for label in labels}
     for record in records:
-        label = group_of(record)
-        if label not in groups:
-            raise ValueError(f"record outside partition {partition}: {label!r}")
-        groups[label].append((record.duration_days, record.event_observed))
+        groups[group_of(record)].append((record.duration_days, record.event_observed))
 
-    curves = {label: kaplan_meier(groups[label]) for label in labels if groups[label]}
+    curves = {label: kaplan_meier(pairs) for label, pairs in groups.items() if pairs}
     summaries = {label: summarize(curves[label]) if label in curves else None for label in labels}
     test = error = None
     empty = [label for label in labels if label not in curves]
@@ -268,7 +219,7 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
         error = f"empty group: {empty[0]}"
     else:
         try:
-            test = log_rank(groups[labels[0]], groups[labels[1]])
+            test = log_rank(curves[labels[0]], curves[labels[1]])
         except ValueError as exc:
             error = str(exc)
     return GroupComparison(

@@ -149,8 +149,6 @@ def build_survival_records(
     """
     if options is None:
         options = TrackingOptions()
-    if len(history.snapshots) < 2:
-        raise ValueError("survival tracking needs at least 2 snapshots")
 
     timestamps = [snap.timestamp for snap in history.snapshots]
     version_ids = [snap.version_id for snap in history.snapshots]

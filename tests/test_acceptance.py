@@ -65,7 +65,7 @@ def test_criterion_1_survival_oracle_equivalence():
                 assert p.time_days == t and p.n_at_risk == n and p.n_events == d
                 assert abs(p.survival - s) <= 1e-12
 
-        result = log_rank(group_a, group_b)
+        result = log_rank(kaplan_meier(group_a), kaplan_meier(group_b))
         stat, p_value = logrank_oracle(group_a, group_b)
         assert abs(result.statistic - stat) <= 1e-9
         assert abs(result.p_value - p_value) <= 1e-9
@@ -270,11 +270,11 @@ def test_criterion_7a_logrank_rank_invariance(a, b):
     b = [(float(t), e) for t, e in b]
     if not any(e for _, e in a + b):
         a = a + [(3.0, True)]
-    base = log_rank(a, b)
+    base = log_rank(kaplan_meier(a), kaplan_meier(b))
     for transform in (lambda t: t * t, lambda t: math.log1p(t)):
         mapped = log_rank(
-            [(transform(t), e) for t, e in a],
-            [(transform(t), e) for t, e in b],
+            kaplan_meier([(transform(t), e) for t, e in a]),
+            kaplan_meier([(transform(t), e) for t, e in b]),
         )
         assert abs(mapped.statistic - base.statistic) <= 1e-9
         assert abs(mapped.p_value - base.p_value) <= 1e-9

@@ -62,13 +62,6 @@ def test_change_rate_zero_previous():
     assert math.isinf(change_rate(0, 7))
 
 
-def test_change_rate_rejects_negatives():
-    with pytest.raises(ValueError):
-        change_rate(-1, 5)
-    with pytest.raises(ValueError):
-        change_rate(5, -1)
-
-
 # ---------------------------------------------------------------------------
 # density series
 # ---------------------------------------------------------------------------
@@ -207,7 +200,7 @@ def test_table_style_change_rates():
         classes=[100, 225, 1174],
     )
     # v2 is the last snapshot at or before the split, v3 the last overall
-    rates = metric_change_rates(history, split=ts(30))
+    rates = metric_change_rates(history)
     assert round(rates.d_lloc, 2) == 0.42
     assert round(rates.d_classes, 2) == 4.22
     assert round(rates.d_loc, 2) == 0.48
@@ -215,7 +208,7 @@ def test_table_style_change_rates():
 
 def test_missing_optional_metrics_are_unavailable_not_fatal():
     history = make_history([5, 5], [1000, 1200])
-    rates = metric_change_rates(history, split=ts(0))
+    rates = metric_change_rates(history)
     assert rates.d_loc is None
     assert rates.d_classes is None
     assert rates.d_lloc == pytest.approx(0.2)
@@ -223,11 +216,5 @@ def test_missing_optional_metrics_are_unavailable_not_fatal():
 
 def test_identical_endpoints_give_zero_rates():
     history = make_history([5, 5], [1000, 1000], locs=[2000, 2000], classes=[10, 10])
-    rates = metric_change_rates(history, split=ts(0))
+    rates = metric_change_rates(history)
     assert (rates.d_loc, rates.d_lloc, rates.d_classes) == (0.0, 0.0, 0.0)
-
-
-def test_split_before_history_rejected():
-    history = make_history([5, 5], [1000, 1000])
-    with pytest.raises(ValueError, match="split"):
-        metric_change_rates(history, split=ts(-10))

@@ -484,8 +484,15 @@ WRONG_TYPE_MODELS = [
     b' {"kind": "method", "name": "m", "file": "a.php", "loc": 150}]',
     b'[{"kind": "method", "name": "m", "file": null, "loc": 150}]',
     b'[{"kind": "method", "name": "m", "file": "a.php", "parent": 3, "loc": 150}]',
+    # strings no UTF-8 output can hold; the strict decode leaves a \u escape the only way in
+    b'[{"kind": "method", "name": "m\\ud800", "file": "a.php", "loc": 150}]',
+    b'[{"kind": "method", "name": "m", "file": "\\udc00a.php", "loc": 150}]',
+    b'[{"kind": "method", "name": "m", "file": "a.php", "parent": "A\\udfff", "loc": 150}]',
 ]
-WRONG_TYPE_IDS = ["null metric", "list metric", "non-string name", "null file", "non-string parent"]
+WRONG_TYPE_IDS = [
+    "null metric", "list metric", "non-string name", "null file", "non-string parent",
+    "lone surrogate in name", "lone surrogate in file", "lone surrogate in parent",
+]
 
 @pytest.mark.parametrize("command", ["analyze", "gate"])
 @pytest.mark.parametrize(
@@ -893,6 +900,31 @@ def test_failing_run_removes_the_out_directories_it_created(tmp_path, monkeypatc
     }
     assert not (tmp_path / "new").exists()
     assert sorted(tree(tmp_path)) == []
+
+
+def test_failing_detect_removes_the_out_directories_it_created(tmp_path, monkeypatch, capsys):
+    def failing(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = tmp_path / "new" / "x"
+    args = ["detect", "--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "1", "--out", str(out)]
+    assert main(args) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "error": "OutputError", "message": f"cannot write under --out {out}: no space left on device",
+    }
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_version_id_utf8_cannot_encode_is_a_config_error_raised_before_the_model_is_read(tmp_path, capsys):
+    # argv bytes that are not UTF-8 (here b"\xff") arrive as lone surrogates
+    out = tmp_path / "out"
+    args = ["detect", "--code-model", str(tmp_path / "missing.json"), "--version-id", "1.\udcff", "--out", str(out)]
+    assert main(args) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError", "message": "--version-id '1.\\udcff' is not UTF-8 text",
+    }
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("app", [".", "..", "../esc", "a/b", "a\\b"])

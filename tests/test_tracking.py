@@ -93,9 +93,9 @@ VALUES = [
     (TrackingOptions(), "gap_tolerance"),
     (record(5, True), "end_date"),
     (POINT, "survival"),
-    (SurvivalCurve((POINT,), tau=10.0), "tau"),
+    (SurvivalCurve((POINT,)), "points"),
     (GroupSummary(2, 1, 0.5, 10.0, 7.5, 2.5), "found"),
-    (LogRankResult(1.0, 0.3, (1, 0), (0.5, 0.5)), "p_value"),
+    (LogRankResult(1.0, 0.3), "p_value"),
     (GroupComparison("scope", ("localized", "scattered"), {}, {}, None, "empty group: localized"), "error"),
     (DensityPoint("v1", ts(0), 1, 10, 0.1, None, None, None), "rho"),
     (AnomalyThresholds(), "up"),
