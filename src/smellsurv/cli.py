@@ -14,6 +14,7 @@ Exit codes: 0 success / gate passed, 1 error, 2 gate failed,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import shutil
@@ -32,7 +33,6 @@ from .report import (
     occurrences_csv,
     occurrences_json,
     write_bundle,
-    write_files,
 )
 from .rules import default_ruleset, evaluate_rules, load_code_model, load_ruleset
 from .tracking import TrackingOptions
@@ -73,29 +73,42 @@ def _thresholds(args) -> AnomalyThresholds:
 
 
 @contextmanager
-def _writing_under(out_dir: Path):
-    """Turn a failure to create, write, replace or remove a file under out_dir
-    into an OutputError naming out_dir."""
+def _publishing(out_dir: Path):
+    """Yield an empty staging directory under out_dir; when the block returns,
+    move each staged entry over its namesake in out_dir, the old entry going
+    aside first. If a move fails, every move made is undone, newest first, so
+    a failed run leaves out_dir as it was (or absent, with the parents this
+    created). Any OSError or ValueError (a NUL byte, text utf-8 cannot encode)
+    becomes an OutputError naming out_dir."""
     try:
-        yield
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or text utf-8 cannot encode
-        raise OutputError(f"cannot write under --out {out_dir}: {exc}") from exc
-
-
-@contextmanager
-def _creating(out_dir: Path):
-    """Create out_dir and its missing parents; if the block then fails,
-    remove the directories this created."""
-    with _writing_under(out_dir):
         created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        yield
-    except BaseException:
-        if created:
-            with _writing_under(out_dir):
+        try:
+            staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
+            moved = []  # (from, to) of each move made
+            try:
+                yield staging
+                names = sorted(os.listdir(staging))
+                aside = Path(tempfile.mkdtemp(dir=staging))  # named unlike any staged entry
+                for name in names:
+                    target = out_dir / name
+                    steps = [(target, aside / name)] if os.path.lexists(target) else []
+                    for src, dst in (*steps, (staging / name, target)):
+                        os.replace(src, dst)
+                        moved.append((src, dst))
+            except BaseException:
+                # staging is kept if an undo fails: it then holds old entries
+                for src, dst in reversed(moved):
+                    os.replace(dst, src)
+                shutil.rmtree(staging)
+                raise
+            shutil.rmtree(staging)
+        except BaseException:
+            if created:
                 shutil.rmtree(created[-1])
-        raise
+            raise
+    except (OSError, ValueError) as exc:
+        raise OutputError(f"cannot write under --out {out_dir}: {exc}") from exc
 
 
 def cmd_detect(args) -> int:
@@ -117,8 +130,11 @@ def cmd_detect(args) -> int:
         files["occurrences.csv"] = occurrences_csv(args.version_id, occurrences)
     if "json" in formats:
         files["occurrences.json"] = occurrences_json(args.version_id, occurrences)
-    with _creating(out_dir), _writing_under(out_dir):
-        write_files(out_dir, files)
+    with _publishing(out_dir) as staging:
+        for name, content in files.items():
+            if (out_dir / name).is_dir():  # a file never replaces a directory
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
+            (staging / name).write_text(content, encoding="utf-8", newline="")
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK
 
@@ -154,32 +170,13 @@ def cmd_analyze(args) -> int:
     short = _insufficient_history(histories)
     if short:
         raise ManifestError(short)
+    bundles = [analyze_history(h, options, thresholds) for h in sorted(histories, key=lambda h: h.app_name)]
     out_dir = Path(args.out)
-    with _creating(out_dir):
-        # the whole run is staged, then each app dir is swapped in whole, so a
-        # failed run leaves out_dir as it was (or absent, with the parents it
-        # created) and a re-run leaves no stale files
-        with _writing_under(out_dir):
-            staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
-        try:
-            new, old = staging / "new", staging / "old"
-            lines = []
-            for history in sorted(histories, key=lambda h: h.app_name):
-                bundle = analyze_history(history, options, thresholds)
-                with _writing_under(out_dir):
-                    written = write_bundle(bundle, new, formats)
-                lines.append(f"{bundle.app}: {len(bundle.records)} records, {len(written)} files -> {out_dir / bundle.app}")
-            with _writing_under(out_dir):
-                old.mkdir()
-                for history in histories:
-                    target = out_dir / history.app_name
-                    if target.exists():
-                        os.replace(target, old / history.app_name)
-                    os.replace(new / history.app_name, target)
-        finally:
-            with _writing_under(out_dir):
-                shutil.rmtree(staging)
-    print("\n".join(lines))
+    # each app dir is swapped in whole, so a re-run leaves no stale files
+    with _publishing(out_dir) as staging:
+        written = [write_bundle(b, staging, formats) for b in bundles]
+    for b, files in zip(bundles, written):
+        print(f"{b.app}: {len(b.records)} records, {len(files)} files -> {out_dir / b.app}")
     return EXIT_OK
 
 

@@ -43,4 +43,4 @@ class ManifestError(SmellSurvError):
 
 class OutputError(SmellSurvError):
     """A file or directory under ``--out`` could not be created, written,
-    replaced or removed."""
+    moved, replaced or removed."""

@@ -9,11 +9,9 @@ for day values, six significant digits for probabilities and rates).
 from __future__ import annotations
 
 import csv
-import errno
 import io
 import json
 import math
-import os
 from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
@@ -88,25 +86,6 @@ def _json_value(column: str, cell: str):
 def _json_rows(table: Table) -> list[dict]:
     header, rows = table
     return [{column: _json_value(column, cell) for column, cell in zip(header, row)} for row in rows]
-
-
-def write_files(out_dir: Path, files: dict[str, str]) -> None:
-    """Write the named files into out_dir as one: each goes to a .tmp file
-    beside its target, and no target is replaced until every .tmp file is
-    written. A target that is a directory, which a replace would refuse, is
-    refused first. A failed call leaves no .tmp file."""
-    staged = {out_dir / name: out_dir / f"{name}.tmp" for name in files}
-    try:
-        for (target, tmp), content in zip(staged.items(), files.values()):
-            if target.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
-            tmp.write_text(content, encoding="utf-8", newline="")
-        for target, tmp in staged.items():
-            os.replace(tmp, target)
-    except BaseException:
-        for tmp in staged.values():
-            tmp.unlink(missing_ok=True)
-        raise
 
 
 def _csv_text(table: Table) -> str:

@@ -45,47 +45,24 @@ class EntityKind(Enum):
     FUNCTION = "function"
 
 
-# metric field measured by each rule, and the entity kinds it applies to
-_RULE_METRIC: dict[RuleId, str] = {
-    RuleId.EXCESSIVE_METHOD_LENGTH: "loc",
-    RuleId.EXCESSIVE_CLASS_LENGTH: "loc",
-    RuleId.EXCESSIVE_PARAMETER_LIST: "parameter_count",
-    RuleId.DEPTH_OF_INHERITANCE: "depth_of_inheritance",
-    RuleId.COUPLING_BETWEEN_OBJECTS: "coupling",
-    RuleId.NUMBER_OF_CHILDREN: "children_count",
-}
+_METHODS = frozenset({EntityKind.METHOD, EntityKind.FUNCTION})
+_CLASSES = frozenset({EntityKind.CLASS})
 
-_RULE_KINDS: dict[RuleId, frozenset[EntityKind]] = {
-    RuleId.EXCESSIVE_METHOD_LENGTH: frozenset({EntityKind.METHOD, EntityKind.FUNCTION}),
-    RuleId.EXCESSIVE_CLASS_LENGTH: frozenset({EntityKind.CLASS}),
-    RuleId.EXCESSIVE_PARAMETER_LIST: frozenset({EntityKind.METHOD, EntityKind.FUNCTION}),
-    RuleId.DEPTH_OF_INHERITANCE: frozenset({EntityKind.CLASS}),
-    RuleId.COUPLING_BETWEEN_OBJECTS: frozenset({EntityKind.CLASS}),
-    RuleId.NUMBER_OF_CHILDREN: frozenset({EntityKind.CLASS}),
-}
-
-_RULE_SCOPE: dict[RuleId, Scope] = {
-    RuleId.EXCESSIVE_METHOD_LENGTH: Scope.LOCALIZED,
-    RuleId.EXCESSIVE_CLASS_LENGTH: Scope.LOCALIZED,
-    RuleId.EXCESSIVE_PARAMETER_LIST: Scope.LOCALIZED,
-    RuleId.DEPTH_OF_INHERITANCE: Scope.SCATTERED,
-    RuleId.COUPLING_BETWEEN_OBJECTS: Scope.SCATTERED,
-    RuleId.NUMBER_OF_CHILDREN: Scope.SCATTERED,
-}
-
-DEFAULT_THRESHOLDS: dict[RuleId, int] = {
-    RuleId.EXCESSIVE_METHOD_LENGTH: 100,
-    RuleId.EXCESSIVE_CLASS_LENGTH: 1000,
-    RuleId.EXCESSIVE_PARAMETER_LIST: 10,
-    RuleId.DEPTH_OF_INHERITANCE: 10,
-    RuleId.COUPLING_BETWEEN_OBJECTS: 13,
-    RuleId.NUMBER_OF_CHILDREN: 15,
+# each rule's scope, the CodeEntity metric field it measures, the entity kinds
+# it applies to, and its default threshold
+_RULES: dict[RuleId, tuple[Scope, str, frozenset[EntityKind], int]] = {
+    RuleId.EXCESSIVE_METHOD_LENGTH: (Scope.LOCALIZED, "loc", _METHODS, 100),
+    RuleId.EXCESSIVE_CLASS_LENGTH: (Scope.LOCALIZED, "loc", _CLASSES, 1000),
+    RuleId.EXCESSIVE_PARAMETER_LIST: (Scope.LOCALIZED, "parameter_count", _METHODS, 10),
+    RuleId.DEPTH_OF_INHERITANCE: (Scope.SCATTERED, "depth_of_inheritance", _CLASSES, 10),
+    RuleId.COUPLING_BETWEEN_OBJECTS: (Scope.SCATTERED, "coupling", _CLASSES, 13),
+    RuleId.NUMBER_OF_CHILDREN: (Scope.SCATTERED, "children_count", _CLASSES, 15),
 }
 
 
 def scope_of(rule_id: RuleId) -> Scope:
     """Scope of a rule: first three are localized, last three scattered."""
-    return _RULE_SCOPE[rule_id]
+    return _RULES[rule_id][0]
 
 
 class SmellRule(NamedTuple):
@@ -93,11 +70,11 @@ class SmellRule(NamedTuple):
     threshold: float  # > 0: load_ruleset refuses any other
 
     def applies_to(self, kind: EntityKind) -> bool:
-        return kind in _RULE_KINDS[self.id]
+        return kind in _RULES[self.id][2]
 
 
 def default_ruleset() -> list[SmellRule]:
-    return [SmellRule(rid, thr) for rid, thr in DEFAULT_THRESHOLDS.items()]
+    return [SmellRule(rid, default) for rid, (_, _, _, default) in _RULES.items()]
 
 
 def load_ruleset(path: str | Path) -> list[SmellRule]:
@@ -118,7 +95,7 @@ def load_ruleset(path: str | Path) -> list[SmellRule]:
     if not isinstance(raw, dict):
         raise ConfigError(f"rules file {path}: expected a JSON object of rule -> threshold")
     by_name = {rid.value: rid for rid in RuleId}
-    thresholds = dict(DEFAULT_THRESHOLDS)
+    thresholds = {rid: default for rid, (_, _, _, default) in _RULES.items()}
     for name, value in raw.items():
         rid = by_name.get(name)
         if rid is None:
@@ -166,8 +143,9 @@ def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[int, float
     order, rule) of each rule that applies."""
     plan = {kind: [] for kind in EntityKind}
     for rule in rules:
-        field = CodeEntity._fields.index(_RULE_METRIC[rule.id])
-        for kind in _RULE_KINDS[rule.id]:
+        _, metric, kinds, _ = _RULES[rule.id]
+        field = CodeEntity._fields.index(metric)
+        for kind in kinds:
             plan[kind].append((field, rule.threshold, _RULE_ORDER[rule.id], rule.id))
     return plan
 

@@ -94,16 +94,11 @@ def _legend(labels_colors: list[tuple[str, str]]) -> list[str]:
     return out
 
 
-def step_chart(
-    series: list[tuple[str, list[tuple[float, float]]]],
-    title: str,
-    x_label: str = "days",
-    y_label: str = "survival probability",
-) -> str:
+def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) -> str:
     """Right-continuous step plot; each series starts at (0, 1)."""
     xs = [x for _, pts in series for x, _ in pts] or [1.0]
     frame = _Frame(0.0, max(xs) or 1.0, 0.0, 1.0)
-    body = _axes(frame, x_label, y_label)
+    body = _axes(frame, "days", "survival probability")
     legend = []
     for i, (label, pts) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -122,16 +117,12 @@ def step_chart(
     return _document(body, title)
 
 
-def lifeline_chart(
-    segments: list[tuple[float, float, bool]],
-    title: str,
-    x_label: str = "days since first observation",
-) -> str:
+def lifeline_chart(segments: list[tuple[float, float, bool]], title: str) -> str:
     """One horizontal segment per instance: (start, end, still_open)."""
     n = len(segments)
     x_max = max((end for _, end, _ in segments), default=1.0)
     frame = _Frame(0.0, x_max or 1.0, 0.0, float(max(n, 1)))
-    body = _axes(frame, x_label, "instance")
+    body = _axes(frame, "days since first observation", "instance")
     for row, (start, end, still_open) in enumerate(segments):
         y = _fmt(frame.py(row + 0.5))
         color = "#1b6ca8" if still_open else "#c0392b"
@@ -143,13 +134,7 @@ def lifeline_chart(
     return _document(body, title)
 
 
-def threshold_chart(
-    points: list[tuple[float, float | None]],
-    thresholds: list[tuple[float, str]],
-    title: str,
-    x_label: str = "version index",
-    y_label: str = "density change rate",
-) -> str:
+def threshold_chart(points: list[tuple[float, float | None]], thresholds: list[tuple[float, str]], title: str) -> str:
     """Line chart of a change-rate series with horizontal threshold guides.
 
     None values break the line; infinite values are drawn clipped
@@ -164,7 +149,7 @@ def threshold_chart(
         y_hi = max(y_hi, 2.0) * 1.25
     xs = [x for x, _ in points] or [1.0]
     frame = _Frame(min(xs), max(xs) or 1.0, y_lo, y_hi)
-    body = _axes(frame, x_label, y_label)
+    body = _axes(frame, "version index", "density change rate")
     for value, label in thresholds:
         y = _fmt(frame.py(value))
         body.append(

@@ -916,6 +916,61 @@ def test_failing_detect_removes_the_out_directories_it_created(tmp_path, monkeyp
     assert not (tmp_path / "new").exists()
 
 
+def fail_once_moving_into(monkeypatch, target: Path) -> None:
+    """Make the first os.replace onto target raise ENOSPC; every other move runs."""
+    original = os.replace
+    failed = []
+
+    def replace(src, dst):
+        if Path(dst) == target and not failed:
+            failed.append(dst)
+            raise OSError(28, "No space left on device")
+        return original(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+def assert_one_output_error(capsys) -> None:
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0])["error"] == "OutputError"
+
+
+def test_a_failed_swap_of_a_later_app_undoes_the_earlier_ones(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    manifest = str(TRIAPP / "manifest.csv")
+    assert main(["analyze", "--manifest", manifest, "--formats", "csv", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    before = tree(out)
+    fail_once_moving_into(monkeypatch, out / "beta")
+    assert main(["analyze", "--manifest", manifest, "--formats", "json", "--out", str(out)]) == EXIT_ERROR
+    assert_one_output_error(capsys)
+    assert tree(out) == before
+
+
+def test_a_failed_swap_of_occurrences_json_undoes_occurrences_csv(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "occurrences.csv").write_text("old csv\n")
+    (out / "occurrences.json").write_text("old json\n")
+    before = tree(out)
+    fail_once_moving_into(monkeypatch, out / "occurrences.json")
+    args = ["detect", "--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "1", "--out", str(out)]
+    assert main(args) == EXIT_ERROR
+    assert_one_output_error(capsys)
+    assert tree(out) == before
+
+
+def test_detect_leaves_a_file_named_like_its_own_temporary_file_alone(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "occurrences.csv.tmp").write_bytes(b"the user's own file\n")
+    args = ["detect", "--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "1", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert sorted(tree(out)) == ["occurrences.csv", "occurrences.csv.tmp", "occurrences.json"]
+    assert (out / "occurrences.csv.tmp").read_bytes() == b"the user's own file\n"
+
+
 def test_a_version_id_utf8_cannot_encode_is_a_config_error_raised_before_the_model_is_read(tmp_path, capsys):
     # argv bytes that are not UTF-8 (here b"\xff") arrive as lone surrogates
     out = tmp_path / "out"

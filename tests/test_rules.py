@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from smellsurv.errors import ConfigError
 from smellsurv.rules import (
-    DEFAULT_THRESHOLDS,
     CodeEntity,
     EntityKind,
     RuleId,
@@ -42,7 +41,7 @@ def klass(name="C", loc=0, dit=0, cbo=0, noc=0, file="src/c.php"):
 
 
 def test_default_thresholds_and_scopes():
-    assert [DEFAULT_THRESHOLDS[r] for r in RuleId] == [100, 1000, 10, 10, 13, 15]
+    assert [(rule.id, rule.threshold) for rule in default_ruleset()] == list(zip(RuleId, [100, 1000, 10, 10, 13, 15]))
     scopes = [scope_of(r) for r in RuleId]
     assert scopes[:3] == [Scope.LOCALIZED] * 3
     assert scopes[3:] == [Scope.SCATTERED] * 3
