@@ -8,13 +8,12 @@ for day values, six significant digits for probabilities and rates).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections import Counter
+from itertools import chain, islice
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import svgplot
 from .anomaly import (
@@ -45,7 +44,7 @@ from .tracking import (
 
 FORMATS = ("csv", "json", "svg")
 
-Table = tuple[list[str], list[list[str]]]  # a header and rows of formatted cells
+Table = tuple[list[str], Iterable[list[str]]]  # a header and rows of formatted cells, read once
 
 # how a cell reads back as a JSON value: text stays a string, a count is an
 # int ("" is null), and any other cell is a number through json_number
@@ -88,13 +87,34 @@ def _json_rows(table: Table) -> list[dict]:
     return [{column: _json_value(column, cell) for column, cell in zip(header, row)} for row in rows]
 
 
-def _csv_text(table: Table) -> str:
+def _csv_cell(cell: str) -> str:
+    # RFC 4180, as csv.writer quotes on 3.13 (3.10-3.12 leave a CR bare, and
+    # 3.10 refuses a NUL): a cell holding a comma, a quote or a line break is
+    # quoted, its quotes doubled; anything else, NUL included, is written bare
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_chunks(table: Table, size: int = 512) -> Iterator[str]:
+    """The table's CSV text, `size` lines at a time, each line ending in "\n".
+    A line is its cells joined by commas unless a cell needs quoting, which
+    shows in a chunk as an extra comma or line break, or as a quote or CR;
+    such a chunk is joined again, cell by cell. csv.writer's one other rule,
+    that a row of one empty cell is written '""', never applies: every table
+    has at least three columns."""
     header, rows = table
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    commas = len(header) - 1
+    lines = chain([header], rows)
+    while chunk := list(islice(lines, size)):
+        text = "\n".join(map(",".join, chunk)) + "\n"
+        if text.count(",") != commas * len(chunk) or text.count("\n") != len(chunk) or '"' in text or "\r" in text:
+            text = "".join([",".join(map(_csv_cell, row)) + "\n" for row in chunk])
+        yield text
+
+
+def _csv_text(table: Table) -> str:
+    return "".join(_csv_chunks(table))
 
 
 def _json_text(doc) -> str:
@@ -174,10 +194,11 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
 
 
 def _project(table: Table, columns: list[str]) -> Table:
-    """The table cut down to the named columns, in their order."""
+    """The table cut down to the named columns, in their order; each row is
+    cut as it is read."""
     header, rows = table
     picks = [header.index(column) for column in columns]
-    return columns, [[row[i] for i in picks] for row in rows]
+    return columns, ([row[i] for i in picks] for row in rows)
 
 
 def _summary_cells(summary: GroupSummary | None) -> list[str]:
@@ -318,33 +339,35 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
     comparisons = (bundle.scope, bundle.timeframe)
     written: list[Path] = []
 
-    def emit(name: str, content: str) -> None:
+    def emit(name: str, chunks: Iterable[str]) -> None:
+        # a table is written a chunk at a time, never held as one text
         path = app_dir / name
-        path.write_text(content, encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         written.append(path)
 
     if "csv" in formats:
         records = _record_table(bundle.app, bundle.records)
-        emit("records.csv", _csv_text(records))
-        emit("lifelines.csv", _csv_text(_project(records, ["rule", "key", "first_date", "end_date"])))
-        emit("counts_by_rule.csv", _csv_text(_counts_by_rule_table(bundle.history)))
-        emit("density.csv", _csv_text(_density_table(bundle.series)))
-        emit("anomalies.csv", _csv_text(_flag_table(bundle.flags)))
-        emit("km_all.csv", _csv_text(_curve_table(bundle.km_all)))
+        emit("records.csv", _csv_chunks(records))
+        emit("lifelines.csv", _csv_chunks(_project(records, ["rule", "key", "first_date", "end_date"])))
+        emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history)))
+        emit("density.csv", _csv_chunks(_density_table(bundle.series)))
+        emit("anomalies.csv", _csv_chunks(_flag_table(bundle.flags)))
+        emit("km_all.csv", _csv_chunks(_curve_table(bundle.km_all)))
         for c in comparisons:
-            emit(f"summary_{c.partition}.csv", _csv_text(_summary_table(c)))
-            emit(f"km_{c.partition}.csv", _csv_text(_grouped_curve_table(c)))
-            emit(f"logrank_{c.partition}.json", _json_line(_logrank_json(c)))
+            emit(f"summary_{c.partition}.csv", _csv_chunks(_summary_table(c)))
+            emit(f"km_{c.partition}.csv", _csv_chunks(_grouped_curve_table(c)))
+            emit(f"logrank_{c.partition}.json", [_json_line(_logrank_json(c))])
 
     if "json" in formats:
         thresholds = bundle.thresholds
-        emit("anomalies.json", _json_text({
+        emit("anomalies.json", [_json_text({
             "app": bundle.app,
             "thresholds": {"up": thresholds.up, "up2": thresholds.up2, "down": thresholds.down},
             "density": _json_rows(_density_table(bundle.series)),
             "flags": _json_rows(_flag_table(bundle.flags)),
-        }))
-        emit("bundle.json", _bundle_json(bundle))
+        })])
+        emit("bundle.json", [_bundle_json(bundle)])
 
     if "svg" in formats:
         for c in comparisons:
@@ -352,7 +375,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
                 (label, [(p.time_days, p.survival) for p in curve.points])
                 for label, curve in c.curves.items()
             ]
-            emit(f"km_{c.partition}.svg", svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}"))
+            emit(f"km_{c.partition}.svg", [svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}")])
         origin = bundle.history.snapshots[0].timestamp
         segments = sorted(
             (
@@ -362,7 +385,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
             )
             for r in bundle.records
         )
-        emit("lifelines.svg", svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines"))
+        emit("lifelines.svg", [svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines")])
         points = [
             (float(i), p.delta_rho)
             for i, p in enumerate(bundle.series)
@@ -373,7 +396,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
             (thresholds.up2, f"+{thresholds.up2:.0%}"),
             (thresholds.down, f"{thresholds.down:.0%}"),
         ]
-        emit("density.svg", svgplot.threshold_chart(points, guides, f"{bundle.app}: smell density change"))
+        emit("density.svg", [svgplot.threshold_chart(points, guides, f"{bundle.app}: smell density change")])
 
     return written
 

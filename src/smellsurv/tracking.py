@@ -152,13 +152,14 @@ def build_survival_records(
 
     timestamps = [snap.timestamp for snap in history.snapshots]
     version_ids = [snap.version_id for snap in history.snapshots]
-    # presence is tracked over int ids, one per distinct key
+    # presence is tracked over int ids, one per distinct key; a version's ids
+    # are distinct (the ordinals make its keys so), so a list holds them
     ids: dict[InstanceKey, int] = {}
-    keysets = [{ids.setdefault(key, len(ids)) for key in snap.keys} for snap in history.snapshots]
+    id_lists = [[ids.setdefault(key, len(ids)) for key in snap.keys] for snap in history.snapshots]
     key_of = list(ids)
 
     split = split_instant(history)
-    final_idx = len(keysets) - 1
+    final_idx = len(id_lists) - 1
 
     records: list[SurvivalRecord] = []
 
@@ -182,10 +183,14 @@ def build_survival_records(
         )
 
     open_runs: dict[int, _Run] = {}
-    for idx, keys in enumerate(keysets):
+    # the rename heuristic builds each version's set once and keeps the last one
+    previous = set(id_lists[0]) if options.rename_heuristic else None
+    for idx, keys in enumerate(id_lists):
         if idx > 0 and options.rename_heuristic:
-            removed_now = {key_of[i]: i for i in keysets[idx - 1] - keys}
-            added_now = {key_of[i]: i for i in keys - keysets[idx - 1]}
+            current = set(keys)
+            removed_now = {key_of[i]: i for i in previous - current}
+            added_now = {key_of[i]: i for i in current - previous}
+            previous = current
             for old_key, new_key in apply_rename_heuristic(set(removed_now), set(added_now)):
                 old, new = removed_now[old_key], added_now[new_key]
                 run = open_runs.get(old)

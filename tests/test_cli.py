@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from smellsurv.cli import (
 )
 from smellsurv import cli, survival
 from smellsurv.errors import SmellSurvError
-from smellsurv.report import analyze_history, fmt_rate, write_bundle
+from smellsurv.report import _csv_chunks, _csv_text, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
@@ -262,6 +263,93 @@ def test_records_csv_matches_oracle_byte_for_byte(tmp_path):
             )
     expected = "\n".join(lines) + "\n"
     assert got == expected
+
+
+def test_write_bundle_never_holds_a_csv_tables_whole_text(tmp_path):
+    # 10,000 records; with each table's whole text built in memory the peak
+    # was 5.1-5.6 times the size of records.csv, written a chunk at a time 2.5-2.7
+    patterns = ["1100", "0110", "1111", "1000", "0011"]
+    history = history_from_bits({f"Cls{i:05d}/method_{i}": patterns[i % 5] for i in range(10_000)})
+    bundle = analyze_history(history)
+    assert len(bundle.records) == 10_000
+    tracemalloc.start()
+    try:
+        write_bundle(bundle, tmp_path, {"csv"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (tmp_path / "synthetic" / "records.csv").stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# CSV text: RFC 4180 quoting, the same bytes on every supported Python
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "cell, written",
+    [
+        ("a", "a"),
+        ("a,b", '"a,b"'),
+        ('a"b', '"a""b"'),
+        ("a\nb", '"a\nb"'),
+        ("a\rb", '"a\rb"'),  # bare before 3.13
+        ("a\0b", "a\0b"),  # refused by csv.writer on 3.10
+        ("", ""),
+        (" a ", " a "),
+    ],
+    ids=["plain", "comma", "quote", "lf", "cr", "nul", "empty", "spaces"],
+)
+def test_csv_text_quotes_a_cell_holding_a_comma_a_quote_or_a_line_break(cell, written):
+    text = _csv_text((["x", "cell", "y"], [["1", cell, "2"], [cell, cell, cell]]))
+    assert text.encode() == f"x,cell,y\n1,{written},2\n{written},{written},{written}\n".encode()
+
+
+# csv.reader refuses a NUL on 3.10
+CSV_ALPHABET = 'ab ,"\r\n' + ("\0" if sys.version_info >= (3, 11) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.text(alphabet=CSV_ALPHABET, max_size=5), min_size=width, max_size=width),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.integers(min_value=1, max_value=4),
+)
+def test_csv_text_reads_back_as_its_cells_and_is_csv_writers_text_from_3_13(lines, chunk_lines):
+    header, *rows = lines
+    text = "".join(_csv_chunks((header, rows), chunk_lines))
+    assert list(csv.reader(io.StringIO(text, newline=""))) == lines
+    if sys.version_info >= (3, 13):  # csv.writer quotes a CR from 3.13 on
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        assert text == buf.getvalue()
+
+
+def test_a_nul_in_a_cell_is_written_bare_by_detect_and_analyze(tmp_path, capsys):
+    # csv.writer on 3.10 raised a raw _csv.Error for it, and both commands exited 1
+    model = json.dumps([{"kind": "method", "name": "m\0x", "file": "a.php", "parent": "A", "loc": 150}])
+    (tmp_path / "m0.json").write_text(model)
+    (tmp_path / "m1.json").write_text(model)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "app,version,timestamp,report_path,lloc\n"
+        "demo,1.0,2020-01-01,m0.json,1000\ndemo,2.0,2020-02-01,m1.json,1000\n"
+    )
+    detect = ["detect", "--code-model", str(tmp_path / "m0.json"), "--version-id", "1", "--out", str(tmp_path / "d")]
+    assert main(detect) == EXIT_OK
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "d" / "occurrences.csv").read_bytes().splitlines()[1] == (
+        b"1,ExcessiveMethodLength,localized,a.php,A/m\0x,,"
+    )
+    assert (tmp_path / "a" / "demo" / "records.csv").read_bytes().splitlines()[1] == (
+        b"demo,ExcessiveMethodLength,localized,a.php::A/m\0x::0,"
+        b"1.0,2020-01-01T00:00:00+00:00,2.0,,0,31.00,1"
+    )
 
 
 # ---------------------------------------------------------------------------

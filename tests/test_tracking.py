@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -264,6 +265,31 @@ def test_rename_heuristic_is_inert_when_no_entity_changes_file(bits, gap_toleran
         history, TrackingOptions(gap_tolerance=gap_tolerance, rename_heuristic=True)
     )
     assert renamed == plain
+
+
+@pytest.mark.parametrize("rename_heuristic", [False, True])
+def test_build_survival_records_holds_each_version_as_a_list(rename_heuristic):
+    # 100 versions of about 2,000 keys each; one set of ids per version held
+    # about 68 bytes per key in a version, a list of ids 14
+    keys = [InstanceKey(RuleId.EXCESSIVE_METHOD_LENGTH, f"src/f{i % 50}.php", f"C{i}/m", 0) for i in range(2400)]
+    snapshots = tuple(
+        VersionSnapshot(
+            version_id=f"v{v}",
+            timestamp=ts(7 * v),
+            keys=tuple(key for i, key in enumerate(keys) if (i + v) % 200 < 190 and i < 2000 + 4 * v),
+            size=SizeMetrics(lloc=10_000),
+        )
+        for v in range(100)
+    )
+    history = History(app_name="synthetic", snapshots=snapshots)
+    tracemalloc.start()
+    try:
+        records = build_survival_records(history, TrackingOptions(rename_heuristic=rename_heuristic))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3348
+    assert peak < 24 * sum(len(snap.keys) for snap in snapshots)
 
 
 # ---------------------------------------------------------------------------
