@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from datetime import datetime
-from enum import Enum
 from typing import NamedTuple
 
 from .ingest import History
@@ -83,14 +82,6 @@ def density_series(history: History) -> list[DensityPoint]:
     return points
 
 
-class AnomalyKind(Enum):
-    __hash__ = object.__hash__  # identity, as for the rule enums
-
-    INCREASE_50 = "increase_50"
-    INCREASE_100 = "increase_100"
-    DECREASE_50 = "decrease_50"
-
-
 class AnomalyThresholds(NamedTuple):
     """Flag limits on delta_rho; the CLI keeps down < 0 < up <= up2."""
 
@@ -101,7 +92,7 @@ class AnomalyThresholds(NamedTuple):
 
 class AnomalyFlag(NamedTuple):
     version_id: str
-    kind: AnomalyKind
+    kind: str  # "increase_50", "increase_100" or "decrease_50"
     delta_rho: float
 
 
@@ -123,11 +114,11 @@ def flag_anomalies(
         if delta is None:
             continue
         if delta >= thresholds.up2 or math.isinf(delta):
-            kind = AnomalyKind.INCREASE_100
+            kind = "increase_100"
         elif delta >= thresholds.up:
-            kind = AnomalyKind.INCREASE_50
+            kind = "increase_50"
         elif delta <= thresholds.down:
-            kind = AnomalyKind.DECREASE_50
+            kind = "decrease_50"
         else:
             continue
         flags.append(AnomalyFlag(version_id=point.version_id, kind=kind, delta_rho=delta))

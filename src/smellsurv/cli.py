@@ -191,17 +191,14 @@ def cmd_gate(args) -> int:
 
     failed = False
     for history in sorted(histories, key=lambda h: h.app_name):
-        series = density_series(history)
+        series = density_series(history)  # two points, so a flag is the latest transition's
         latest = series[-1]
-        latest_flags = [
-            f for f in flag_anomalies(series, thresholds) if f.version_id == latest.version_id
-        ]
-        increases = [f for f in latest_flags if f.kind.value.startswith("increase")]
+        flags = flag_anomalies(series, thresholds)
+        increases = [f for f in flags if f.kind.startswith("increase")]
         verdict = "FAIL" if increases else "ok"
         print(
             f"{history.app_name} {latest.version_id}: delta_rho={fmt_rate(latest.delta_rho)} "
-            f"[{verdict}]"
-            + ("".join(f" {f.kind.value}" for f in latest_flags) if latest_flags else "")
+            f"[{verdict}]" + "".join(f" {f.kind}" for f in flags)
         )
         if increases:
             failed = True

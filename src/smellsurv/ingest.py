@@ -18,8 +18,8 @@ from xml.parsers import expat
 
 from .errors import ManifestError, ReportParseError, SmellSurvError
 from .rules import (
+    RULES,
     Occurrence,
-    RuleId,
     SmellRule,
     _RULE_ORDER,
     _code_model_entities,
@@ -106,9 +106,6 @@ class _LocalNames(dict):
         return local
 
 
-_RULES_BY_NAME = {rid.value: (_RULE_ORDER[rid], rid) for rid in RuleId}
-
-
 def parse_pmd_report(
     document: bytes | str,
     strip_prefix: str | None = None,
@@ -126,7 +123,7 @@ def parse_pmd_report(
     """
     data = document.encode("utf-8") if isinstance(document, str) else document
     intern = ({} if strings is None else strings).setdefault
-    rules = _RULES_BY_NAME
+    rules = _RULE_ORDER
     local = _LocalNames()
     rows = []
     skipped = Counter()
@@ -143,8 +140,8 @@ def parse_pmd_report(
             if file_path is None or local[name] != "violation":
                 return
             rule_name = attrs.get("rule", "")
-            known = rules.get(rule_name)
-            if known is None:
+            order = rules.get(rule_name)
+            if order is None:
                 skipped[rule_name] += 1
                 return
             begin = attrs.get("beginline")
@@ -164,11 +161,10 @@ def parse_pmd_report(
             parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
             entity_path = "/".join(filter(None, parts))
             # lines order each group for its ordinals; the row number settles ties
-            # (a missing line sorts as -1) in document order, so the sort never
-            # compares a RuleId or a None
+            # (a missing line sorts as -1) in document order
             rows.append((
-                file_path, -1 if b is None else b, -1 if e is None else e, known[0],
-                intern(entity_path, entity_path), len(rows), known[1],
+                file_path, -1 if b is None else b, -1 if e is None else e, order,
+                intern(entity_path, entity_path), len(rows),
             ))
         elif depth == 2:
             file_path = None
@@ -206,7 +202,7 @@ def parse_pmd_report(
     if problems:
         raise ReportParseError(problems[0])
     rows.sort()
-    return PmdParseResult([(rule, file, entity_path) for file, _, _, _, entity_path, _, rule in rows], skipped)
+    return PmdParseResult([(RULES[order], file, entity_path) for file, _, _, order, entity_path, _ in rows], skipped)
 
 
 def _load_report_file(
@@ -238,10 +234,11 @@ def _load_report_file(
 
 
 def read_manifest(path: Path) -> str:
-    """A manifest's text; an unreadable or non-UTF-8 file is a ManifestError naming it."""
+    """A manifest's text; an unreadable or non-UTF-8 file, or one holding a NUL,
+    is a ManifestError naming it."""
     try:
         data = path.read_bytes()
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ManifestError(f"manifest {path} unreadable: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -249,6 +246,11 @@ def read_manifest(path: Path) -> str:
         raise ManifestError(f"manifest {path} is not UTF-8: byte {exc.start}: {exc.reason}", row=line) from exc
     except ValueError as exc:  # a NUL byte in the path
         raise ManifestError(f"manifest {path} unreadable: {exc}") from exc
+    # csv refuses a NUL only before Python 3.11, so it is refused here, on every version
+    nul = data.find(b"\0")
+    if nul >= 0:
+        raise ManifestError(f"manifest {path} holds a NUL: byte {nul}", row=data.count(b"\n", 0, nul) + 1)
+    return text
 
 
 def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
@@ -259,7 +261,7 @@ def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
         for record in reader:
             records.append((start, record))
             start = reader.line_num + 1
-    except csv.Error as exc:  # an over-long field, or NUL before Python 3.11
+    except csv.Error as exc:  # an over-long field
         raise ManifestError(f"manifest is not valid CSV: {exc}", row=reader.line_num) from exc
     if not records:
         raise ManifestError("manifest is empty", row=1)
@@ -331,8 +333,6 @@ def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow
         report_path.stat()
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=row_no) from exc
-    except ValueError as exc:  # a NUL byte
-        raise ManifestError(f"report path {str(report_path)!r}: {exc}", row=row_no) from exc
     return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
 
@@ -341,7 +341,7 @@ def _check_manifest(table: str, base_dir: Path) -> dict[str, list[_ManifestRow]]
     per_app: dict[str, list[tuple[int, dict[str, str]]]] = {}
     for row_no, row in _parse_manifest_rows(table):
         app = row["app"].strip()
-        if not app or app in (".", "..") or "/" in app or "\\" in app or "\0" in app:
+        if not app or app in (".", "..") or "/" in app or "\\" in app:
             raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
         per_app.setdefault(app, []).append((row_no, row))
 

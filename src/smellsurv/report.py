@@ -26,7 +26,7 @@ from .anomaly import (
     metric_change_rates,
 )
 from .ingest import History
-from .rules import RULE_NAMES, SCOPE_NAMES, Occurrence, scope_of
+from .rules import RULES, Occurrence, scope_of
 from .survival import (
     GroupComparison,
     GroupSummary,
@@ -49,7 +49,7 @@ Table = tuple[list[str], Iterable[list[str]]]  # a header and rows of formatted 
 # how a cell reads back as a JSON value: text stays a string, a count is an
 # int ("" is null), and any other cell is a number through json_number
 TEXT_COLUMNS = frozenset({"version", "timestamp", "rule", "scope", "file", "entity_path", "kind", "group"})
-COUNT_COLUMNS = frozenset({"found", "removed", "cs_count", "lloc", "begin_line", "end_line"})
+COUNT_COLUMNS = frozenset({"found", "removed", "cs_count", "lloc"})
 
 
 def fmt_days(value: float | None) -> str:
@@ -129,15 +129,11 @@ def _json_line(doc) -> str:
 # occurrence documents (detect subcommand)
 # ---------------------------------------------------------------------------
 
-OCCURRENCE_HEADER = ["version", "rule", "scope", "file", "entity_path", "begin_line", "end_line"]
+OCCURRENCE_HEADER = ["version", "rule", "scope", "file", "entity_path"]
 
 
 def _occurrence_table(version_id: str, occurrences: list[Occurrence]) -> Table:
-    # a code model carries no line numbers, so begin_line and end_line stay empty
-    rows = [
-        [version_id, RULE_NAMES[rule], SCOPE_NAMES[scope_of(rule)], file, entity_path, "", ""]
-        for rule, file, entity_path in occurrences
-    ]
+    rows = [[version_id, rule, scope_of(rule), file, entity_path] for rule, file, entity_path in occurrences]
     return OCCURRENCE_HEADER, rows
 
 
@@ -177,8 +173,8 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
     rows = [
         [
             app,
-            RULE_NAMES[r.key.rule],
-            SCOPE_NAMES[r.scope],
+            r.key.rule,
+            r.scope,
             r.key.location(),
             r.first_version,
             dates[r.first_date],
@@ -262,7 +258,7 @@ def _counts_by_rule_table(history: History) -> Table:
     for snap in history.snapshots:
         counts = Counter([key.rule for key in snap.keys])
         stamp = snap.timestamp.isoformat()
-        rows.extend([snap.version_id, stamp, name, str(counts[rid])] for rid, name in RULE_NAMES.items())
+        rows.extend([snap.version_id, stamp, rule, str(counts[rule])] for rule in RULES)
     return ["version", "timestamp", "rule", "count"], rows
 
 
@@ -284,7 +280,7 @@ def _density_table(series: list[DensityPoint]) -> Table:
 
 
 def _flag_table(flags: list[AnomalyFlag]) -> Table:
-    return ["version", "kind", "delta_rho"], [[f.version_id, f.kind.value, fmt_rate(f.delta_rho)] for f in flags]
+    return ["version", "kind", "delta_rho"], [[f.version_id, f.kind, fmt_rate(f.delta_rho)] for f in flags]
 
 
 # ---------------------------------------------------------------------------

@@ -10,75 +10,50 @@ threshold are clean.
 from __future__ import annotations
 
 import json
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError
 
 
-# an enum member equals only itself, so it can hash by identity in C rather
-# than through the Python-level Enum.__hash__ (hash of its name)
-class Scope(Enum):
-    __hash__ = object.__hash__
-
-    LOCALIZED = "localized"
-    SCATTERED = "scattered"
-
-
-class RuleId(Enum):
-    __hash__ = object.__hash__
-
-    EXCESSIVE_METHOD_LENGTH = "ExcessiveMethodLength"
-    EXCESSIVE_CLASS_LENGTH = "ExcessiveClassLength"
-    EXCESSIVE_PARAMETER_LIST = "ExcessiveParameterList"
-    DEPTH_OF_INHERITANCE = "DepthOfInheritance"
-    COUPLING_BETWEEN_OBJECTS = "CouplingBetweenObjects"
-    NUMBER_OF_CHILDREN = "NumberOfChildren"
-
-
-class EntityKind(Enum):
-    __hash__ = object.__hash__
-
-    CLASS = "class"
-    METHOD = "method"
-    FUNCTION = "function"
-
-
-_METHODS = frozenset({EntityKind.METHOD, EntityKind.FUNCTION})
-_CLASSES = frozenset({EntityKind.CLASS})
+# a rule is its PMD name, a scope "localized" or "scattered", and an entity
+# kind "class", "method" or "function": each is the name the outputs write
+_METHODS = frozenset({"method", "function"})
+_CLASSES = frozenset({"class"})
 
 # each rule's scope, the CodeEntity metric field it measures, the entity kinds
-# it applies to, and its default threshold
-_RULES: dict[RuleId, tuple[Scope, str, frozenset[EntityKind], int]] = {
-    RuleId.EXCESSIVE_METHOD_LENGTH: (Scope.LOCALIZED, "loc", _METHODS, 100),
-    RuleId.EXCESSIVE_CLASS_LENGTH: (Scope.LOCALIZED, "loc", _CLASSES, 1000),
-    RuleId.EXCESSIVE_PARAMETER_LIST: (Scope.LOCALIZED, "parameter_count", _METHODS, 10),
-    RuleId.DEPTH_OF_INHERITANCE: (Scope.SCATTERED, "depth_of_inheritance", _CLASSES, 10),
-    RuleId.COUPLING_BETWEEN_OBJECTS: (Scope.SCATTERED, "coupling", _CLASSES, 13),
-    RuleId.NUMBER_OF_CHILDREN: (Scope.SCATTERED, "children_count", _CLASSES, 15),
+# it applies to, and its default threshold; rule order is the order of this table
+_RULES: dict[str, tuple[str, str, frozenset[str], int]] = {
+    "ExcessiveMethodLength": ("localized", "loc", _METHODS, 100),
+    "ExcessiveClassLength": ("localized", "loc", _CLASSES, 1000),
+    "ExcessiveParameterList": ("localized", "parameter_count", _METHODS, 10),
+    "DepthOfInheritance": ("scattered", "depth_of_inheritance", _CLASSES, 10),
+    "CouplingBetweenObjects": ("scattered", "coupling", _CLASSES, 13),
+    "NumberOfChildren": ("scattered", "children_count", _CLASSES, 15),
 }
+RULES = tuple(_RULES)  # position -> rule
+_RULE_ORDER = {rule: i for i, rule in enumerate(RULES)}  # rule -> position
 
 
-def scope_of(rule_id: RuleId) -> Scope:
+def scope_of(rule: str) -> str:
     """Scope of a rule: first three are localized, last three scattered."""
-    return _RULES[rule_id][0]
+    return _RULES[rule][0]
 
 
 class SmellRule(NamedTuple):
-    id: RuleId
+    id: str
     threshold: float  # > 0: load_ruleset refuses any other
 
-    def applies_to(self, kind: EntityKind) -> bool:
+    def applies_to(self, kind: str) -> bool:
         return kind in _RULES[self.id][2]
 
 
 def default_ruleset() -> list[SmellRule]:
-    return [SmellRule(rid, default) for rid, (_, _, _, default) in _RULES.items()]
+    return [SmellRule(rule, default) for rule, (_, _, _, default) in _RULES.items()]
 
 
 def load_ruleset(path: str | Path) -> list[SmellRule]:
-    """Read threshold overrides from a JSON file: {"RuleId": threshold, ...}.
+    """Read threshold overrides from a JSON file: {"<rule>": threshold, ...}.
 
     Rules not named keep their defaults. Unknown rule names are a
     configuration error.
@@ -94,16 +69,14 @@ def load_ruleset(path: str | Path) -> list[SmellRule]:
         raise ConfigError(f"rules file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"rules file {path}: expected a JSON object of rule -> threshold")
-    by_name = {rid.value: rid for rid in RuleId}
-    thresholds = {rid: default for rid, (_, _, _, default) in _RULES.items()}
+    thresholds = {rule: default for rule, (_, _, _, default) in _RULES.items()}
     for name, value in raw.items():
-        rid = by_name.get(name)
-        if rid is None:
+        if name not in thresholds:
             raise ConfigError(f"rules file {path}: unknown rule id {name!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
             raise ConfigError(f"rules file {path}: threshold for {name} must be a positive number")
-        thresholds[rid] = value
-    return [SmellRule(rid, thr) for rid, thr in thresholds.items()]
+        thresholds[name] = value
+    return [SmellRule(rule, thr) for rule, thr in thresholds.items()]
 
 
 class CodeEntity(NamedTuple):
@@ -112,7 +85,7 @@ class CodeEntity(NamedTuple):
     Metrics that were not measured default to 0.
     """
 
-    kind: EntityKind
+    kind: str
     name: str
     file: str
     parent: str | None = None
@@ -128,25 +101,22 @@ class CodeEntity(NamedTuple):
 
 
 # one rule violation in one version: (rule, file, entity_path)
-Occurrence = tuple[RuleId, str, str]
+Occurrence = tuple[str, str, str]
 
 
-_RULE_ORDER = {rid: i for i, rid in enumerate(RuleId)}
-RULE_NAMES = {rid: rid.value for rid in RuleId}
-SCOPE_NAMES = {scope: scope.value for scope in Scope}
-_KIND_BY_VALUE = {kind.value: kind for kind in EntityKind}
+_KINDS = {kind: kind for kind in ("class", "method", "function")}  # a decoded kind -> its one shared copy
 _METRICS = ("loc", "parameter_count", "depth_of_inheritance", "coupling", "children_count")
 
 
-def _rule_plan(rules: list[SmellRule]) -> dict[EntityKind, list[tuple[int, float, int, RuleId]]]:
+def _rule_plan(rules: list[SmellRule]) -> dict[str, list[tuple[int, float, int]]]:
     """Per entity kind, the (metric's CodeEntity field index, threshold, rule
-    order, rule) of each rule that applies."""
-    plan = {kind: [] for kind in EntityKind}
+    position) of each rule that applies."""
+    plan = {kind: [] for kind in _KINDS}
     for rule in rules:
         _, metric, kinds, _ = _RULES[rule.id]
         field = CodeEntity._fields.index(metric)
         for kind in kinds:
-            plan[kind].append((field, rule.threshold, _RULE_ORDER[rule.id], rule.id))
+            plan[kind].append((field, rule.threshold, _RULE_ORDER[rule.id]))
     return plan
 
 
@@ -162,14 +132,13 @@ def evaluate_rules(
     fired = []
     for entity in entities:
         entity_path = None
-        for field, threshold, order, rule in plan[entity.kind]:
+        for field, threshold, order in plan[entity.kind]:
             if entity[field] > threshold:
                 if entity_path is None:
                     entity_path = entity.entity_path
-                fired.append((entity.file, entity_path, order, rule))
-    # equal (file, entity_path, order) means the same rule, so no RuleId is ever compared
+                fired.append((entity.file, entity_path, order))
     fired.sort()
-    return [(rule, file, entity_path) for file, entity_path, _, rule in fired]
+    return [(RULES[order], file, entity_path) for file, entity_path, order in fired]
 
 
 def load_code_model(path: str | Path) -> list[CodeEntity]:
@@ -203,7 +172,7 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
             raise ConfigError(f"code model {path}: entity #{i} is not an object")
         get = item.get
         raw_kind = get("kind")
-        kind = _KIND_BY_VALUE.get(raw_kind) if type(raw_kind) is str else None
+        kind = _KINDS.get(raw_kind) if type(raw_kind) is str else None
         if kind is None:
             raise ConfigError(f"code model {path}: entity #{i}: unknown kind {raw_kind!r}")
         name, file, parent = get("name"), get("file"), get("parent", "")

@@ -193,7 +193,7 @@ class GroupComparison(NamedTuple):
 
 # partition -> (its two group labels, the label of a record)
 _PARTITIONS = {
-    "scope": (("localized", "scattered"), lambda r: r.scope.value),
+    "scope": (("localized", "scattered"), lambda r: r.scope),
     "timeframe": (("1", "2"), lambda r: str(r.timeframe)),
 }
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 from datetime import datetime
 from typing import TYPE_CHECKING, NamedTuple
 
-from .rules import Occurrence, RuleId, Scope, _RULE_ORDER, scope_of
+from .rules import Occurrence, _RULE_ORDER, scope_of
 
 if TYPE_CHECKING:  # ingest imports this module to key each report
     from .ingest import History
 
 
 class InstanceKey(NamedTuple):
-    rule: RuleId
+    rule: str
     file: str
     entity_path: str
     ordinal: int
@@ -43,7 +43,7 @@ class SurvivalRecord(NamedTuple):
     observed, so censored and event_observed are read from it."""
 
     key: InstanceKey
-    scope: Scope
+    scope: str
     first_version: str
     first_date: datetime
     last_present_version: str
@@ -89,15 +89,18 @@ def apply_rename_heuristic(
     with the lexicographically smallest (file, ordinal); every key is
     matched at most once.
     """
-    by_identity: dict[tuple[RuleId, str], list[InstanceKey]] = {}
+    # a key sorts by (rule, file, entity_path, ordinal): removals that share
+    # (rule, entity_path) sort by (file, ordinal), and the additions of one
+    # rule, which alone compete for them, by (file, entity_path, ordinal)
+    by_identity: dict[tuple[str, str], list[InstanceKey]] = {}
     for key in removed_keys:
         if key.entity_path:
             by_identity.setdefault((key.rule, key.entity_path), []).append(key)
     for candidates in by_identity.values():
-        candidates.sort(key=lambda k: (k.file, k.ordinal))
+        candidates.sort()
 
     pairs = []
-    for added in sorted(added_keys, key=lambda k: (k.file, k.entity_path, k.ordinal, _RULE_ORDER[k.rule])):
+    for added in sorted(added_keys):
         if not added.entity_path:
             continue
         candidates = by_identity.get((added.rule, added.entity_path))

@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot, load_manifests
-from smellsurv.rules import Occurrence, RuleId, Scope, default_ruleset
+from smellsurv.rules import Occurrence, default_ruleset
 from smellsurv.tracking import InstanceKey, SurvivalRecord
 
 BASE = datetime(2015, 1, 1, tzinfo=timezone.utc)
@@ -15,7 +15,7 @@ def ts(day: float) -> datetime:
 
 
 def occurrence(
-    rule: RuleId = RuleId.EXCESSIVE_METHOD_LENGTH,
+    rule: str = "ExcessiveMethodLength",
     file: str = "src/a.php",
     entity_path: str = "A/m",
 ) -> Occurrence:
@@ -28,12 +28,12 @@ _record_counter = iter(range(10**9))
 def record(
     duration: float,
     event: bool,
-    scope: Scope = Scope.LOCALIZED,
+    scope: str = "localized",
     timeframe: int = 1,
 ) -> SurvivalRecord:
     """Bare survival record for feeding the statistics layer directly."""
     i = next(_record_counter)
-    rule = RuleId.EXCESSIVE_METHOD_LENGTH if scope is Scope.LOCALIZED else RuleId.DEPTH_OF_INHERITANCE
+    rule = "ExcessiveMethodLength" if scope == "localized" else "DepthOfInheritance"
     return SurvivalRecord(
         key=InstanceKey(rule, f"f{i}.php", f"e{i}", 0),
         scope=scope,
@@ -78,7 +78,7 @@ def history_from_bits(
     days: list[float] | None = None,
     app: str = "synthetic",
     lloc: int = 10_000,
-    rule: RuleId = RuleId.EXCESSIVE_METHOD_LENGTH,
+    rule: str = "ExcessiveMethodLength",
 ) -> History:
     """History in which key k (used as the entity path) is present in
     version i exactly when bits_by_key[k][i] == '1'."""

@@ -13,7 +13,6 @@ from collections import Counter
 from typing import NamedTuple
 
 from smellsurv.errors import ReportParseError
-from smellsurv.rules import RuleId
 
 
 def km_oracle(pairs: list[tuple[float, bool]]) -> list[tuple[float, int, int, float]]:
@@ -181,7 +180,7 @@ class Violation(NamedTuple):
     """One violation as the oracles read it: its (rule, file, entity_path)
     group and its lines."""
 
-    rule: RuleId
+    rule: str
     file: str
     entity_path: str
     begin_line: int | None = None
@@ -223,7 +222,7 @@ def pmd_report_oracle(document: bytes, strip_prefix: str | None = None) -> tuple
 
     if local_name(root.tag) != "pmd":
         raise ReportParseError(f"expected root element 'pmd', found {root.tag!r}")
-    known = {rid.value: rid for rid in RuleId}
+    order = list(RULE_DEFINITIONS)
     occurrences = []
     skipped = Counter()
     for file_el in root:
@@ -233,9 +232,9 @@ def pmd_report_oracle(document: bytes, strip_prefix: str | None = None) -> tuple
         for violation in file_el:
             if local_name(violation.tag) != "violation":
                 continue
-            rule = known.get(violation.get("rule", ""))
-            if rule is None:
-                skipped[violation.get("rule", "")] += 1
+            rule = violation.get("rule", "")
+            if rule not in RULE_DEFINITIONS:
+                skipped[rule] += 1
                 continue
             parts = [violation.get(attr) for attr in ("package", "class", "method", "function")]
             begin, end = violation.get("beginline"), violation.get("endline")
@@ -254,7 +253,7 @@ def pmd_report_oracle(document: bytes, strip_prefix: str | None = None) -> tuple
             o.file,
             o.begin_line if o.begin_line is not None else -1,
             o.end_line if o.end_line is not None else -1,
-            list(RuleId).index(o.rule),
+            order.index(o.rule),
             o.entity_path,
         )
     )
@@ -280,3 +279,26 @@ def keys_oracle(occurrences: list[Violation]) -> list[tuple]:
         for ordinal, i in enumerate(members):
             ordinals[i] = ordinal
     return [(occ.rule, occ.file, occ.entity_path, ordinal) for occ, ordinal in zip(occurrences, ordinals)]
+
+
+def rename_pairs_oracle(removed: set[tuple], added: set[tuple]) -> list[tuple[tuple, tuple]]:
+    """(removed, added) rename pairs of (rule, file, entity_path, ordinal)
+    keys, by the heuristic's definition: additions are taken in (file,
+    entity_path, ordinal) order, and each takes the not yet taken removal of
+    equal rule and equal non-empty entity path in another file that has the
+    smallest (file, ordinal)."""
+    taken = set()
+    pairs = []
+    for addition in sorted(added, key=lambda a: (a[1], a[2], a[3])):
+        rule, file, entity_path, _ = addition
+        if not entity_path:
+            continue
+        candidates = [
+            r for r in removed
+            if r not in taken and r[0] == rule and r[2] == entity_path and r[1] != file
+        ]
+        if candidates:
+            match = min(candidates, key=lambda r: (r[1], r[3]))
+            taken.add(match)
+            pairs.append((match, addition))
+    return pairs

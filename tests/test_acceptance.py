@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smellsurv.anomaly import AnomalyKind, AnomalyThresholds, change_rate, density_series, flag_anomalies
+from smellsurv.anomaly import AnomalyThresholds, change_rate, density_series, flag_anomalies
 from smellsurv.cli import EXIT_OK, main
 from smellsurv.survival import kaplan_meier, log_rank, median_survival, restricted_mean, summarize
 from smellsurv.tracking import TrackingOptions, build_survival_records
@@ -164,14 +164,14 @@ def test_criterion_4_anomaly_arithmetic():
 
     # boundary grid, constant lloc so delta_rho == delta_cs exactly
     grid = [
-        (150, AnomalyKind.INCREASE_50),   # +0.50 exactly
-        (199, AnomalyKind.INCREASE_50),   # +0.99
-        (200, AnomalyKind.INCREASE_100),  # +1.00 exactly
-        (320, AnomalyKind.INCREASE_100),  # +2.20
+        (150, "increase_50"),   # +0.50 exactly
+        (199, "increase_50"),   # +0.99
+        (200, "increase_100"),  # +1.00 exactly
+        (320, "increase_100"),  # +2.20
         (149, None),                      # +0.49
         (51, None),                       # -0.49
-        (50, AnomalyKind.DECREASE_50),    # -0.50 exactly
-        (20, AnomalyKind.DECREASE_50),    # -0.80
+        (50, "decrease_50"),    # -0.50 exactly
+        (20, "decrease_50"),    # -0.80
         (100, None),                      # 0
     ]
     for cur, expected_kind in grid:
@@ -181,7 +181,7 @@ def test_criterion_4_anomaly_arithmetic():
         assert kinds == ([expected_kind] if expected_kind else []), f"100 -> {cur}"
     # smells out of nowhere: strongest increase
     flags = flag_anomalies(density_series(make_history([0, 3], [1000, 1000])))
-    assert [f.kind for f in flags] == [AnomalyKind.INCREASE_100]
+    assert [f.kind for f in flags] == ["increase_100"]
     report("4 (density identity to 1e-12 and threshold grid incl. +/-0.5, 1.0)")
 
 
@@ -345,8 +345,8 @@ def test_criterion_7d_flag_monotonicity(series, up, raise_by, down, lower_by):
     strict_flags = flag_anomalies(points, stricter)
 
     def split(flags):
-        ups = {f.version_id for f in flags if f.kind is not AnomalyKind.DECREASE_50}
-        downs = {f.version_id for f in flags if f.kind is AnomalyKind.DECREASE_50}
+        ups = {f.version_id for f in flags if f.kind != "decrease_50"}
+        downs = {f.version_id for f in flags if f.kind == "decrease_50"}
         return ups, downs
 
     base_up, base_down = split(base_flags)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smellsurv.anomaly import (
-    AnomalyKind,
     AnomalyThresholds,
     DensityPoint,
     change_rate,
@@ -16,7 +15,6 @@ from smellsurv.anomaly import (
     metric_change_rates,
 )
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
-from smellsurv.rules import RuleId
 from smellsurv.tracking import InstanceKey
 
 from conftest import ts
@@ -29,7 +27,7 @@ def make_history(counts, llocs, locs=None, classes=None, app="demo"):
             VersionSnapshot(
                 version_id=f"v{i + 1}",
                 timestamp=ts(30 * i),
-                keys=tuple(InstanceKey(RuleId.EXCESSIVE_METHOD_LENGTH, "src/a.php", f"e{j}", 0) for j in range(count)),
+                keys=tuple(InstanceKey("ExcessiveMethodLength", "src/a.php", f"e{j}", 0) for j in range(count)),
                 size=SizeMetrics(
                     lloc=lloc,
                     loc=locs[i] if locs else None,
@@ -128,9 +126,9 @@ def test_flag_classification():
     series = [point("v1", None), point("v2", 0.6), point("v3", 1.2), point("v4", -0.49), point("v5", -0.6)]
     flags = flag_anomalies(series)
     assert [(f.version_id, f.kind) for f in flags] == [
-        ("v2", AnomalyKind.INCREASE_50),
-        ("v3", AnomalyKind.INCREASE_100),
-        ("v5", AnomalyKind.DECREASE_50),
+        ("v2", "increase_50"),
+        ("v3", "increase_100"),
+        ("v5", "decrease_50"),
     ]
 
 
@@ -138,15 +136,15 @@ def test_flag_boundaries_inclusive():
     series = [point("v1", None), point("a", 0.5), point("b", 1.0), point("c", -0.5)]
     kinds = {f.version_id: f.kind for f in flag_anomalies(series)}
     assert kinds == {
-        "a": AnomalyKind.INCREASE_50,
-        "b": AnomalyKind.INCREASE_100,
-        "c": AnomalyKind.DECREASE_50,
+        "a": "increase_50",
+        "b": "increase_100",
+        "c": "decrease_50",
     }
 
 
 def test_infinite_increase_is_strongest_flag():
     flags = flag_anomalies([point("v1", None), point("v2", math.inf)])
-    assert [f.kind for f in flags] == [AnomalyKind.INCREASE_100]
+    assert [f.kind for f in flags] == ["increase_100"]
 
 
 def test_first_version_never_flagged():
@@ -179,10 +177,10 @@ def test_flag_monotonicity_under_threshold_changes(series, up, raise_by, down, l
     stricter = AnomalyThresholds(up=up + raise_by, up2=max(2.0, up + raise_by), down=down - lower_by)
 
     def increases(thresholds):
-        return {f.version_id for f in flag_anomalies(points, thresholds) if f.kind is not AnomalyKind.DECREASE_50}
+        return {f.version_id for f in flag_anomalies(points, thresholds) if f.kind != "decrease_50"}
 
     def decreases(thresholds):
-        return {f.version_id for f in flag_anomalies(points, thresholds) if f.kind is AnomalyKind.DECREASE_50}
+        return {f.version_id for f in flag_anomalies(points, thresholds) if f.kind == "decrease_50"}
 
     assert increases(stricter) <= increases(base)
     assert decreases(stricter) <= decreases(base)

@@ -64,8 +64,8 @@ def test_detect_matches_golden(tmp_path, model):
 
 @pytest.mark.parametrize("hash_seed", ["0", "4242"])
 def test_bundle_does_not_depend_on_hash_order(tmp_path, hash_seed):
-    # strings hash by a per-process seed and the enums by address, so an
-    # output order taken from a set would move between these runs
+    # strings hash by a per-process seed, so an output order taken from a
+    # set would move between these runs
     out = tmp_path / "out"
     args = ["analyze", "--manifest", str(DATA / "triapp" / "manifest.csv"), "--formats", "csv,json,svg", "--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}

@@ -22,7 +22,7 @@ from smellsurv.ingest import (
     parse_pmd_report,
     parse_timestamp,
 )
-from smellsurv.rules import RuleId, default_ruleset, evaluate_rules, load_code_model
+from smellsurv.rules import RULES, default_ruleset, evaluate_rules, load_code_model
 from smellsurv.tracking import InstanceKey, assign_keys
 
 from conftest import history_from_bits, load_manifest
@@ -46,7 +46,7 @@ def test_single_violation_mapped():
         "</file>"
     )
     result = parse_pmd_report(doc.encode())
-    assert result.occurrences == [(RuleId.EXCESSIVE_METHOD_LENGTH, "a/b.php", "App/B/m")]
+    assert result.occurrences == [("ExcessiveMethodLength", "a/b.php", "App/B/m")]
     assert result.skipped_count == 0
 
 
@@ -75,16 +75,16 @@ def test_multi_file_report_in_file_line_order():
     )
     result = parse_pmd_report(doc.encode())
     assert result.occurrences == [
-        (RuleId.EXCESSIVE_METHOD_LENGTH, "a.php", "A/m"),
-        (RuleId.EXCESSIVE_PARAMETER_LIST, "z.php", "f"),
-        (RuleId.EXCESSIVE_CLASS_LENGTH, "z.php", "Z"),
+        ("ExcessiveMethodLength", "a.php", "A/m"),
+        ("ExcessiveParameterList", "z.php", "f"),
+        ("ExcessiveClassLength", "z.php", "Z"),
     ]
 
 
 def test_violations_with_equal_sort_keys_stay_in_document_order():
-    # a missing line sorts as -1, so A's three violations tie on every sort key
-    # (the sort compares neither a None nor a RuleId) and all sort before the
-    # line-0 violation of class "0", whose path sorts first
+    # a missing line sorts as -1 (the sort never compares a None), so A's three
+    # violations tie on every sort key and all sort before the line-0
+    # violation of class "0", whose path sorts first
     doc = pmd(
         '<file name="a.php">'
         '<violation beginline="0" endline="4" rule="ExcessiveClassLength" class="0"/>'
@@ -94,8 +94,8 @@ def test_violations_with_equal_sort_keys_stay_in_document_order():
         "</file>"
     )
     occurrences = parse_pmd_report(doc.encode()).occurrences
-    assert occurrences == [(RuleId.EXCESSIVE_CLASS_LENGTH, "a.php", "A")] * 3 + [
-        (RuleId.EXCESSIVE_CLASS_LENGTH, "a.php", "0")
+    assert occurrences == [("ExcessiveClassLength", "a.php", "A")] * 3 + [
+        ("ExcessiveClassLength", "a.php", "0")
     ]
     assert [(k.entity_path, k.ordinal) for k in assign_keys(occurrences)] == [("A", 0), ("A", 1), ("A", 2), ("0", 0)]
 
@@ -175,7 +175,7 @@ def test_wrong_root_rejected():
         parse_pmd_report(b"<results></results>")
 
 
-RULE_NAMES = [rid.value for rid in RuleId] + ["CyclomaticComplexity", "excessiveclasslength", ""]
+RULE_NAMES = [*RULES, "CyclomaticComplexity", "excessiveclasslength", ""]
 LINES = st.one_of(
     st.none(),
     st.integers(-2, 30).map(str),
@@ -320,7 +320,7 @@ def test_path_normalization_and_prefix_strip():
     assert normalize_path("/other/x.php", "/work/app") == "/other/x.php"
     doc = pmd('<file name="/work/app/src/a.php"><violation beginline="1" endline="200" rule="ExcessiveClassLength" class="A"/></file>')
     result = parse_pmd_report(doc.encode(), strip_prefix="/work/app")
-    assert result.occurrences == [(RuleId.EXCESSIVE_CLASS_LENGTH, "src/a.php", "A")]
+    assert result.occurrences == [("ExcessiveClassLength", "src/a.php", "A")]
 
 
 MANIFEST = textwrap.dedent(
@@ -421,7 +421,7 @@ def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
     )
     history = load_manifest(manifest, base_dir=tmp_path)
     assert [len(s.keys) for s in history.snapshots] == [1, 0]
-    assert history.snapshots[0].keys[0].rule is RuleId.EXCESSIVE_METHOD_LENGTH
+    assert history.snapshots[0].keys[0].rule == "ExcessiveMethodLength"
 
 
 CODE_MODEL_FILES = ["/work/a.php", "\\work\\a.php", "/work\\a.php", "a.php", "b.php"]
@@ -493,7 +493,7 @@ def test_extensionless_code_model_is_opened_once(tmp_path, monkeypatch):
     manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,model,4000\n"
     history = load_manifest(manifest, base_dir=tmp_path)
     assert opened == [model]
-    assert [key.rule for key in history.snapshots[0].keys] == [RuleId.EXCESSIVE_METHOD_LENGTH]
+    assert [key.rule for key in history.snapshots[0].keys] == ["ExcessiveMethodLength"]
 
 
 def test_extensionless_code_model_error_names_the_path(tmp_path):
@@ -538,7 +538,7 @@ def history_to_json(history: History) -> str:
                     "classes": snap.size.classes,
                 },
                 "keys": [
-                    {"rule": key.rule.value, "file": key.file, "entity_path": key.entity_path, "ordinal": key.ordinal}
+                    {"rule": key.rule, "file": key.file, "entity_path": key.entity_path, "ordinal": key.ordinal}
                     for key in snap.keys
                 ],
             }
@@ -557,7 +557,7 @@ def history_from_json(document: str) -> History:
                 version_id=snap["version"],
                 timestamp=parse_timestamp(snap["timestamp"]),
                 keys=tuple(
-                    InstanceKey(RuleId(key["rule"]), key["file"], key["entity_path"], key["ordinal"])
+                    InstanceKey(key["rule"], key["file"], key["entity_path"], key["ordinal"])
                     for key in snap["keys"]
                 ),
                 size=SizeMetrics(

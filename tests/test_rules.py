@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 from smellsurv.errors import ConfigError
 from smellsurv.rules import (
     CodeEntity,
-    EntityKind,
-    RuleId,
-    Scope,
+    RULES,
     SmellRule,
     default_ruleset,
     evaluate_rules,
@@ -28,34 +26,41 @@ DEFAULTS = default_ruleset()
 
 def method(name="m", loc=0, params=0, file="src/a.php", parent="A"):
     return CodeEntity(
-        kind=EntityKind.METHOD, name=name, file=file, parent=parent,
+        kind="method", name=name, file=file, parent=parent,
         loc=loc, parameter_count=params,
     )
 
 
 def klass(name="C", loc=0, dit=0, cbo=0, noc=0, file="src/c.php"):
     return CodeEntity(
-        kind=EntityKind.CLASS, name=name, file=file, loc=loc,
+        kind="class", name=name, file=file, loc=loc,
         depth_of_inheritance=dit, coupling=cbo, children_count=noc,
     )
 
 
 def test_default_thresholds_and_scopes():
-    assert [(rule.id, rule.threshold) for rule in default_ruleset()] == list(zip(RuleId, [100, 1000, 10, 10, 13, 15]))
-    scopes = [scope_of(r) for r in RuleId]
-    assert scopes[:3] == [Scope.LOCALIZED] * 3
-    assert scopes[3:] == [Scope.SCATTERED] * 3
+    assert [(rule.id, rule.threshold) for rule in default_ruleset()] == [
+        ("ExcessiveMethodLength", 100),
+        ("ExcessiveClassLength", 1000),
+        ("ExcessiveParameterList", 10),
+        ("DepthOfInheritance", 10),
+        ("CouplingBetweenObjects", 13),
+        ("NumberOfChildren", 15),
+    ]
+    scopes = [scope_of(r) for r in RULES]
+    assert scopes[:3] == ["localized"] * 3
+    assert scopes[3:] == ["scattered"] * 3
 
 
 def test_scope_of_examples():
-    assert scope_of(RuleId.EXCESSIVE_PARAMETER_LIST) is Scope.LOCALIZED
-    assert scope_of(RuleId.DEPTH_OF_INHERITANCE) is Scope.SCATTERED
-    assert scope_of(RuleId.COUPLING_BETWEEN_OBJECTS) is Scope.SCATTERED
+    assert scope_of("ExcessiveParameterList") == "localized"
+    assert scope_of("DepthOfInheritance") == "scattered"
+    assert scope_of("CouplingBetweenObjects") == "scattered"
 
 
 def test_long_method_flagged():
     occurrences = evaluate_rules([method(loc=150)], DEFAULTS)
-    assert [(rule, entity_path) for rule, _, entity_path in occurrences] == [(RuleId.EXCESSIVE_METHOD_LENGTH, "A/m")]
+    assert [(rule, entity_path) for rule, _, entity_path in occurrences] == [("ExcessiveMethodLength", "A/m")]
 
 
 def test_method_exactly_at_threshold_is_clean():
@@ -65,16 +70,16 @@ def test_method_exactly_at_threshold_is_clean():
 def test_class_at_and_over_thresholds():
     # children over (16 > 15), coupling exactly at 13: only one occurrence
     occurrences = evaluate_rules([klass(noc=16, cbo=13)], DEFAULTS)
-    assert [rule for rule, _, _ in occurrences] == [RuleId.NUMBER_OF_CHILDREN]
+    assert [rule for rule, _, _ in occurrences] == ["NumberOfChildren"]
 
 
 def test_rules_apply_to_matching_kinds_only():
     # a 2000-line method is a long method, never a long class
     occurrences = evaluate_rules([method(loc=2000)], DEFAULTS)
-    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
-    function = CodeEntity(kind=EntityKind.FUNCTION, name="f", file="src/f.php", parameter_count=11)
+    assert [rule for rule, _, _ in occurrences] == ["ExcessiveMethodLength"]
+    function = CodeEntity(kind="function", name="f", file="src/f.php", parameter_count=11)
     occurrences = evaluate_rules([function], DEFAULTS)
-    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
+    assert [rule for rule, _, _ in occurrences] == ["ExcessiveParameterList"]
 
 
 def test_output_ordering_is_file_entity_rule():
@@ -85,23 +90,23 @@ def test_output_ordering_is_file_entity_rule():
     ]
     occurrences = evaluate_rules(entities, DEFAULTS)
     assert [(file, entity_path, rule) for rule, file, entity_path in occurrences] == [
-        ("src/a.php", "C", RuleId.DEPTH_OF_INHERITANCE),
-        ("src/b.php", "A/a", RuleId.EXCESSIVE_METHOD_LENGTH),
-        ("src/b.php", "A/a", RuleId.EXCESSIVE_PARAMETER_LIST),
-        ("src/b.php", "A/z", RuleId.EXCESSIVE_METHOD_LENGTH),
+        ("src/a.php", "C", "DepthOfInheritance"),
+        ("src/b.php", "A/a", "ExcessiveMethodLength"),
+        ("src/b.php", "A/a", "ExcessiveParameterList"),
+        ("src/b.php", "A/z", "ExcessiveMethodLength"),
     ]
 
 
 def test_infinite_thresholds_flag_nothing():
-    rules = [SmellRule(rid, math.inf) for rid in RuleId]
+    rules = [SmellRule(rule, math.inf) for rule in RULES]
     entities = [method(loc=10**9, params=10**9), klass(loc=10**9, dit=10**9, cbo=10**9, noc=10**9)]
     assert evaluate_rules(entities, rules) == []
 
 
 def test_default_ruleset_scope_balance():
     rules = default_ruleset()
-    assert sum(1 for r in rules if scope_of(r.id) is Scope.LOCALIZED) == 3
-    assert sum(1 for r in rules if scope_of(r.id) is Scope.SCATTERED) == 3
+    assert sum(1 for r in rules if scope_of(r.id) == "localized") == 3
+    assert sum(1 for r in rules if scope_of(r.id) == "scattered") == 3
 
 
 def test_nonpositive_threshold_rejected(tmp_path):
@@ -126,7 +131,7 @@ def test_increasing_a_metric_never_removes_occurrences(loc, params, dit, cbo, no
                 coupling=cbo, children_count=noc)
     bumped = dict(base)
     bumped[field] += bump
-    for kind in (EntityKind.METHOD, EntityKind.CLASS):
+    for kind in ("method", "class"):
         before = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **base)], DEFAULTS)
         after = evaluate_rules([CodeEntity(kind=kind, name="e", file="f.php", **bumped)], DEFAULTS)
         assert {rule for rule, _, _ in before} <= {rule for rule, _, _ in after}
@@ -137,17 +142,17 @@ def test_load_ruleset_overrides(tmp_path):
     path.write_text(json.dumps({"ExcessiveMethodLength": 50}))
     rules = load_ruleset(path)
     thresholds = {r.id: r.threshold for r in rules}
-    assert thresholds[RuleId.EXCESSIVE_METHOD_LENGTH] == 50
-    assert thresholds[RuleId.EXCESSIVE_CLASS_LENGTH] == 1000
+    assert thresholds["ExcessiveMethodLength"] == 50
+    assert thresholds["ExcessiveClassLength"] == 1000
 
 
 def test_infinite_threshold_loads_and_never_fires(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text('{"ExcessiveMethodLength": Infinity}')
     rules = load_ruleset(path)
-    assert {r.id: r.threshold for r in rules}[RuleId.EXCESSIVE_METHOD_LENGTH] == math.inf
+    assert {r.id: r.threshold for r in rules}["ExcessiveMethodLength"] == math.inf
     occurrences = evaluate_rules([method(loc=10**9, params=10**9)], rules)
-    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_PARAMETER_LIST]
+    assert [rule for rule, _, _ in occurrences] == ["ExcessiveParameterList"]
 
 
 def test_load_ruleset_unknown_rule(tmp_path):
@@ -168,7 +173,7 @@ def test_load_code_model(tmp_path):
     entities = load_code_model(path)
     assert len(entities) == 2
     occurrences = evaluate_rules(entities, DEFAULTS)
-    assert [rule for rule, _, _ in occurrences] == [RuleId.EXCESSIVE_METHOD_LENGTH]
+    assert [rule for rule, _, _ in occurrences] == ["ExcessiveMethodLength"]
 
 
 def test_load_code_model_bare_list_and_errors(tmp_path):
@@ -228,7 +233,7 @@ def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_fact
 oracle_entities = st.lists(
     st.fixed_dictionaries(
         {
-            "kind": st.sampled_from([kind.value for kind in EntityKind]),
+            "kind": st.sampled_from(["class", "method", "function"]),
             "name": st.sampled_from(["m", "n"]),
             "file": st.sampled_from(["a.php", "b.php"]),
         },
@@ -252,10 +257,7 @@ oracle_thresholds = st.one_of(
 
 def code_entities(entities: list[dict]) -> list[CodeEntity]:
     return [
-        CodeEntity(
-            kind=EntityKind(entity["kind"]),
-            **{field: value for field, value in entity.items() if field != "kind"},
-        )
+        CodeEntity(**entity)
         for entity in entities
     ]
 
@@ -263,14 +265,14 @@ def code_entities(entities: list[dict]) -> list[CodeEntity]:
 @settings(max_examples=300, deadline=None)
 @given(
     entities=oracle_entities,
-    rule_ids=st.lists(st.sampled_from(list(RuleId)), unique=True),
+    rule_ids=st.lists(st.sampled_from(RULES), unique=True),
     thresholds=st.lists(oracle_thresholds, min_size=6, max_size=6),
 )
 def test_evaluate_rules_matches_the_brute_force_oracle(entities, rule_ids, thresholds):
     rules = [SmellRule(rid, threshold) for rid, threshold in zip(rule_ids, thresholds)]
     occurrences = evaluate_rules(code_entities(entities), rules)
-    assert [(file, entity_path, rule.value) for rule, file, entity_path in occurrences] == rules_oracle(
-        entities, {rule.id.value: rule.threshold for rule in rules}
+    assert [(file, entity_path, rule) for rule, file, entity_path in occurrences] == rules_oracle(
+        entities, {rule.id: rule.threshold for rule in rules}
     )
 
 
@@ -278,5 +280,5 @@ def test_evaluate_rules_matches_the_brute_force_oracle(entities, rule_ids, thres
 @given(entities=oracle_entities)
 def test_keys_of_rule_output_match_the_key_oracle(entities):
     # two files, two names and two parents: the same entity path often fires twice
-    occurrences = evaluate_rules(code_entities(entities), [SmellRule(rid, 1) for rid in RuleId])
+    occurrences = evaluate_rules(code_entities(entities), [SmellRule(rule, 1) for rule in RULES])
     assert assign_keys(occurrences) == keys_oracle([Violation(*occ) for occ in occurrences])

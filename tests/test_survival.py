@@ -8,7 +8,6 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smellsurv.rules import Scope
 from smellsurv.survival import (
     SurvivalCurve,
     compare_groups,
@@ -315,8 +314,8 @@ def test_summarize_zero_horizon_group():
 
 
 def test_compare_groups_by_scope():
-    localized = [record(d, e, scope=Scope.LOCALIZED) for d, e in [(10, True), (20, True), (30, True), (40, False)]]
-    scattered = [record(2 * d, e, scope=Scope.SCATTERED) for d, e in [(10, True), (20, True), (30, True), (40, False)]]
+    localized = [record(d, e, scope="localized") for d, e in [(10, True), (20, True), (30, True), (40, False)]]
+    scattered = [record(2 * d, e, scope="scattered") for d, e in [(10, True), (20, True), (30, True), (40, False)]]
     comparison = compare_groups(localized + scattered, "scope")
     assert comparison.labels == ("localized", "scattered")
     s_loc = comparison.summaries["localized"]
@@ -337,7 +336,7 @@ def test_compare_groups_by_timeframe():
 
 
 def test_compare_groups_empty_group_named():
-    records = [record(5, True, scope=Scope.LOCALIZED)]
+    records = [record(5, True, scope="localized")]
     comparison = compare_groups(records, "scope")
     assert comparison.test is None
     assert comparison.error == "empty group: scattered"

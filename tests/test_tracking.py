@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smellsurv.anomaly import AnomalyFlag, AnomalyKind, AnomalyThresholds, ChangeRates, DensityPoint
+from smellsurv.anomaly import AnomalyFlag, AnomalyThresholds, ChangeRates, DensityPoint
 from smellsurv.ingest import History, PmdParseResult, SizeMetrics, VersionSnapshot, _ManifestRow, parse_pmd_report
 from smellsurv.report import analyze_history
-from smellsurv.rules import CodeEntity, EntityKind, RuleId, SmellRule
+from smellsurv.rules import RULES, CodeEntity, SmellRule
 from smellsurv.survival import CurvePoint, GroupComparison, GroupSummary, LogRankResult, SurvivalCurve
 from smellsurv.tracking import (
     InstanceKey,
@@ -24,7 +24,7 @@ from smellsurv.tracking import (
 )
 
 from conftest import history_from_bits, occurrence, record, ts
-from oracles import records_oracle
+from oracles import records_oracle, rename_pairs_oracle
 
 
 def key_of(records, entity_path):
@@ -67,13 +67,13 @@ def test_ordinals_follow_line_order():
 
 
 def test_assign_keys_fields():
-    keys = assign_keys([occurrence(rule=RuleId.NUMBER_OF_CHILDREN, file="x.php", entity_path="C")] * 3)
-    assert keys[2] == InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2)
-    assert hash(keys[2]) == hash(InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 2))
+    keys = assign_keys([occurrence(rule="NumberOfChildren", file="x.php", entity_path="C")] * 3)
+    assert keys[2] == InstanceKey("NumberOfChildren", "x.php", "C", 2)
+    assert hash(keys[2]) == hash(InstanceKey("NumberOfChildren", "x.php", "C", 2))
     assert keys[2].location() == "x.php::C::2"
 
 
-def k(rule=RuleId.EXCESSIVE_CLASS_LENGTH, file="old.php", entity="C", ordinal=0):
+def k(rule="ExcessiveClassLength", file="old.php", entity="C", ordinal=0):
     return InstanceKey(rule, file, entity, ordinal)
 
 
@@ -83,14 +83,14 @@ POINT = CurvePoint(time_days=10.0, n_at_risk=2, n_events=1, survival=0.5)
 
 # one value of each immutable value type, and one of its fields
 VALUES = [
-    (CodeEntity(EntityKind.CLASS, "C", "c.php"), "loc"),
-    (InstanceKey(RuleId.NUMBER_OF_CHILDREN, "x.php", "C", 0), "ordinal"),
+    (CodeEntity("class", "C", "c.php"), "loc"),
+    (InstanceKey("NumberOfChildren", "x.php", "C", 0), "ordinal"),
     (SizeMetrics(lloc=10), "lloc"),
     (SNAPSHOT, "version_id"),
     (History("demo", (SNAPSHOT, LATER_SNAPSHOT)), "snapshots"),
     (PmdParseResult([], Counter()), "occurrences"),
     (_ManifestRow(2, "v1", ts(0), SizeMetrics(lloc=10), Path("r.xml")), "row"),
-    (SmellRule(RuleId.NUMBER_OF_CHILDREN, 15), "threshold"),
+    (SmellRule("NumberOfChildren", 15), "threshold"),
     (TrackingOptions(), "gap_tolerance"),
     (record(5, True), "end_date"),
     (POINT, "survival"),
@@ -100,7 +100,7 @@ VALUES = [
     (GroupComparison("scope", ("localized", "scattered"), {}, {}, None, "empty group: localized"), "error"),
     (DensityPoint("v1", ts(0), 1, 10, 0.1, None, None, None), "rho"),
     (AnomalyThresholds(), "up"),
-    (AnomalyFlag("v2", AnomalyKind.INCREASE_50, 0.6), "kind"),
+    (AnomalyFlag("v2", "increase_50", 0.6), "kind"),
     (ChangeRates(None, 0.1, None), "d_lloc"),
     (analyze_history(history_from_bits({"A/m": "110"}, days=[0, 10, 20])), "records"),
 ]
@@ -180,8 +180,8 @@ def test_rename_pairs_on_matching_rule_and_entity():
 
 
 def test_no_pair_on_rule_mismatch():
-    removed = {k(rule=RuleId.EXCESSIVE_CLASS_LENGTH, file="a.php")}
-    added = {k(rule=RuleId.NUMBER_OF_CHILDREN, file="b.php")}
+    removed = {k(rule="ExcessiveClassLength", file="a.php")}
+    added = {k(rule="NumberOfChildren", file="b.php")}
     assert apply_rename_heuristic(removed, added) == []
 
 
@@ -196,9 +196,25 @@ def test_two_removals_one_addition_smallest_file_wins():
     assert pairs == [(k(file="aaa.php"), k(file="new.php"))]
 
 
+# few rules, files, entity paths and ordinals, so that keys often compete
+rename_keys = st.builds(
+    InstanceKey,
+    st.sampled_from(RULES[:3]),
+    st.sampled_from(["a.php", "b.php", "c.php"]),
+    st.sampled_from(["", "A", "B/m"]),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(removed=st.sets(rename_keys, max_size=12), added=st.sets(rename_keys, max_size=12))
+def test_rename_pairs_match_the_brute_force_oracle(removed, added):
+    assert sorted(apply_rename_heuristic(removed, added)) == sorted(rename_pairs_oracle(removed, added))
+
+
 def test_rename_splices_instance_across_file_move():
     history = history_from_bits(
-        {"unused": "111"}, days=[0, 50, 120], rule=RuleId.EXCESSIVE_METHOD_LENGTH
+        {"unused": "111"}, days=[0, 50, 120], rule="ExcessiveMethodLength"
     )
     # rebuild by hand: class C long in old.php for v1-v2, then in new.php for v3
     def snap(version, day, file):
@@ -214,7 +230,7 @@ def test_rename_splices_instance_across_file_move():
     assert (r.first_version, r.last_present_version) == ("v1", "v3")
 
 
-def history_from_placed_bits(bits_by_place: dict[tuple[str, str, RuleId], str]) -> History:
+def history_from_placed_bits(bits_by_place: dict[tuple[str, str, str], str]) -> History:
     """History in which the key of rule at (file, entity path) is present in
     version i exactly when its bit string has '1' at i."""
     n_versions = len(next(iter(bits_by_place.values())))
@@ -236,7 +252,7 @@ def test_rename_onto_a_gap_bridged_key_leaves_the_removal():
     # new.php::C is absent in v2 only, bridged by gap_tolerance=1; when
     # old.php::C disappears as new.php::C returns, the pair looks like a
     # rename, but new.php::C keeps its own run and old.php::C is removed
-    rule = RuleId.EXCESSIVE_CLASS_LENGTH
+    rule = "ExcessiveClassLength"
     history = history_from_placed_bits({
         ("old.php", "C", rule): "1100",
         ("new.php", "C", rule): "1011",
@@ -254,11 +270,10 @@ def test_rename_onto_a_gap_bridged_key_leaves_the_removal():
     gap_tolerance=st.integers(min_value=0, max_value=2),
 )
 def test_rename_heuristic_is_inert_when_no_entity_changes_file(bits, gap_tolerance):
-    rules = list(RuleId)
     # entity E<i> always lives in the same file, so no removal can pair
     # with an addition in a different file
     history = history_from_placed_bits({
-        (f"f{i % 3}.php", f"E{i}", rules[i % 2]): b for i, b in enumerate(bits)
+        (f"f{i % 3}.php", f"E{i}", RULES[i % 2]): b for i, b in enumerate(bits)
     })
     plain = build_survival_records(history, TrackingOptions(gap_tolerance=gap_tolerance))
     renamed = build_survival_records(
@@ -271,7 +286,7 @@ def test_rename_heuristic_is_inert_when_no_entity_changes_file(bits, gap_toleran
 def test_build_survival_records_holds_each_version_as_a_list(rename_heuristic):
     # 100 versions of about 2,000 keys each; one set of ids per version held
     # about 68 bytes per key in a version, a list of ids 14
-    keys = [InstanceKey(RuleId.EXCESSIVE_METHOD_LENGTH, f"src/f{i % 50}.php", f"C{i}/m", 0) for i in range(2400)]
+    keys = [InstanceKey("ExcessiveMethodLength", f"src/f{i % 50}.php", f"C{i}/m", 0) for i in range(2400)]
     snapshots = tuple(
         VersionSnapshot(
             version_id=f"v{v}",
