@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
 from .errors import ConfigError, ManifestError, OutputError, ReportParseError, SmellSurvError
-from .ingest import load_manifests, read_manifest
+from .ingest import load_manifests
 from .report import (
     FORMATS,
     analyze_history,
@@ -139,24 +139,9 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _load_histories(args, latest: int | None = None) -> list:
-    rules = _ruleset(args)
-    manifest_path = Path(args.manifest)
-    histories = load_manifests(
-        read_manifest(manifest_path),
-        base_dir=manifest_path.parent,
-        rules=rules,
-        strip_prefix=args.strip_prefix,
-        latest=latest,
-    )
-    if not histories:
-        raise ManifestError("manifest names no versions")
-    return histories
-
-
 def _insufficient_history(histories) -> str | None:
     """Message naming the apps with fewer than two versions, if any."""
-    short = sorted(h.app_name for h in histories if len(h.snapshots) < 2)
+    short = [h.app_name for h in histories if len(h.snapshots) < 2]
     return f"insufficient history (need >= 2 versions): {', '.join(short)}" if short else None
 
 
@@ -166,11 +151,11 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"gap_tolerance must be >= 0, got {args.gap_tolerance}")
     options = TrackingOptions(gap_tolerance=args.gap_tolerance, rename_heuristic=args.rename_heuristic)
     thresholds = _thresholds(args)
-    histories = _load_histories(args)
+    histories = load_manifests(args.manifest, _ruleset(args), args.strip_prefix)
     short = _insufficient_history(histories)
     if short:
         raise ManifestError(short)
-    bundles = [analyze_history(h, options, thresholds) for h in sorted(histories, key=lambda h: h.app_name)]
+    bundles = [analyze_history(h, options, thresholds) for h in histories]
     out_dir = Path(args.out)
     # each app dir is swapped in whole, so a re-run leaves no stale files
     with _publishing(out_dir) as staging:
@@ -183,14 +168,14 @@ def cmd_analyze(args) -> int:
 def cmd_gate(args) -> int:
     thresholds = _thresholds(args)
     # every row is checked, but the verdict needs only each app's last two versions
-    histories = _load_histories(args, latest=2)
+    histories = load_manifests(args.manifest, _ruleset(args), args.strip_prefix, latest=2)
     short = _insufficient_history(histories)
     if short:
         print(short)
         return EXIT_INSUFFICIENT_HISTORY
 
     failed = False
-    for history in sorted(histories, key=lambda h: h.app_name):
+    for history in histories:
         series = density_series(history)  # two points, so a flag is the latest transition's
         latest = series[-1]
         flags = flag_anomalies(series, thresholds)
@@ -206,9 +191,12 @@ def cmd_gate(args) -> int:
 
 
 def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--up", type=float, default=0.5, help="increase threshold (default 0.5)")
-    parser.add_argument("--up2", type=float, default=1.0, help="strong increase threshold (default 1.0)")
-    parser.add_argument("--down", type=float, default=-0.5, help="decrease threshold (default -0.5)")
+    defaults = AnomalyThresholds()
+    parser.add_argument("--up", type=float, default=defaults.up, help="increase threshold (default %(default)s)")
+    parser.add_argument(
+        "--up2", type=float, default=defaults.up2, help="strong increase threshold (default %(default)s)"
+    )
+    parser.add_argument("--down", type=float, default=defaults.down, help="decrease threshold (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,9 +28,10 @@ class ReportParseError(SmellSurvError):
     Carries ``byte_offset`` when the position in the document is known.
     """
 
-    def __init__(self, message: str, byte_offset: int | None = None):
+    def __init__(self, message: str, byte_offset: int | None = None, row: int | None = None):
         super().__init__(message)
         self.byte_offset = byte_offset
+        self.row = row
 
 
 class ManifestError(SmellSurvError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -205,37 +206,10 @@ def parse_pmd_report(
     return PmdParseResult([(RULES[order], file, entity_path) for file, _, _, order, entity_path, _ in rows], skipped)
 
 
-def _load_report_file(
-    path: Path,
-    rules: list[SmellRule],
-    strip_prefix: str | None,
-    strings: dict[str, str],
-) -> list[Occurrence]:
-    """Dispatch on report flavor: PMD XML or code-model JSON.
-
-    Extension decides (.xml vs .json); anything else is sniffed by its first
-    non-blank byte.
-    """
-    suffix = path.suffix.lower()
-    if suffix == ".json":
-        entities = load_code_model(path)
-    else:
-        data = path.read_bytes()
-        if suffix == ".xml" or data.lstrip()[:1] == b"<":
-            try:
-                return parse_pmd_report(data, strip_prefix, strings).occurrences
-            except ReportParseError as exc:
-                raise ReportParseError(f"PMD report {path}: {exc}", byte_offset=exc.byte_offset) from exc
-        entities = _code_model_entities(data, path)
-    if strip_prefix is not None:
-        # before the rules run, so that names merged here sort and key as one file
-        entities = [e._replace(file=normalize_path(e.file, strip_prefix)) for e in entities]
-    return evaluate_rules(entities, rules)
-
-
-def read_manifest(path: Path) -> str:
-    """A manifest's text; an unreadable or non-UTF-8 file, or one holding a NUL,
-    is a ManifestError naming it."""
+def _manifest_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+    """Yield each data row of the manifest at path, as the line it starts on
+    and its cells by column name. Every error names the file; one that has a
+    line (a bad byte, a NUL, a bad CSV record) carries it as the row."""
     try:
         data = path.read_bytes()
         text = data.decode("utf-8")
@@ -250,42 +224,30 @@ def read_manifest(path: Path) -> str:
     nul = data.find(b"\0")
     if nul >= 0:
         raise ManifestError(f"manifest {path} holds a NUL: byte {nul}", row=data.count(b"\n", 0, nul) + 1)
-    return text
-
-
-def _parse_manifest_rows(table: str) -> list[tuple[int, dict[str, str]]]:
-    reader = csv.reader(io.StringIO(table))
-    records = []  # (the physical line the record starts on, its cells)
-    start = 1
+    reader = csv.reader(io.StringIO(text))
     try:
+        header = next(reader, None)
+        if header is None:
+            raise ManifestError(f"manifest {path} is empty", row=1)
+        header = [h.strip() for h in header]
+        required = list(MANIFEST_COLUMNS)
+        if header[: len(required)] != required:
+            raise ManifestError(
+                f"manifest {path}: header must start with {','.join(required)}, got {','.join(header)}",
+                row=1,
+            )
+        for col in header[len(required):]:
+            if col not in MANIFEST_OPTIONAL_COLUMNS:
+                raise ManifestError(f"manifest {path}: unknown column {col!r}", row=1)
+        start = reader.line_num + 1  # the line the next record starts on
         for record in reader:
-            records.append((start, record))
+            if any(cell.strip() for cell in record):
+                if len(record) != len(header):
+                    raise ManifestError(f"expected {len(header)} fields, got {len(record)}", row=start)
+                yield start, dict(zip(header, record))
             start = reader.line_num + 1
     except csv.Error as exc:  # an over-long field
-        raise ManifestError(f"manifest is not valid CSV: {exc}", row=reader.line_num) from exc
-    if not records:
-        raise ManifestError("manifest is empty", row=1)
-    header = [h.strip() for h in records[0][1]]
-    required = list(MANIFEST_COLUMNS)
-    if header[: len(required)] != required:
-        raise ManifestError(
-            f"manifest header must start with {','.join(required)}, got {','.join(header)}",
-            row=1,
-        )
-    extras = header[len(required):]
-    for col in extras:
-        if col not in MANIFEST_OPTIONAL_COLUMNS:
-            raise ManifestError(f"unknown manifest column {col!r}", row=1)
-    rows = []
-    for i, record in records[1:]:
-        if not record or all(not cell.strip() for cell in record):
-            continue
-        if len(record) != len(header):
-            raise ManifestError(
-                f"expected {len(header)} fields, got {len(record)}", row=i
-            )
-        rows.append((i, dict(zip(header, record))))
-    return rows
+        raise ManifestError(f"manifest {path} is not valid CSV: {exc}", row=reader.line_num) from exc
 
 
 class _ManifestRow(NamedTuple):
@@ -298,8 +260,7 @@ class _ManifestRow(NamedTuple):
     report_path: Path
 
 
-def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow:
-    version_id = row["version"].strip()
+def _check_row(row_no: int, row: dict[str, str], version_id: str, base_dir: Path) -> _ManifestRow:
     if not version_id:
         raise ManifestError("empty version id", row=row_no)
     try:
@@ -336,51 +297,34 @@ def _check_row(row_no: int, row: dict[str, str], base_dir: Path) -> _ManifestRow
     return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
 
-def _check_manifest(table: str, base_dir: Path) -> dict[str, list[_ManifestRow]]:
-    """Every row checked, grouped by app and sorted by timestamp; no report is read."""
-    per_app: dict[str, list[tuple[int, dict[str, str]]]] = {}
-    for row_no, row in _parse_manifest_rows(table):
-        app = row["app"].strip()
-        if not app or app in (".", "..") or "/" in app or "\\" in app:
-            raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
-        per_app.setdefault(app, []).append((row_no, row))
-
-    checked = {}
-    for app, app_rows in per_app.items():
-        seen: dict[str, int] = {}
-        entries = []
-        for row_no, row in app_rows:
-            version_id = row["version"].strip()
-            if version_id in seen:
-                raise ManifestError(
-                    f"duplicate version id {version_id!r} for app {app!r}"
-                    f" (first seen on row {seen[version_id]})",
-                    row=row_no,
-                )
-            seen[version_id] = row_no
-            entries.append(_check_row(row_no, row, base_dir))
-        entries.sort(key=lambda e: e.timestamp)
-        for a, b in zip(entries, entries[1:]):
-            if not a.timestamp < b.timestamp:
-                raise ManifestError(
-                    f"app {app!r}: timestamps not strictly increasing: {a.version_id} !< {b.version_id}",
-                    row=b.row,
-                )
-        checked[app] = entries
-    return checked
-
-
 def _snapshot_from_row(
     entry: _ManifestRow,
     rules: list[SmellRule],
     strip_prefix: str | None,
     strings: dict,
 ) -> VersionSnapshot:
-    """Read and key one checked row's report; every error carries the row."""
+    """Read and key one checked row's report; every error carries the row.
+
+    The extension picks the flavor: .xml is PMD XML, .json a code model that
+    goes through the rules; anything else is sniffed by its first non-blank
+    byte.
+    """
+    path = entry.report_path
+    suffix = path.suffix.lower()
     try:
-        occurrences = _load_report_file(entry.report_path, rules, strip_prefix, strings)
+        data = b"" if suffix == ".json" else path.read_bytes()  # the code-model loader reads a .json
+        if suffix == ".xml" or data.lstrip()[:1] == b"<":
+            occurrences = parse_pmd_report(data, strip_prefix, strings).occurrences
+        else:
+            entities = load_code_model(path) if suffix == ".json" else _code_model_entities(data, path)
+            if strip_prefix is not None:
+                # before the rules run, so that names merged here sort and key as one file
+                entities = [e._replace(file=normalize_path(e.file, strip_prefix)) for e in entities]
+            occurrences = evaluate_rules(entities, rules)
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=entry.row) from exc
+    except ReportParseError as exc:  # only the PMD parser raises one
+        raise ReportParseError(f"PMD report {path}: {exc}", exc.byte_offset, entry.row) from exc
     except SmellSurvError as exc:
         exc.row = entry.row
         raise
@@ -389,31 +333,53 @@ def _snapshot_from_row(
 
 
 def load_manifests(
-    table: str,
-    base_dir: str | Path,
+    path: str | Path,
     rules: list[SmellRule],
     strip_prefix: str | None = None,
     latest: int | None = None,
 ) -> list[History]:
-    """Load every application named in a manifest, one History each.
+    """Load every application named in the manifest at path, one History
+    each, in app-name order; report paths are relative to the manifest's
+    directory.
 
-    Rows may arrive in any order; snapshots are sorted by timestamp.
-    Duplicate version ids, unparseable timestamps, non-positive lloc,
+    Rows may arrive in any order; snapshots are sorted by timestamp. Rows are
+    checked in file order, and every row before any report is read:
+    duplicate version ids, unparseable timestamps, non-positive lloc,
     negative loc or classes, and missing or unreadable report files are
-    fatal, reported with their row number. Every row is checked and every
-    report file must exist; with ``latest``, only each app's ``latest`` most
-    recent reports are read and its History holds just those versions.
+    fatal, reported with their row number. With ``latest``, only each app's
+    ``latest`` most recent reports are read and its History holds just
+    those versions.
     """
-    checked = _check_manifest(table, Path(base_dir))
+    path = Path(path)
+    per_app: dict[str, dict[str, _ManifestRow]] = {}
+    for row_no, row in _manifest_rows(path):
+        app = row["app"].strip()
+        if not app or app in (".", "..") or "/" in app or "\\" in app:
+            raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
+        versions = per_app.setdefault(app, {})
+        version_id = row["version"].strip()
+        if version_id in versions:
+            raise ManifestError(
+                f"duplicate version id {version_id!r} for app {app!r}"
+                f" (first seen on row {versions[version_id].row})",
+                row=row_no,
+            )
+        versions[version_id] = _check_row(row_no, row, version_id, path.parent)
+    if not per_app:
+        raise ManifestError(f"manifest {path} names no versions")
+
+    checked = {}
+    for app, versions in per_app.items():
+        entries = sorted(versions.values(), key=lambda e: e.timestamp)
+        for a, b in zip(entries, entries[1:]):
+            if not a.timestamp < b.timestamp:
+                raise ManifestError(
+                    f"app {app!r}: timestamps not strictly increasing: {a.version_id} !< {b.version_id}",
+                    row=b.row,
+                )
+        checked[app] = entries[-latest:] if latest else entries
     strings: dict = {}  # one copy of each file name, entity path and key; a str never equals a key
     return [
-        History(
-            app_name=app,
-            snapshots=tuple(
-                _snapshot_from_row(entry, rules, strip_prefix, strings)
-                for entry in (entries[-latest:] if latest else entries)
-            ),
-        )
-        for app, entries in checked.items()
+        History(app, tuple(_snapshot_from_row(entry, rules, strip_prefix, strings) for entry in entries))
+        for app, entries in sorted(checked.items())
     ]
-

@@ -191,11 +191,11 @@ def build_survival_records(
     for idx, keys in enumerate(id_lists):
         if idx > 0 and options.rename_heuristic:
             current = set(keys)
-            removed_now = {key_of[i]: i for i in previous - current}
-            added_now = {key_of[i]: i for i in current - previous}
+            removed = {key_of[i] for i in previous - current}
+            added = {key_of[i] for i in current - previous}
             previous = current
-            for old_key, new_key in apply_rename_heuristic(set(removed_now), set(added_now)):
-                old, new = removed_now[old_key], added_now[new_key]
+            for old_key, new_key in apply_rename_heuristic(removed, added):
+                old, new = ids[old_key], ids[new_key]
                 run = open_runs.get(old)
                 # new may already carry a gap-bridged run of its own;
                 # that run keeps its identity and the removal stays a removal

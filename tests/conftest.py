@@ -52,8 +52,11 @@ def pairs(records: list[SurvivalRecord]) -> list[tuple[float, bool]]:
 
 
 def load_manifest(table: str, base_dir) -> History:
-    """The one History of a single-app manifest, read with the default rules."""
-    (history,) = load_manifests(table, base_dir, default_ruleset())
+    """The one History of a single-app manifest, written to base_dir/manifest.csv
+    and read with the default rules."""
+    manifest = Path(base_dir) / "manifest.csv"
+    manifest.write_text(table)
+    (history,) = load_manifests(manifest, default_ruleset())
     return history
 
 

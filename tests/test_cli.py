@@ -30,7 +30,7 @@ from smellsurv.report import _csv_chunks, _csv_text, analyze_history, fmt_rate, 
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
-from conftest import history_from_bits, load_manifest, pairs, ts, write_no_smell_history
+from conftest import NO_SMELL_REPORT, history_from_bits, load_manifest, pairs, ts, write_no_smell_history
 from oracles import logrank_oracle, records_oracle
 
 TRIAPP = Path(__file__).parent / "data" / "triapp"
@@ -1089,6 +1089,10 @@ def _long_report_path(rows):
     rows[2][3] = "x" * 131_073  # csv's default field size limit is 131,072
 
 
+def _long_first_report_path(rows):
+    rows[1][3] = "x" * 131_073
+
+
 def _nul_in_report_path(rows):
     rows[2][3] = "m1\0.json"  # csv refuses the line before Python 3.11, stat refuses the path after
 
@@ -1105,8 +1109,11 @@ def _latin_1_version(rows):
 @pytest.mark.parametrize("command", ["analyze", "gate"])
 @pytest.mark.parametrize(
     "edit, row",
-    [(_long_report_path, 3), (_nul_in_report_path, 3), (_nul_in_app_name, 2), (_latin_1_version, 4)],
-    ids=["over-long field", "NUL in report path", "NUL in app name", "not UTF-8"],
+    [
+        (_long_report_path, 3), (_long_first_report_path, 2), (_nul_in_report_path, 3), (_nul_in_app_name, 2),
+        (_latin_1_version, 4),
+    ],
+    ids=["over-long field", "over-long field in the first row", "NUL in report path", "NUL in app name", "not UTF-8"],
 )
 def test_bad_manifest_bytes_are_a_manifest_error_with_the_row(tmp_path, capsys, command, edit, row):
     rows = four_version_rows(tmp_path)
@@ -1117,9 +1124,25 @@ def test_bad_manifest_bytes_are_a_manifest_error_with_the_row(tmp_path, capsys, 
     assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
     record = json.loads(capsys.readouterr().err.strip())
     assert (record["error"], record["row"]) == ("ManifestError", row)
-    if edit is _latin_1_version:
-        assert str(manifest) in record["message"]
+    assert str(manifest) in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+def test_the_first_bad_row_in_file_order_is_reported(tmp_path, capsys, command):
+    # app b's bad row 3 comes before app a's bad row 4 in the file
+    (tmp_path / "r.xml").write_text(NO_SMELL_REPORT)
+    manifest = write_rows(tmp_path, [
+        ["app", "version", "timestamp", "report_path", "lloc"],
+        ["a", "1", "2020-01-01", "r.xml", "10"],
+        ["b", "1", "nope", "r.xml", "10"],
+        ["a", "2", "later", "r.xml", "10"],
+    ])
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert (record["error"], record["row"]) == ("ManifestError", 3)
+    assert record["message"].startswith("bad timestamp 'nope'")
 
 
 @pytest.mark.parametrize("command", ["analyze", "gate"])

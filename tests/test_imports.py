@@ -7,7 +7,8 @@ bound by an import at module level (including under a module-level ``if`` or
 variable defined at module level in src/ must be read somewhere in src/.
 
 Every command pays for what the CLI imports, so the heavy modules it does not
-need are pinned out of it too.
+need are pinned out of it too. And every file in src/, tests/ and bench/
+compiles without a SyntaxWarning, such as an ``is`` against a literal.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def module_statements(tree: ast.Module) -> list[ast.stmt]:
@@ -108,3 +111,23 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def compile_strictly(source: str, filename: str) -> None:
+    """Compile source with every SyntaxWarning raised as an error. pytest's
+    assertion rewriting moves an assert's operands into temporaries before
+    compiling, so ``-W error::SyntaxWarning`` never sees an ``is`` against a
+    literal inside a test's assert; compiling the text itself does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        compile(source, filename, "exec")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_syntax_warning(path):
+    compile_strictly(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_the_check_finds_an_is_against_a_literal_in_an_assert():
+    with pytest.raises(SyntaxError, match="literal"):
+        compile_strictly('x = "a"\nassert x is "a"\n', "snippet.py")

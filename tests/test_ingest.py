@@ -407,7 +407,14 @@ def test_unreadable_report_error_names_the_path(tmp_path, name):
 
 def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
     # a .json report is read once, by the code-model loader, not also as bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(f"{self} read as bytes"))
+    read_bytes = Path.read_bytes
+
+    def only_the_manifest(self):
+        if self != tmp_path / "manifest.csv":
+            pytest.fail(f"{self} read as bytes")
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", only_the_manifest)
     (tmp_path / "m1.json").write_text(json.dumps([
         {"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150},
     ]))
@@ -446,8 +453,9 @@ def test_code_model_keys_match_the_key_oracle_when_strip_prefix_merges_files(ent
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "m.json"
         model.write_text(json.dumps(entities))
-        manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,m.json,4000\n"
-        (history,) = load_manifests(manifest, tmp, default_ruleset(), strip_prefix="/work")
+        manifest = Path(tmp) / "manifest.csv"
+        manifest.write_text("app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,m.json,4000\n")
+        (history,) = load_manifests(manifest, default_ruleset(), strip_prefix="/work")
         # the order the package once keyed in: the rules run on the file names
         # as written, and the names are normalized after
         raw = evaluate_rules(load_code_model(model), default_ruleset())
@@ -492,7 +500,7 @@ def test_extensionless_code_model_is_opened_once(tmp_path, monkeypatch):
     monkeypatch.setattr(builtins, "open", counting_open)
     manifest = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,model,4000\n"
     history = load_manifest(manifest, base_dir=tmp_path)
-    assert opened == [model]
+    assert [path for path in opened if path != tmp_path / "manifest.csv"] == [model]
     assert [key.rule for key in history.snapshots[0].keys] == ["ExcessiveMethodLength"]
 
 
@@ -506,17 +514,18 @@ def test_extensionless_code_model_error_names_the_path(tmp_path):
 
 def test_multi_app_manifest(tmp_path):
     write_reports(tmp_path)
-    manifest = textwrap.dedent(
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(textwrap.dedent(
         """\
         app,version,timestamp,report_path,lloc
-        one,1.0,2020-01-01,r1.xml,5000
         two,1.0,2020-01-01,r1.xml,7000
+        one,1.0,2020-01-01,r1.xml,5000
         one,2.0,2020-06-01,r2.xml,5100
         two,2.0,2020-06-01,r2.xml,7100
         """
-    )
-    histories = load_manifests(manifest, tmp_path, default_ruleset())
-    assert sorted(h.app_name for h in histories) == ["one", "two"]
+    ))
+    histories = load_manifests(manifest, default_ruleset())
+    assert [h.app_name for h in histories] == ["one", "two"]
 
 
 def test_header_must_match(tmp_path):
