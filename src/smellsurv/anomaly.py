@@ -36,49 +36,40 @@ class DensityPoint(NamedTuple):
     delta_rho: float | None
 
 
-def _density_change(cs_prev: int, lloc_prev: int, cs_cur: int, lloc_cur: int) -> float:
-    """Change rate of cs/lloc between two versions.
-
-    Computed from the integer cross product rather than the two rounded
-    densities: a version sitting exactly on a threshold (say counts 100 ->
-    150 at constant size) then classifies exactly.
-    """
-    if cs_prev == 0:
-        return 0.0 if cs_cur == 0 else math.inf
-    return (cs_cur * lloc_prev) / (cs_prev * lloc_cur) - 1.0
-
-
 def density_series(history: History) -> list[DensityPoint]:
     """Per-version count, density, and consecutive change rates.
 
-    The first version has no predecessor, so its deltas are undefined.
+    The first version has no predecessor, so its deltas are undefined. The
+    density change is the change rate of the integer cross products
+    prev.cs * lloc -> cs * prev.lloc rather than of the two rounded
+    densities: a version sitting exactly on a threshold (say counts 100 ->
+    150 at constant size) then classifies exactly.
     """
-    points = []
-    prev: DensityPoint | None = None
+    points: list[DensityPoint] = []
     for snap in history.snapshots:
         cs_count = len(snap.keys)
         lloc = snap.size.lloc
-        rho = cs_count / lloc
-        if prev is None:
-            deltas = (None, None, None)
-        else:
+        if points:
+            prev = points[-1]
             deltas = (
                 change_rate(prev.cs_count, cs_count),
                 change_rate(prev.lloc, lloc),
-                _density_change(prev.cs_count, prev.lloc, cs_count, lloc),
+                change_rate(prev.cs_count * lloc, cs_count * prev.lloc),
             )
-        point = DensityPoint(
-            version_id=snap.version_id,
-            timestamp=snap.timestamp,
-            cs_count=cs_count,
-            lloc=lloc,
-            rho=rho,
-            delta_cs=deltas[0],
-            delta_lloc=deltas[1],
-            delta_rho=deltas[2],
+        else:
+            deltas = (None, None, None)
+        points.append(
+            DensityPoint(
+                version_id=snap.version_id,
+                timestamp=snap.timestamp,
+                cs_count=cs_count,
+                lloc=lloc,
+                rho=cs_count / lloc,
+                delta_cs=deltas[0],
+                delta_lloc=deltas[1],
+                delta_rho=deltas[2],
+            )
         )
-        points.append(point)
-        prev = point
     return points
 
 
@@ -98,7 +89,7 @@ class AnomalyFlag(NamedTuple):
 
 def flag_anomalies(
     series: list[DensityPoint],
-    thresholds: AnomalyThresholds | None = None,
+    thresholds: AnomalyThresholds = AnomalyThresholds(),
 ) -> list[AnomalyFlag]:
     """One flag per version whose density change crosses a threshold.
 
@@ -106,8 +97,6 @@ def flag_anomalies(
     increase counts as the strongest one. The first version is never
     flagged: it has no change rate.
     """
-    if thresholds is None:
-        thresholds = AnomalyThresholds()
     flags = []
     for point in series:
         delta = point.delta_rho

@@ -76,10 +76,11 @@ def _thresholds(args) -> AnomalyThresholds:
 def _publishing(out_dir: Path):
     """Yield an empty staging directory under out_dir; when the block returns,
     move each staged entry over its namesake in out_dir, the old entry going
-    aside first. If a move fails, every move made is undone, newest first, so
-    a failed run leaves out_dir as it was (or absent, with the parents this
-    created). Any OSError or ValueError (a NUL byte, text utf-8 cannot encode)
-    becomes an OutputError naming out_dir."""
+    aside first; a file never replaces a directory (EISDIR), nor a directory
+    a file (ENOTDIR). If a move fails, every move made is undone, newest
+    first, so a failed run leaves out_dir as it was (or absent, with the
+    parents this created). Any OSError or ValueError (a NUL byte, text utf-8
+    cannot encode) becomes an OutputError naming out_dir."""
     try:
         created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -92,6 +93,9 @@ def _publishing(out_dir: Path):
                 aside = Path(tempfile.mkdtemp(dir=staging))  # named unlike any staged entry
                 for name in names:
                     target = out_dir / name
+                    if target.exists() and target.is_dir() != (staging / name).is_dir():
+                        code = errno.EISDIR if target.is_dir() else errno.ENOTDIR
+                        raise OSError(code, os.strerror(code), str(target))
                     steps = [(target, aside / name)] if os.path.lexists(target) else []
                     for src, dst in (*steps, (staging / name, target)):
                         os.replace(src, dst)
@@ -132,8 +136,6 @@ def cmd_detect(args) -> int:
         files["occurrences.json"] = occurrences_json(args.version_id, occurrences)
     with _publishing(out_dir) as staging:
         for name, content in files.items():
-            if (out_dir / name).is_dir():  # a file never replaces a directory
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out_dir / name))
             (staging / name).write_text(content, encoding="utf-8", newline="")
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK

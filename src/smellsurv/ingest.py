@@ -161,11 +161,12 @@ def parse_pmd_report(
                 return
             parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
             entity_path = "/".join(filter(None, parts))
-            # lines order each group for its ordinals; the row number settles ties
-            # (a missing line sorts as -1) in document order
+            # lines order each group for its ordinals (a missing line sorts as
+            # -1); rows that tie on all five fields give equal occurrences, so
+            # how a tie falls cannot change the list
             rows.append((
                 file_path, -1 if b is None else b, -1 if e is None else e, order,
-                intern(entity_path, entity_path), len(rows),
+                intern(entity_path, entity_path),
             ))
         elif depth == 2:
             file_path = None
@@ -203,7 +204,7 @@ def parse_pmd_report(
     if problems:
         raise ReportParseError(problems[0])
     rows.sort()
-    return PmdParseResult([(RULES[order], file, entity_path) for file, _, _, order, entity_path, _ in rows], skipped)
+    return PmdParseResult([(RULES[order], file, entity_path) for file, _, _, order, entity_path in rows], skipped)
 
 
 def _manifest_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:

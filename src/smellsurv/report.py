@@ -308,11 +308,9 @@ class AnalysisBundle(NamedTuple):
 
 def analyze_history(
     history: History,
-    options: TrackingOptions | None = None,
-    thresholds: AnomalyThresholds | None = None,
+    options: TrackingOptions = TrackingOptions(),
+    thresholds: AnomalyThresholds = AnomalyThresholds(),
 ) -> AnalysisBundle:
-    if thresholds is None:
-        thresholds = AnomalyThresholds()
     records = build_survival_records(history, options)
     series = density_series(history)
     return AnalysisBundle(

@@ -33,11 +33,6 @@ class SurvivalCurve(NamedTuple):
 
     points: tuple[CurvePoint, ...]
 
-    @property
-    def tau(self) -> float:
-        """The observed horizon: the last point's time."""
-        return self.points[-1].time_days
-
 
 def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
     """Product-limit estimate over the distinct observed times.

@@ -115,11 +115,11 @@ def apply_rename_heuristic(
 
 
 class _Run:
-    """One open run of presence; key is the id of the key it was born under."""
+    """One open run of presence; key is the key it was born under."""
 
     __slots__ = ("key", "first_idx", "last_present_idx")
 
-    def __init__(self, key: int, first_idx: int, last_present_idx: int):
+    def __init__(self, key: InstanceKey, first_idx: int, last_present_idx: int):
         self.key = key
         self.first_idx = first_idx
         self.last_present_idx = last_present_idx
@@ -139,7 +139,7 @@ def split_instant(history: History) -> datetime:
 
 def build_survival_records(
     history: History,
-    options: TrackingOptions | None = None,
+    options: TrackingOptions = TrackingOptions(),
 ) -> list[SurvivalRecord]:
     """Decompose each key's presence across versions into survival records.
 
@@ -150,60 +150,47 @@ def build_survival_records(
     and measured to the last observation date. A key that disappears and
     returns beyond the tolerance starts a new record.
     """
-    if options is None:
-        options = TrackingOptions()
-
-    timestamps = [snap.timestamp for snap in history.snapshots]
-    version_ids = [snap.version_id for snap in history.snapshots]
-    # presence is tracked over int ids, one per distinct key; a version's ids
-    # are distinct (the ordinals make its keys so), so a list holds them
-    ids: dict[InstanceKey, int] = {}
-    id_lists = [[ids.setdefault(key, len(ids)) for key in snap.keys] for snap in history.snapshots]
-    key_of = list(ids)
-
+    snapshots = history.snapshots
     split = split_instant(history)
-    final_idx = len(id_lists) - 1
+    final_idx = len(snapshots) - 1
 
     records: list[SurvivalRecord] = []
 
     def close_run(run: _Run) -> None:
         # a run absent from the final snapshot was removed, dated at its first absence
-        first_date = timestamps[run.first_idx]
-        end_date = timestamps[run.last_present_idx + 1] if run.last_present_idx < final_idx else None
-        duration = _days_between(first_date, end_date or timestamps[final_idx])
-        key = key_of[run.key]
+        first = snapshots[run.first_idx]
+        end_date = snapshots[run.last_present_idx + 1].timestamp if run.last_present_idx < final_idx else None
+        duration = _days_between(first.timestamp, end_date or snapshots[final_idx].timestamp)
+        key = run.key
         records.append(
             SurvivalRecord(
                 key=key,
                 scope=scope_of(key.rule),
-                first_version=version_ids[run.first_idx],
-                first_date=first_date,
-                last_present_version=version_ids[run.last_present_idx],
+                first_version=first.version_id,
+                first_date=first.timestamp,
+                last_present_version=snapshots[run.last_present_idx].version_id,
                 end_date=end_date,
                 duration_days=duration,
-                timeframe=1 if first_date < split else 2,
+                timeframe=1 if first.timestamp < split else 2,
             )
         )
 
-    open_runs: dict[int, _Run] = {}
+    open_runs: dict[InstanceKey, _Run] = {}
     # the rename heuristic builds each version's set once and keeps the last one
-    previous = set(id_lists[0]) if options.rename_heuristic else None
-    for idx, keys in enumerate(id_lists):
+    previous = set(snapshots[0].keys) if options.rename_heuristic else None
+    for idx, snap in enumerate(snapshots):
         if idx > 0 and options.rename_heuristic:
-            current = set(keys)
-            removed = {key_of[i] for i in previous - current}
-            added = {key_of[i] for i in current - previous}
-            previous = current
-            for old_key, new_key in apply_rename_heuristic(removed, added):
-                old, new = ids[old_key], ids[new_key]
+            current = set(snap.keys)
+            for old, new in apply_rename_heuristic(previous - current, current - previous):
                 run = open_runs.get(old)
                 # new may already carry a gap-bridged run of its own;
                 # that run keeps its identity and the removal stays a removal
                 if run is None or new in open_runs:
                     continue
                 open_runs[new] = open_runs.pop(old)
+            previous = current
 
-        for key in keys:
+        for key in snap.keys:
             run = open_runs.get(key)
             if run is None:
                 open_runs[key] = _Run(key, idx, idx)

@@ -298,7 +298,7 @@ def test_criterion_7b_scale_equivariance(pairs, scale):
     else:
         assert scaled_median == base_median * scale
 
-    if base_curve.tau > 0:
+    if base_curve.points[-1].time_days > 0:
         base_rmean, _ = restricted_mean(base_curve)
         scaled_rmean, _ = restricted_mean(scaled_curve)
         assert math.isclose(scaled_rmean, base_rmean * scale, rel_tol=1e-9, abs_tol=1e-9)

@@ -1049,6 +1049,22 @@ def test_a_failed_swap_of_occurrences_json_undoes_occurrences_csv(tmp_path, monk
     assert tree(out) == before
 
 
+def test_analyze_never_replaces_a_file_named_like_an_app(tmp_path, capsys):
+    # alpha's directory is moved in first, so the failure on beta undoes it
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "beta").write_bytes(b"the user's own file\n")
+    before = tree(out)
+    assert main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "csv", "--out", str(out)]) == EXIT_ERROR
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1
+    assert json.loads(err_lines[0]) == {
+        "error": "OutputError",
+        "message": f"cannot write under --out {out}: [Errno 20] Not a directory: '{out / 'beta'}'",
+    }
+    assert tree(out) == before
+
+
 def test_detect_leaves_a_file_named_like_its_own_temporary_file_alone(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -87,9 +87,12 @@ def unused_names(sources: dict[str, str]) -> list[str]:
     return sorted(unused)
 
 
+def read_sources(*dirs: str) -> dict[str, str]:
+    return {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for d in dirs for p in (ROOT / d).rglob("*.py")}
+
+
 def test_no_unused_module_level_name_in_src():
-    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8") for p in (ROOT / "src").rglob("*.py")}
-    assert unused_names(sources) == []
+    assert unused_names(read_sources("src")) == []
 
 
 def test_the_check_finds_an_unused_name():
@@ -98,6 +101,48 @@ def test_the_check_finds_an_unused_name():
         "b.py": "from a import f\ndef g(): return f()\nclass D: pass\n",
     }
     assert unused_names(sources) == ["a.py: C", "a.py: Y", "a.py: Z", "b.py: D"]
+
+
+def unread_methods(defining: dict[str, str], reading: dict[str, str]) -> list[str]:
+    """Non-dunder methods and properties of the module-level classes in
+    defining that no source in reading reads as an attribute, as
+    "module: Class.name"."""
+    read = {
+        node.attr
+        for source in reading.values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, source in defining.items():
+        for cls in module_statements(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in read
+                ):
+                    unread.append(f"{module}: {cls.name}.{node.name}")
+    return sorted(unread)
+
+
+def test_every_method_in_src_is_read_by_src_or_bench():
+    # bench counts: its tracer reads applies_to and skipped_count
+    assert unread_methods(read_sources("src"), read_sources("src", "bench")) == []
+
+
+def test_the_check_finds_an_unread_method():
+    defining = {
+        "a.py": (
+            "class C:\n    def __init__(self): pass\n    def used(self): pass\n"
+            "    @property\n    def unused(self): pass\n    def _private(self): pass\n"
+        ),
+    }
+    reading = {"a.py": defining["a.py"], "b.py": "from a import C\nC().used()\nx = C.unused\n"}
+    assert unread_methods(defining, {"a.py": defining["a.py"]}) == ["a.py: C._private", "a.py: C.unused", "a.py: C.used"]
+    assert unread_methods(defining, reading) == ["a.py: C._private"]
 
 
 def test_the_check_finds_an_unused_import():

@@ -44,7 +44,6 @@ def assert_valid_curve(curve: SurvivalCurve):
         assert 0.0 <= p.survival <= previous + 1e-15
         previous = p.survival
         last_time = p.time_days
-    assert curve.tau == curve.points[-1].time_days
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +53,7 @@ def assert_valid_curve(curve: SurvivalCurve):
 def test_all_censored_curve_stays_at_one():
     curve = kaplan_meier([(3, False), (7, False), (9, False)])
     assert all(p.survival == 1.0 for p in curve.points)
-    assert curve.tau == 9
+    assert curve.points[-1].time_days == 9
 
 
 def test_event_then_censoring():
@@ -158,7 +157,7 @@ def test_rmean_matches_oracle_integration(pairs):
     pairs = [(float(t), e) for t, e in pairs]
     curve = kaplan_meier(pairs)
     rmean, _ = restricted_mean(curve)
-    assert rmean == pytest.approx(rmean_oracle(pairs, curve.tau), abs=1e-9)
+    assert rmean == pytest.approx(rmean_oracle(pairs, curve.points[-1].time_days), abs=1e-9)
 
 
 def test_rmean_se_matches_oracle_on_random_curves():
@@ -177,7 +176,7 @@ def test_rmean_se_matches_oracle_on_random_curves():
         times = sorted({t for t, _ in pairs if t > 0})
         if not times:
             continue
-        tau = curve.tau
+        tau = curve.points[-1].time_days
 
         rows = km_oracle(pairs)
         seen["tie"] += len(set(durations)) < len(durations)
