@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import math
 import os
 import shutil
 import sys
@@ -30,9 +31,8 @@ from .report import (
     FORMATS,
     analyze_history,
     fmt_rate,
-    occurrences_csv,
-    occurrences_json,
     write_bundle,
+    write_occurrences,
 )
 from .rules import default_ruleset, evaluate_rules, load_code_model, load_ruleset
 from .tracking import TrackingOptions
@@ -67,6 +67,8 @@ def _ruleset(args) -> list:
 
 
 def _thresholds(args) -> AnomalyThresholds:
+    if not all(map(math.isfinite, (args.up, args.up2, args.down))):
+        raise ConfigError(f"thresholds must be finite, got {args.down}, {args.up}, {args.up2}")
     if not (args.down < 0 < args.up <= args.up2):
         raise ConfigError(f"thresholds must satisfy down < 0 < up <= up2, got {args.down}, {args.up}, {args.up2}")
     return AnomalyThresholds(up=args.up, up2=args.up2, down=args.down)
@@ -129,14 +131,8 @@ def cmd_detect(args) -> int:
         raise ConfigError(f"code model {args.code_model}: {exc}") from exc
     occurrences = evaluate_rules(entities, _ruleset(args))
     out_dir = Path(args.out)
-    files = {}
-    if "csv" in formats:
-        files["occurrences.csv"] = occurrences_csv(args.version_id, occurrences)
-    if "json" in formats:
-        files["occurrences.json"] = occurrences_json(args.version_id, occurrences)
     with _publishing(out_dir) as staging:
-        for name, content in files.items():
-            (staging / name).write_text(content, encoding="utf-8", newline="")
+        write_occurrences(args.version_id, occurrences, staging, formats)
     print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK
 

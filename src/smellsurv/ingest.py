@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from collections.abc import Iterator
 from datetime import datetime, timezone
@@ -33,12 +34,23 @@ MANIFEST_COLUMNS = ("app", "version", "timestamp", "report_path", "lloc")
 MANIFEST_OPTIONAL_COLUMNS = ("loc", "classes")
 
 
-def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime.
+# YYYY-MM-DD[(T| )HH[:MM[:SS[.fff|.ffffff]]][Z|±HH:MM[:SS]]], read alike by fromisoformat from
+# 3.10 on. A zone needs a time and has no fraction: fromisoformat reads "2020-01-01+01:00" as
+# 01:00, and a zone of "+00:00:00.500000" as UTC.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[Zz]|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2})?)?)?"
+)
 
-    Bare dates and naive date-times are taken as UTC midnight / UTC.
+
+def parse_timestamp(text: str) -> datetime:
+    """Parse a _TIMESTAMP, around optional whitespace, into an aware UTC
+    datetime. Bare dates and naive date-times are taken as UTC midnight / UTC.
     """
     cleaned = text.strip()
+    if not _TIMESTAMP.fullmatch(cleaned):
+        raise ValueError("not YYYY-MM-DD[THH[:MM[:SS[.ffffff]]][Z|±HH:MM[:SS]]]")
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
     moment = datetime.fromisoformat(cleaned)
@@ -108,7 +120,7 @@ class _LocalNames(dict):
 
 
 def parse_pmd_report(
-    document: bytes | str,
+    document: bytes,
     strip_prefix: str | None = None,
     strings: dict[str, str] | None = None,
 ) -> PmdParseResult:
@@ -122,7 +134,6 @@ def parse_pmd_report(
     not an error. File names and entity paths go through ``strings``, so one
     dict passed for many reports keeps one copy of each.
     """
-    data = document.encode("utf-8") if isinstance(document, str) else document
     intern = ({} if strings is None else strings).setdefault
     rules = _RULE_ORDER
     local = _LocalNames()
@@ -196,7 +207,7 @@ def parse_pmd_report(
         f"external entity {system_id!r} is not read"
     )
     try:
-        parser.Parse(data, False)
+        parser.Parse(document, False)
         parser.Parse(b"", True)
     except expat.ExpatError as exc:
         # expat gives -1 for an empty document, where there is no byte to point at

@@ -113,16 +113,18 @@ def _csv_chunks(table: Table, size: int = 512) -> Iterator[str]:
         yield text
 
 
-def _csv_text(table: Table) -> str:
-    return "".join(_csv_chunks(table))
-
-
 def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _json_line(doc) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _write(path: Path, chunks: Iterable[str]) -> None:
+    # a table is written a chunk at a time, never held as one text
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +139,13 @@ def _occurrence_table(version_id: str, occurrences: list[Occurrence]) -> Table:
     return OCCURRENCE_HEADER, rows
 
 
-def occurrences_csv(version_id: str, occurrences: list[Occurrence]) -> str:
-    return _csv_text(_occurrence_table(version_id, occurrences))
-
-
-def occurrences_json(version_id: str, occurrences: list[Occurrence]) -> str:
-    return _json_text(_json_rows(_occurrence_table(version_id, occurrences)))
+def write_occurrences(version_id: str, occurrences: list[Occurrence], out_dir: Path, formats: set[str]) -> None:
+    """Write detect's occurrences.csv and/or occurrences.json into out_dir."""
+    table = _occurrence_table(version_id, occurrences)
+    if "csv" in formats:
+        _write(out_dir / "occurrences.csv", _csv_chunks(table))
+    if "json" in formats:
+        _write(out_dir / "occurrences.json", [_json_text(_json_rows(table))])
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def _summary_cells(summary: GroupSummary | None) -> list[str]:
 
 
 def _summary_table(comparison: GroupComparison) -> Table:
-    rows = [[label] + _summary_cells(comparison.summaries[label]) for label in comparison.labels]
+    rows = [[label] + _summary_cells(summary) for label, summary in comparison.summaries.items()]
     return ["group", "found", "removed", "pct_removed", "median_days", "rmean_days", "se_rmean"], rows
 
 
@@ -220,7 +223,7 @@ def _summaries_json(comparison: GroupComparison) -> dict:
     for doc in _json_rows(_summary_table(comparison)):
         label = doc.pop("group")
         if comparison.summaries[label] is None:  # degenerate group: its counts only
-            doc = {column: value for column, value in doc.items() if value is not None} | {"no_data": True}
+            doc = {"found": 0, "removed": 0, "no_data": True}
         docs[label] = doc
     return docs
 
@@ -334,11 +337,8 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
     written: list[Path] = []
 
     def emit(name: str, chunks: Iterable[str]) -> None:
-        # a table is written a chunk at a time, never held as one text
-        path = app_dir / name
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        written.append(path)
+        _write(app_dir / name, chunks)
+        written.append(app_dir / name)
 
     if "csv" in formats:
         records = _record_table(bundle.app, bundle.records)
@@ -380,17 +380,8 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
             for r in bundle.records
         )
         emit("lifelines.svg", [svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines")])
-        points = [
-            (float(i), p.delta_rho)
-            for i, p in enumerate(bundle.series)
-        ]
-        thresholds = bundle.thresholds
-        guides = [
-            (thresholds.up, f"+{thresholds.up:.0%}"),
-            (thresholds.up2, f"+{thresholds.up2:.0%}"),
-            (thresholds.down, f"{thresholds.down:.0%}"),
-        ]
-        emit("density.svg", [svgplot.threshold_chart(points, guides, f"{bundle.app}: smell density change")])
+        rates = [p.delta_rho for p in bundle.series]
+        emit("density.svg", [svgplot.threshold_chart(rates, bundle.thresholds, f"{bundle.app}: smell density change")])
 
     return written
 

@@ -179,7 +179,6 @@ class GroupComparison(NamedTuple):
     """
 
     partition: str
-    labels: tuple[str, str]
     curves: dict[str, SurvivalCurve]
     summaries: dict[str, GroupSummary | None]
     test: LogRankResult | None
@@ -219,7 +218,6 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
             error = str(exc)
     return GroupComparison(
         partition=partition,
-        labels=labels,
         curves=curves,
         summaries=summaries,
         test=test,

@@ -25,18 +25,18 @@ def _fmt(value: float) -> str:
 
 
 class _Frame:
-    """Maps data coordinates into the plot rectangle (y grows upward)."""
+    """Maps data coordinates into the plot rectangle (x from 0, y growing
+    upward); a zero span is drawn as a span of 1."""
 
-    def __init__(self, x_min, x_max, y_min, y_max):
-        self.x_min, self.x_max = x_min, x_max
+    def __init__(self, x_max, y_min, y_max):
         self.y_min, self.y_max = y_min, y_max
-        self.x_span = (x_max - x_min) or 1.0
+        self.x_span = x_max or 1.0
         self.y_span = (y_max - y_min) or 1.0
         self.plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         self.plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(self, x: float) -> float:
-        return MARGIN_LEFT + (x - self.x_min) / self.x_span * self.plot_w
+        return MARGIN_LEFT + x / self.x_span * self.plot_w
 
     def py(self, y: float) -> float:
         return MARGIN_TOP + (self.y_max - y) / self.y_span * self.plot_h
@@ -68,7 +68,7 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
         f'font-size="12" transform="rotate(-90 16 {(y0 + y1) // 2})">{_escape(y_label)}</text>',
     ]
     for frac in (0.0, 0.5, 1.0):
-        xv = frame.x_min + frac * frame.x_span
+        xv = frac * frame.x_span
         yv = frame.y_min + frac * frame.y_span
         out.append(
             f'<text x="{_fmt(frame.px(xv))}" y="{y0 + 16}" text-anchor="middle" '
@@ -96,8 +96,7 @@ def _legend(labels_colors: list[tuple[str, str]]) -> list[str]:
 
 def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) -> str:
     """Right-continuous step plot; each series starts at (0, 1)."""
-    xs = [x for _, pts in series for x, _ in pts] or [1.0]
-    frame = _Frame(0.0, max(xs) or 1.0, 0.0, 1.0)
+    frame = _Frame(max((x for _, pts in series for x, _ in pts), default=0.0), 0.0, 1.0)
     body = _axes(frame, "days", "survival probability")
     legend = []
     for i, (label, pts) in enumerate(series):
@@ -119,9 +118,7 @@ def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) 
 
 def lifeline_chart(segments: list[tuple[float, float, bool]], title: str) -> str:
     """One horizontal segment per instance: (start, end, still_open)."""
-    n = len(segments)
-    x_max = max((end for _, end, _ in segments), default=1.0)
-    frame = _Frame(0.0, x_max or 1.0, 0.0, float(max(n, 1)))
+    frame = _Frame(max((end for _, end, _ in segments), default=0.0), 0.0, float(max(len(segments), 1)))
     body = _axes(frame, "days since first observation", "instance")
     for row, (start, end, still_open) in enumerate(segments):
         y = _fmt(frame.py(row + 0.5))
@@ -134,23 +131,20 @@ def lifeline_chart(segments: list[tuple[float, float, bool]], title: str) -> str
     return _document(body, title)
 
 
-def threshold_chart(points: list[tuple[float, float | None]], thresholds: list[tuple[float, str]], title: str) -> str:
-    """Line chart of a change-rate series with horizontal threshold guides.
-
-    None values break the line; infinite values are drawn clipped
-    to the top of the frame.
-    """
-    finite = [y for _, y in points if y is not None and math.isfinite(y)]
-    guide_values = [value for value, _ in thresholds]
-    y_lo = min([-1.0] + finite + guide_values)
-    y_hi = max([1.5] + finite + guide_values)
-    has_inf = any(y is not None and math.isinf(y) for _, y in points)
-    if has_inf:
+def threshold_chart(rates: list[float | None], thresholds: tuple[float, ...], title: str) -> str:
+    """Line chart of a change-rate series over the version index, with a dashed
+    guide at each threshold. A None rate (the first version's) is left out of
+    the line; an infinite one is drawn clipped to the top of the frame."""
+    points = [(x, y) for x, y in enumerate(rates) if y is not None]
+    finite = [y for _, y in points if math.isfinite(y)]
+    infinite = [x for x, y in points if math.isinf(y)]
+    y_lo = min([-1.0, *finite, *thresholds])
+    y_hi = max([1.5, *finite, *thresholds])
+    if infinite:
         y_hi = max(y_hi, 2.0) * 1.25
-    xs = [x for x, _ in points] or [1.0]
-    frame = _Frame(min(xs), max(xs) or 1.0, y_lo, y_hi)
+    frame = _Frame(len(rates) - 1, y_lo, y_hi)
     body = _axes(frame, "version index", "density change rate")
-    for value, label in thresholds:
+    for value in thresholds:
         y = _fmt(frame.py(value))
         body.append(
             f'<line x1="{MARGIN_LEFT}" y1="{y}" x2="{WIDTH - MARGIN_RIGHT}" y2="{y}" '
@@ -158,23 +152,14 @@ def threshold_chart(points: list[tuple[float, float | None]], thresholds: list[t
         )
         body.append(
             f'<text x="{WIDTH - MARGIN_RIGHT - 4}" y="{_fmt(frame.py(value) - 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10" fill="#666666">{_escape(label)}</text>'
+            f'font-family="sans-serif" font-size="10" fill="#666666">{value:+.0%}</text>'
         )
-    path: list[str] = []
-    pen_down = False
-    for x, y in points:
-        if y is None:
-            pen_down = False
-            continue
-        cmd = "L" if pen_down else "M"
-        path.append(f"{cmd} {_fmt(frame.px(x))} {_fmt(frame.py(min(y, y_hi)))}")
-        pen_down = True
-    if path:
-        body.append(f'<path d="{" ".join(path)}" fill="none" stroke="#1b6ca8" stroke-width="2"/>')
-    for x, y in points:
-        if y is not None and math.isinf(y):
-            body.append(
-                f'<text x="{_fmt(frame.px(x))}" y="{MARGIN_TOP + 12}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="10" fill="#c0392b">inf</text>'
-            )
+    if points:
+        path = " L ".join(f"{_fmt(frame.px(x))} {_fmt(frame.py(min(y, y_hi)))}" for x, y in points)
+        body.append(f'<path d="M {path}" fill="none" stroke="#1b6ca8" stroke-width="2"/>')
+    for x in infinite:
+        body.append(
+            f'<text x="{_fmt(frame.px(x))}" y="{MARGIN_TOP + 12}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="10" fill="#c0392b">inf</text>'
+        )
     return _document(body, title)

@@ -76,6 +76,25 @@ def write_no_smell_history(directory: Path) -> Path:
     return manifest
 
 
+def write_inf_rate_history(directory: Path) -> Path:
+    """Five PMD versions of app "spike" with 0, 3, 3, 1 and 0 violations at a
+    fixed lloc, so the first change rate is infinite; returns the manifest."""
+    methods = [[], ["m1", "m2", "m3"], ["m1", "m2", "m3"], ["m2"], []]
+    rows = ["app,version,timestamp,report_path,lloc"]
+    for i, names in enumerate(methods, start=1):
+        violations = "".join(
+            f'<violation beginline="{10 * j + 1}" endline="{10 * j + 9}" rule="ExcessiveMethodLength" '
+            f'package="App" class="S" method="{name}">long</violation>'
+            for j, name in enumerate(names)
+        )
+        body = f'<file name="app/s.php">{violations}</file>' if names else ""
+        (directory / f"r{i}.xml").write_text(NO_SMELL_REPORT.replace("</pmd>", body + "</pmd>"))
+        rows.append(f"spike,{i}.0,2020-0{i}-01,r{i}.xml,1000")
+    manifest = directory / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return manifest
+
+
 def history_from_bits(
     bits_by_key: dict[str, str],
     days: list[float] | None = None,

@@ -26,7 +26,7 @@ from smellsurv.cli import (
 )
 from smellsurv import cli, survival
 from smellsurv.errors import SmellSurvError
-from smellsurv.report import _csv_chunks, _csv_text, analyze_history, fmt_rate, write_bundle
+from smellsurv.report import _csv_chunks, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
@@ -300,7 +300,7 @@ def test_write_bundle_never_holds_a_csv_tables_whole_text(tmp_path):
     ids=["plain", "comma", "quote", "lf", "cr", "nul", "empty", "spaces"],
 )
 def test_csv_text_quotes_a_cell_holding_a_comma_a_quote_or_a_line_break(cell, written):
-    text = _csv_text((["x", "cell", "y"], [["1", cell, "2"], [cell, cell, cell]]))
+    text = "".join(_csv_chunks((["x", "cell", "y"], [["1", cell, "2"], [cell, cell, cell]])))
     assert text.encode() == f"x,cell,y\n1,{written},2\n{written},{written},{written}\n".encode()
 
 
@@ -651,6 +651,7 @@ def test_unknown_format_rejected(tmp_path, capsys):
 
 
 THRESHOLD_ORDER = "thresholds must satisfy down < 0 < up <= up2, got"
+THRESHOLD_FINITE = "thresholds must be finite, got"
 
 
 @pytest.mark.parametrize(
@@ -666,6 +667,10 @@ THRESHOLD_ORDER = "thresholds must satisfy down < 0 < up <= up2, got"
         ("gate", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
         ("gate", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
         ("gate", "--down=0.1", f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
+        ("analyze", "--up2=inf", f"{THRESHOLD_FINITE} -0.5, 0.5, inf"),
+        ("analyze", "--down=-inf", f"{THRESHOLD_FINITE} -inf, 0.5, 1.0"),
+        ("gate", "--up2=inf", f"{THRESHOLD_FINITE} -0.5, 0.5, inf"),
+        ("gate", "--down=-inf", f"{THRESHOLD_FINITE} -inf, 0.5, 1.0"),
     ],
 )
 def test_a_bad_argument_value_is_a_config_error(tmp_path, capsys, command, flag, message):

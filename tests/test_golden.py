@@ -1,8 +1,10 @@
 """Byte-for-byte comparison of analyze bundles against committed goldens.
 
 tests/data/*_golden/ hold the `--formats csv,json,svg` bundles of the triapp
-manifest and of a two-version history without smells (both groups empty,
-km_all.csv only a header), and detect_golden/<model>/ the `detect --formats
+manifest, of a two-version history without smells (both groups empty,
+km_all.csv only a header) and of a history whose smell count goes
+0 -> 3 -> 3 -> 1 -> 0 (an infinite density change rate, flagged, and
+clipped in density.svg), and detect_golden/<model>/ the `detect --formats
 csv,json` output of each triapp code model, with the model's file stem as
 its version id. A refactor of the rules, the analysis or the writers must
 reproduce every file exactly; a change meant to alter output regenerates
@@ -20,7 +22,7 @@ import pytest
 
 from smellsurv.cli import EXIT_OK, main
 
-from conftest import write_no_smell_history
+from conftest import write_inf_rate_history, write_no_smell_history
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -42,8 +44,9 @@ def _assert_same_bundle(out: Path, golden: Path) -> None:
     [
         (lambda tmp: DATA / "triapp" / "manifest.csv", "triapp_golden"),
         (write_no_smell_history, "clean_golden"),
+        (write_inf_rate_history, "inf_rate_golden"),
     ],
-    ids=["triapp", "no-smell"],
+    ids=["triapp", "no-smell", "inf-rate"],
 )
 def test_bundle_matches_golden(tmp_path, manifest, golden):
     inputs = tmp_path / "in"

@@ -145,6 +145,47 @@ def test_the_check_finds_an_unread_method():
     assert unread_methods(defining, reading) == ["a.py: C._private"]
 
 
+def unread_fields(defining: dict[str, str], reading: dict[str, str]) -> list[str]:
+    """Fields of the module-level NamedTuples in defining that no source in
+    reading reads, as an attribute or as a string constant (how a field is
+    looked up by name), as "module: Class.field"."""
+    read = set()
+    for source in reading.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = []
+    for module, source in defining.items():
+        for cls in module_statements(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(ast.unparse(base).endswith("NamedTuple") for base in cls.bases):
+                unread.extend(
+                    f"{module}: {cls.name}.{node.target.id}"
+                    for node in cls.body
+                    if isinstance(node, ast.AnnAssign) and node.target.id not in read
+                )
+    return sorted(unread)
+
+
+def test_every_named_tuple_field_in_src_is_read_by_src_or_bench():
+    # ChangeRates is written whole, each field under its own name, through _asdict()
+    unread = unread_fields(read_sources("src"), read_sources("src", "bench"))
+    assert [name for name in unread if not name.startswith("src/smellsurv/anomaly.py: ChangeRates.")] == []
+
+
+def test_the_check_finds_an_unread_field():
+    defining = {
+        "a.py": (
+            "from typing import NamedTuple\nimport typing\n"
+            "class P(NamedTuple):\n    x: int\n    y: int = 0\n    z: str = ''\n"
+            "class Q(typing.NamedTuple):\n    w: int\nclass R:\n    v: int\n"
+        ),
+    }
+    reading = {"b.py": "from a import P, Q\np = P(1)\nprint(p.x, getattr(p, 'z'))\n"}
+    assert unread_fields(defining, reading) == ["a.py: P.y", "a.py: Q.w"]
+
+
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport math as m\nfrom typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from a import B\nm.pi\n"
     assert unused_imports(source) == ["line 1: os", "line 5: B"]

@@ -6,6 +6,7 @@ import json
 import tempfile
 import textwrap
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,97 @@ def test_parse_timestamp_variants():
     assert parse_timestamp("2014-03-26").isoformat() == "2014-03-26T00:00:00+00:00"
     assert parse_timestamp("2014-03-26T10:30:00Z").isoformat() == "2014-03-26T10:30:00+00:00"
     assert parse_timestamp("2014-03-26T12:30:00+02:00").isoformat() == "2014-03-26T10:30:00+00:00"
+
+
+# each string with its instant in UTC, or None where every Python refuses it;
+# 3.10's fromisoformat reads none of the 3.11+-only forms below, and takes
+# any character between date and time
+TIMESTAMPS = [
+    ("2020-01-01", "2020-01-01T00:00:00+00:00"),
+    (" 2020-01-01\t", "2020-01-01T00:00:00+00:00"),
+    ("2020-01-01T10", "2020-01-01T10:00:00+00:00"),
+    ("2020-01-01 10:00:00", "2020-01-01T10:00:00+00:00"),
+    ("2020-01-01T10:30:15.123", "2020-01-01T10:30:15.123000+00:00"),
+    ("2020-01-01T10:30:15.123456", "2020-01-01T10:30:15.123456+00:00"),
+    ("2020-01-01T10Z", "2020-01-01T10:00:00+00:00"),
+    ("2020-01-01T10:00z", "2020-01-01T10:00:00+00:00"),
+    ("2020-01-01T00:30+01:00", "2019-12-31T23:30:00+00:00"),
+    ("2020-01-01T10:00-05:00", "2020-01-01T15:00:00+00:00"),
+    ("2020-01-01T10:00:00.123+01:00:30", "2020-01-01T08:59:30.123000+00:00"),
+    ("2020-01-01T10:00:00.5", None),  # 3.11+ only: a fraction of 1 digit
+    ("2020-01-01T10:00:00,5", None),  # 3.11+ only: a comma
+    ("2020-01-01T10:00:00.1234567", None),  # 3.11+ only: 7 digits
+    ("2020-01-01T10:00+0100", None),  # 3.11+ only: basic zone
+    ("2020-01-01T10:00+01", None),  # 3.11+ only: zone hours only
+    ("2020-01-01T10:00:00.123+01:00:30.123", None),  # 3.11+ only: zone fraction of 3 digits
+    ("2020-01-01T10:00+01:00:30.123456", None),  # a zone fraction
+    ("2020-01-01T10:00+00:00:00.500000", None),  # every Python: UTC, the fraction dropped
+    ("2020-01-01T1000", None),  # 3.11+ only: basic time
+    ("20200101", None),  # 3.11+ only: basic date
+    ("2020-W01-1", None),  # 3.11+ only: week date
+    ("2020-01-01t10:00", None),  # a separator other than T or a space
+    ("2020-01-01x10:00", None),  # 3.10 only
+    ("2020-01-01+01:00", None),  # every Python: 01:00, the zone taken for a time
+    ("2020-01-01Z", None),
+    ("２０２０-01-01", None),  # digits that are not ASCII
+    ("2020-13-01", None),
+    ("2020-01-01T24:00", None),
+    ("nope", None),
+    ("", None),
+]
+
+
+@pytest.mark.parametrize("text, utc", TIMESTAMPS, ids=[repr(text) for text, _ in TIMESTAMPS])
+def test_one_timestamp_grammar_on_every_python(text, utc):
+    if utc is None:
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text).isoformat() == utc
+
+
+# valid dates and times near the grammar: basic times and zones, other
+# separators, commas and fractions of 1-7 digits
+TIMESTAMP_LIKE = (
+    r"[1-9][0-9]{3}-(?:0[1-9]|1[0-2])-(?:0[1-9]|1[0-9]|2[0-8])"
+    r"(?:[Tt x][01][0-9](?::?[0-5][0-9](?::?[0-5][0-9](?:[.,][0-9]{1,7})?)?)?"
+    r"(?:[Zz]|[+-][01][0-9](?::?[0-5][0-9](?::[0-5][0-9](?:\.[0-9]{1,7})?)?)?)?)?"
+    r"(?:[Zz]|[+-][01][0-9]:[0-5][0-9])?"
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.from_regex(TIMESTAMP_LIKE, fullmatch=True))
+def test_an_accepted_timestamp_is_the_instant_fromisoformat_reads(text):
+    try:
+        moment = parse_timestamp(text)
+    except (ValueError, OverflowError):
+        return
+    want = datetime.fromisoformat(text[:-1] + "+00:00" if text[-1] in "Zz" else text)
+    assert moment == want.replace(tzinfo=want.tzinfo or timezone.utc)
+
+
+# a zone in whole seconds, as the grammar has it
+ZONES = st.none() | st.integers(-86_399, 86_399).map(lambda seconds: timezone(timedelta(seconds=seconds)))
+
+
+# isoformat at each precision, and the same moment cut to that precision
+TIMESPECS = {
+    "minutes": lambda moment: moment.replace(second=0, microsecond=0),
+    "seconds": lambda moment: moment.replace(microsecond=0),
+    "milliseconds": lambda moment: moment.replace(microsecond=moment.microsecond // 1000 * 1000),
+    "microseconds": lambda moment: moment,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.datetimes(min_value=datetime(2, 1, 1), max_value=datetime(9998, 12, 31), timezones=ZONES),
+    st.sampled_from(sorted(TIMESPECS)),
+)
+def test_every_isoformat_output_is_accepted(moment, timespec):
+    want = TIMESPECS[timespec](moment)
+    assert parse_timestamp(moment.isoformat(timespec=timespec)) == want.replace(tzinfo=want.tzinfo or timezone.utc)
 
 
 def test_single_violation_mapped():

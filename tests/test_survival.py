@@ -316,7 +316,7 @@ def test_compare_groups_by_scope():
     localized = [record(d, e, scope="localized") for d, e in [(10, True), (20, True), (30, True), (40, False)]]
     scattered = [record(2 * d, e, scope="scattered") for d, e in [(10, True), (20, True), (30, True), (40, False)]]
     comparison = compare_groups(localized + scattered, "scope")
-    assert comparison.labels == ("localized", "scattered")
+    assert list(comparison.summaries) == ["localized", "scattered"]
     s_loc = comparison.summaries["localized"]
     s_sca = comparison.summaries["scattered"]
     assert s_sca.median_days == 2 * s_loc.median_days

@@ -46,7 +46,7 @@ def test_distinct_entities_get_distinct_keys():
 def parsed_keys(*violations: str) -> list[InstanceKey]:
     """Keys of a one-file PMD report holding the given violation elements."""
     doc = f'<pmd><file name="a.php">{"".join(violations)}</file></pmd>'
-    return assign_keys(parse_pmd_report(doc).occurrences)
+    return assign_keys(parse_pmd_report(doc.encode()).occurrences)
 
 
 def test_line_shift_keeps_key():
@@ -97,7 +97,7 @@ VALUES = [
     (SurvivalCurve((POINT,)), "points"),
     (GroupSummary(2, 1, 0.5, 10.0, 7.5, 2.5), "found"),
     (LogRankResult(1.0, 0.3), "p_value"),
-    (GroupComparison("scope", ("localized", "scattered"), {}, {}, None, "empty group: localized"), "error"),
+    (GroupComparison("scope", {}, {}, None, "empty group: localized"), "error"),
     (DensityPoint("v1", ts(0), 1, 10, 0.1, None, None, None), "rho"),
     (AnomalyThresholds(), "up"),
     (AnomalyFlag("v2", "increase_50", 0.6), "kind"),
