@@ -25,9 +25,10 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
-from .errors import ConfigError, ManifestError, OutputError, ReportParseError, SmellSurvError
+from .errors import ConfigError, ManifestError, OutputError, SmellSurvError
 from .ingest import load_manifests
 from .report import (
+    BUNDLE_FILES,
     FORMATS,
     analyze_history,
     fmt_rate,
@@ -47,7 +48,7 @@ def _error_record(exc: SmellSurvError) -> str:
     doc: dict = {"error": type(exc).__name__, "message": str(exc)}
     if exc.row is not None:
         doc["row"] = exc.row
-    if isinstance(exc, ReportParseError) and exc.byte_offset is not None:
+    if exc.byte_offset is not None:
         doc["byte_offset"] = exc.byte_offset
     return json.dumps(doc, sort_keys=True)
 
@@ -79,10 +80,11 @@ def _publishing(out_dir: Path):
     """Yield an empty staging directory under out_dir; when the block returns,
     move each staged entry over its namesake in out_dir, the old entry going
     aside first; a file never replaces a directory (EISDIR), nor a directory
-    a file (ENOTDIR). If a move fails, every move made is undone, newest
-    first, so a failed run leaves out_dir as it was (or absent, with the
-    parents this created). Any OSError or ValueError (a NUL byte, text utf-8
-    cannot encode) becomes an OutputError naming out_dir."""
+    a file (ENOTDIR) or a directory holding other than BUNDLE_FILES. If a
+    move fails, every move made is undone, newest first, so a failed run
+    leaves out_dir as it was (or absent, with the parents this created).
+    Any OSError or ValueError (a NUL byte, text utf-8 cannot encode) becomes
+    an OutputError naming out_dir."""
     try:
         created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -98,6 +100,10 @@ def _publishing(out_dir: Path):
                     if target.exists() and target.is_dir() != (staging / name).is_dir():
                         code = errno.EISDIR if target.is_dir() else errno.ENOTDIR
                         raise OSError(code, os.strerror(code), str(target))
+                    if target.is_dir():
+                        with os.scandir(target) as entries:
+                            if not all(e.name in BUNDLE_FILES and e.is_file(follow_symlinks=False) for e in entries):
+                                raise OSError(f"{target} is not a bundle, so it is not replaced")
                     steps = [(target, aside / name)] if os.path.lexists(target) else []
                     for src, dst in (*steps, (staging / name, target)):
                         os.replace(src, dst)

@@ -8,10 +8,14 @@ Every input is checked where it is read, and every failure is raised as a
 class SmellSurvError(Exception):
     """Base class for all toolkit errors.
 
-    ``row`` is the 1-based manifest row the error came from, when known.
+    ``row`` is the 1-based manifest row the error came from, and
+    ``byte_offset`` its position in a report, when known.
     """
 
-    row: int | None = None
+    def __init__(self, message: str, row: int | None = None, byte_offset: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.byte_offset = byte_offset
 
 
 class ConfigError(SmellSurvError):
@@ -23,23 +27,11 @@ class ConfigError(SmellSurvError):
 
 
 class ReportParseError(SmellSurvError):
-    """A violation report could not be parsed.
-
-    Carries ``byte_offset`` when the position in the document is known.
-    """
-
-    def __init__(self, message: str, byte_offset: int | None = None, row: int | None = None):
-        super().__init__(message)
-        self.byte_offset = byte_offset
-        self.row = row
+    """A violation report could not be parsed."""
 
 
 class ManifestError(SmellSurvError):
     """A manifest row is invalid."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
 
 
 class OutputError(SmellSurvError):

@@ -197,6 +197,8 @@ def parse_pmd_report(
         raise _malformed(parser.CurrentByteIndex, line, column, f"{message}: line {line}, column {column}")
 
     parser = expat.ParserCreate(namespace_separator="}")
+    declaration = {}  # expat reports the declared encoding before Python's codecs are asked for it
+    parser.XmlDeclHandler = lambda version, encoding, standalone: declaration.update(encoding=encoding)
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
     # expat skips an undeclared entity under an external DTD and leaves an
@@ -212,6 +214,8 @@ def parse_pmd_report(
     except expat.ExpatError as exc:
         # expat gives -1 for an empty document, where there is no byte to point at
         raise _malformed(max(parser.ErrorByteIndex, 0), exc.lineno, exc.offset, str(exc)) from None
+    except (LookupError, ValueError) as exc:  # a codec expat cannot use; UnicodeError is a ValueError
+        raise ReportParseError(f"declared encoding {declaration.get('encoding')!r} cannot be read: {exc}") from None
     if problems:
         raise ReportParseError(problems[0])
     rows.sort()
@@ -336,7 +340,7 @@ def _snapshot_from_row(
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=entry.row) from exc
     except ReportParseError as exc:  # only the PMD parser raises one
-        raise ReportParseError(f"PMD report {path}: {exc}", exc.byte_offset, entry.row) from exc
+        raise ReportParseError(f"PMD report {path}: {exc}", row=entry.row, byte_offset=exc.byte_offset) from exc
     except SmellSurvError as exc:
         exc.row = entry.row
         raise

@@ -44,6 +44,12 @@ from .tracking import (
 
 FORMATS = ("csv", "json", "svg")
 
+BUNDLE_FILES = frozenset({  # every name write_bundle can write into an app directory, in any format
+    "records.csv", "lifelines.csv", "counts_by_rule.csv", "density.csv", "anomalies.csv", "km_all.csv", "bundle.json",
+    "summary_scope.csv", "summary_timeframe.csv", "km_scope.csv", "km_timeframe.csv", "logrank_scope.json",
+    "logrank_timeframe.json", "anomalies.json", "km_scope.svg", "km_timeframe.svg", "lifelines.svg", "density.svg",
+})
+
 Table = tuple[list[str], Iterable[list[str]]]  # a header and rows of formatted cells, read once
 
 # how a cell reads back as a JSON value: text stays a string, a count is an
@@ -231,9 +237,8 @@ def _summaries_json(comparison: GroupComparison) -> dict:
 CURVE_HEADER = ["time_days", "n_at_risk", "n_events", "survival"]
 
 
-def _curve_table(curve: SurvivalCurve | None) -> Table:
-    points = curve.points if curve else []
-    rows = [[fmt_days(p.time_days), str(p.n_at_risk), str(p.n_events), fmt_prob(p.survival)] for p in points]
+def _curve_table(curve: SurvivalCurve) -> Table:
+    rows = [[fmt_days(p.time_days), str(p.n_at_risk), str(p.n_events), fmt_prob(p.survival)] for p in curve]
     return CURVE_HEADER, rows
 
 
@@ -297,7 +302,7 @@ class AnalysisBundle(NamedTuple):
     history: History
     thresholds: AnomalyThresholds
     records: list[SurvivalRecord]
-    km_all: SurvivalCurve | None  # None when there are no records
+    km_all: SurvivalCurve
     scope: GroupComparison
     timeframe: GroupComparison
     series: list[DensityPoint]
@@ -320,7 +325,7 @@ def analyze_history(
         history=history,
         thresholds=thresholds,
         records=records,
-        km_all=kaplan_meier([(r.duration_days, r.event_observed) for r in records]) if records else None,
+        km_all=kaplan_meier([(r.duration_days, r.end_date is not None) for r in records]),
         scope=compare_groups(records, "scope"),
         timeframe=compare_groups(assign_timeframes(records, history), "timeframe"),
         series=series,
@@ -366,7 +371,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
     if "svg" in formats:
         for c in comparisons:
             series = [
-                (label, [(p.time_days, p.survival) for p in curve.points])
+                (label, [(p.time_days, p.survival) for p in curve])
                 for label, curve in c.curves.items()
             ]
             emit(f"km_{c.partition}.svg", [svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}")])

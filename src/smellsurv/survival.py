@@ -1,6 +1,6 @@
 """Kaplan-Meier estimation, restricted means, and the two-group log-rank test.
 
-``kaplan_meier`` consumes (duration, event_observed) pairs and yields a
+``kaplan_meier`` consumes (duration, event observed) pairs and yields a
 point at every distinct duration, so its curve is also the group's risk
 table; the restricted mean and the log-rank test read that table. Tied
 times follow the standard convention that events are processed before
@@ -28,21 +28,17 @@ class CurvePoint(NamedTuple):
     survival: float
 
 
-class SurvivalCurve(NamedTuple):
-    """Product-limit step function; survival is 1 before the first point."""
-
-    points: tuple[CurvePoint, ...]
+SurvivalCurve = tuple[CurvePoint, ...]
 
 
 def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
     """Product-limit estimate over the distinct observed times.
 
     Every distinct duration contributes a point (censoring-only times keep
-    the running level), so the curve doubles as a full risk table.
+    the running level), so the curve doubles as a full risk table. Survival
+    is 1 before the first point; no pairs give no points.
     """
     pairs = sorted(pairs)
-    if not pairs:
-        raise ValueError("no records")
     n = len(pairs)
     points = []
     s = 1.0
@@ -57,13 +53,13 @@ def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
         if events:
             s *= 1.0 - events / at_risk
         points.append(CurvePoint(time_days=t, n_at_risk=at_risk, n_events=events, survival=s))
-    return SurvivalCurve(points=tuple(points))
+    return tuple(points)
 
 
 def median_survival(curve: SurvivalCurve) -> float | None:
     """Smallest time where survival falls to 0.5 or below; None when the
     curve never gets there."""
-    for p in curve.points:
+    for p in curve:
         if p.survival <= 0.5 + _LEVEL_EPS:
             return p.time_days
     return None
@@ -80,14 +76,13 @@ def restricted_mean(curve: SurvivalCurve) -> tuple[float, float]:
     point below tau starts the next one, so A_i is the suffix sum of the
     segment areas after segment i.
     """
-    points = curve.points
-    times = [p.time_days for p in points]
-    levels = [1.0] + [p.survival for p in points[:-1]]
+    times = [p.time_days for p in curve]
+    levels = [1.0] + [p.survival for p in curve[:-1]]
     areas = [(end - start) * level for start, end, level in zip([0.0, *times], times, levels)]
     tail_areas = list(accumulate(reversed(areas[1:])))[::-1]
     variance = 0.0
     # zip stops before the point at tau, whose A_i is 0
-    for p, tail_area in zip(points, tail_areas):
+    for p, tail_area in zip(curve, tail_areas):
         if 0 < p.n_events < p.n_at_risk:
             variance += tail_area ** 2 * p.n_events / (p.n_at_risk * (p.n_at_risk - p.n_events))
     return sum(areas), math.sqrt(variance)
@@ -105,8 +100,8 @@ class GroupSummary(NamedTuple):
 def summarize(curve: SurvivalCurve) -> GroupSummary:
     """Found/removed counts plus median and restricted mean at the curve's
     own horizon; the counts are the first risk set and the events."""
-    found = curve.points[0].n_at_risk
-    removed = sum(p.n_events for p in curve.points)
+    found = curve[0].n_at_risk
+    removed = sum(p.n_events for p in curve)
     rmean, se = restricted_mean(curve)
     return GroupSummary(
         found=found,
@@ -124,7 +119,7 @@ class LogRankResult(NamedTuple):
     warning: str | None = None
 
 
-def _risk_sets(points: tuple[CurvePoint, ...], times: list[float]) -> Iterator[tuple[int, int]]:
+def _risk_sets(points: SurvivalCurve, times: list[float]) -> Iterator[tuple[int, int]]:
     """(at risk, events) of one group at each of the ascending times: the
     at-risk count of its first point at or after t, and that point's events
     when it lies at t."""
@@ -136,7 +131,7 @@ def _risk_sets(points: tuple[CurvePoint, ...], times: list[float]) -> Iterator[t
         yield p.n_at_risk, p.n_events if p.time_days == t else 0
 
 
-def log_rank(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> LogRankResult:
+def log_rank(a: SurvivalCurve, b: SurvivalCurve) -> LogRankResult:
     """Two-group log-rank test over the groups' KM risk tables.
 
     At each distinct pooled event time, the expected events in group A follow
@@ -144,7 +139,6 @@ def log_rank(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> LogRankResult:
     d * (n_A/n) * (1 - n_A/n) * (n - d) / (n - 1) (skipped when n == 1); the
     statistic (O_A - E_A)^2 / V is chi-square with 1 degree of freedom.
     """
-    a, b = curve_a.points, curve_b.points
     times = sorted({p.time_days for p in (*a, *b) if p.n_events})
     if not times:
         raise ValueError("test undefined: no events in the pooled data")
@@ -203,7 +197,7 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
     labels, group_of = _PARTITIONS[partition]
     groups: dict[str, list[tuple[float, bool]]] = {label: [] for label in labels}
     for record in records:
-        groups[group_of(record)].append((record.duration_days, record.event_observed))
+        groups[group_of(record)].append((record.duration_days, record.end_date is not None))
 
     curves = {label: kaplan_meier(pairs) for label, pairs in groups.items() if pairs}
     summaries = {label: summarize(curves[label]) if label in curves else None for label in labels}

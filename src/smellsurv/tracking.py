@@ -9,7 +9,7 @@ one addition; the optional rename heuristic re-joins such pairs.
 Lifetime bookkeeping follows the removal convention: censored=1 means the
 instance disappeared (the event was observed, dated at the first version
 where it is absent), censored=0 means it is still present in the final
-snapshot. Statistical consumers should read the flag as event_observed.
+snapshot. The statistics read an observed event as end_date being set.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class TrackingOptions(NamedTuple):
 
 class SurvivalRecord(NamedTuple):
     """One run of presence; end_date is set exactly when its removal was
-    observed, so censored and event_observed are read from it."""
+    observed, so censored is read from it."""
 
     key: InstanceKey
     scope: str
@@ -54,10 +54,6 @@ class SurvivalRecord(NamedTuple):
     @property
     def censored(self) -> int:
         return 0 if self.end_date is None else 1
-
-    @property
-    def event_observed(self) -> bool:
-        return self.end_date is not None
 
 
 def assign_keys(occurrences: list[Occurrence]) -> list[InstanceKey]:
@@ -101,8 +97,6 @@ def apply_rename_heuristic(
 
     pairs = []
     for added in sorted(added_keys):
-        if not added.entity_path:
-            continue
         candidates = by_identity.get((added.rule, added.entity_path))
         if not candidates:
             continue

@@ -48,7 +48,7 @@ def record(
 
 def pairs(records: list[SurvivalRecord]) -> list[tuple[float, bool]]:
     """The (duration, event) pairs the statistics take."""
-    return [(r.duration_days, r.event_observed) for r in records]
+    return [(r.duration_days, r.end_date is not None) for r in records]
 
 
 def load_manifest(table: str, base_dir) -> History:

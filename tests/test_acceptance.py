@@ -60,8 +60,8 @@ def test_criterion_1_survival_oracle_equivalence():
         for pairs in (group_a, group_b, group_a + group_b):
             curve = kaplan_meier(pairs)
             oracle_rows = km_oracle(pairs)
-            assert len(curve.points) == len(oracle_rows)
-            for p, (t, n, d, s) in zip(curve.points, oracle_rows):
+            assert len(curve) == len(oracle_rows)
+            for p, (t, n, d, s) in zip(curve, oracle_rows):
                 assert p.time_days == t and p.n_at_risk == n and p.n_events == d
                 assert abs(p.survival - s) <= 1e-12
 
@@ -298,7 +298,7 @@ def test_criterion_7b_scale_equivariance(pairs, scale):
     else:
         assert scaled_median == base_median * scale
 
-    if base_curve.points[-1].time_days > 0:
+    if base_curve[-1].time_days > 0:
         base_rmean, _ = restricted_mean(base_curve)
         scaled_rmean, _ = restricted_mean(scaled_curve)
         assert math.isclose(scaled_rmean, base_rmean * scale, rel_tol=1e-9, abs_tol=1e-9)
@@ -312,7 +312,7 @@ def test_criterion_7c_curve_validity(pairs):
     curve = kaplan_meier([(float(t), e) for t, e in pairs])
     level = 1.0
     last_time = -1.0
-    for p in curve.points:
+    for p in curve:
         assert p.time_days > last_time
         assert 0.0 <= p.survival <= 1.0
         assert p.survival <= level + 1e-15

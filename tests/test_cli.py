@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import contextlib
 import csv
+import encodings.aliases
 import io
 import json
 import os
@@ -26,7 +27,7 @@ from smellsurv.cli import (
 )
 from smellsurv import cli, survival
 from smellsurv.errors import SmellSurvError
-from smellsurv.report import _csv_chunks, analyze_history, fmt_rate, write_bundle
+from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
@@ -127,16 +128,18 @@ def triapp_out(tmp_path_factory):
 
 
 def test_analyze_writes_per_app_bundles(triapp_out):
+    # every format together writes exactly BUNDLE_FILES, the names a bundle may hold
+    names = {
+        "records.csv", "lifelines.csv", "counts_by_rule.csv", "density.csv",
+        "anomalies.csv", "summary_scope.csv", "summary_timeframe.csv",
+        "km_all.csv", "km_scope.csv", "km_timeframe.csv",
+        "logrank_scope.json", "logrank_timeframe.json",
+        "anomalies.json", "bundle.json",
+        "km_scope.svg", "km_timeframe.svg", "lifelines.svg", "density.svg",
+    }
+    assert BUNDLE_FILES == names
     for app in ("alpha", "beta", "gamma"):
-        for name in (
-            "records.csv", "lifelines.csv", "counts_by_rule.csv", "density.csv",
-            "anomalies.csv", "summary_scope.csv", "summary_timeframe.csv",
-            "km_all.csv", "km_scope.csv", "km_timeframe.csv",
-            "logrank_scope.json", "logrank_timeframe.json",
-            "anomalies.json", "bundle.json",
-            "km_scope.svg", "km_timeframe.svg", "lifelines.svg", "density.svg",
-        ):
-            assert (triapp_out / app / name).exists(), f"{app}/{name} missing"
+        assert {p.name for p in (triapp_out / app).iterdir()} == names
 
 
 def test_alpha_records_and_flags(triapp_out):
@@ -626,6 +629,23 @@ def test_report_error_names_the_file_and_the_row(tmp_path, capsys, command, name
         assert 0 < record["byte_offset"] <= len(content)
 
 
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@pytest.mark.parametrize("encoding", ["bogus", "rot13", "cp932", "idna", "punycode"])
+def test_a_declared_encoding_expat_cannot_use_is_a_report_parse_error(tmp_path, capsys, command, encoding):
+    # Python's codecs refuse these names, or cannot hand expat a one-byte table
+    rows = four_version_rows(tmp_path)
+    (tmp_path / "bad.xml").write_text(NO_SMELL_REPORT.replace("UTF-8", encoding))
+    rows[3][3] = "bad.xml"
+    manifest = write_rows(tmp_path, rows)
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["row"]) == ("ReportParseError", 4)
+    assert str(tmp_path / "bad.xml") in record["message"]
+    assert f"declared encoding {encoding!r} cannot be read" in record["message"]
+
+
 # ---------------------------------------------------------------------------
 # error handling and formats
 # ---------------------------------------------------------------------------
@@ -915,12 +935,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("command", ["analyze", "gate"])
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_any_manifest_exits_cleanly_or_with_one_typed_error_record(fuzz_dir, command, data):
-    manifest = fuzz_dir / "manifest.csv"
-    manifest.write_bytes(data.draw(mutated_manifests(four_version_rows(fuzz_dir))))
+def assert_clean_exit_or_one_typed_error_record(command: str, manifest: Path, fuzz_dir: Path) -> None:
     out = ["--out", str(fuzz_dir / "out")] if command == "analyze" else []
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
@@ -931,6 +946,51 @@ def test_any_manifest_exits_cleanly_or_with_one_typed_error_record(fuzz_dir, com
         assert json.loads(line)["error"] in {cls.__name__ for cls in SmellSurvError.__subclasses__()}
     else:
         assert stderr.getvalue() == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_manifest_exits_cleanly_or_with_one_typed_error_record(fuzz_dir, command, data):
+    manifest = fuzz_dir / "manifest.csv"
+    manifest.write_bytes(data.draw(mutated_manifests(four_version_rows(fuzz_dir))))
+    assert_clean_exit_or_one_typed_error_record(command, manifest, fuzz_dir)
+
+
+# every codec name Python knows, and names it does not
+DECLARED_ENCODINGS = sorted(set(encodings.aliases.aliases.values())) + ["bogus", "utf-99", "x" * 64, "", "1"]
+VIOLATION = '<violation beginline="3" endline="90" rule="ExcessiveMethodLength" class="A" method="m">long</violation>'
+
+
+@st.composite
+def mutated_reports(draw) -> tuple[str, bytes]:
+    """A report's file name and bytes: a valid PMD report, most declaring an
+    encoding, or a valid code model, with a few bytes inserted, deleted or
+    replaced; an extension-less name makes the loader sniff the flavor."""
+    if draw(st.booleans()):
+        report = NO_SMELL_REPORT.replace("</pmd>", f'<file name="a.php">{VIOLATION}</file></pmd>')
+        encoding = draw(st.none() | st.none() | st.sampled_from(DECLARED_ENCODINGS))
+        data = (report if encoding is None else report.replace("UTF-8", encoding)).encode()
+        name = draw(st.sampled_from(["r.xml", "r.xml", "r"]))
+    else:
+        data = json.dumps([{"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150}]).encode()
+        name = draw(st.sampled_from(["r.json", "r.json", "r"]))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 3))
+        data = data[:at] + draw(st.sampled_from(ODD_BYTES) | st.binary(max_size=3)) + data[at + cut:]
+    return name, data
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_report_exits_cleanly_or_with_one_typed_error_record(fuzz_dir, command, data):
+    name, report = data.draw(mutated_reports())
+    (fuzz_dir / name).write_bytes(report)
+    rows = four_version_rows(fuzz_dir)
+    rows[4][3] = name  # the latest version, which gate reads too
+    assert_clean_exit_or_one_typed_error_record(command, write_rows(fuzz_dir, rows), fuzz_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,6 +1128,35 @@ def test_analyze_never_replaces_a_file_named_like_an_app(tmp_path, capsys):
         "message": f"cannot write under --out {out}: [Errno 20] Not a directory: '{out / 'beta'}'",
     }
     assert tree(out) == before
+
+
+@pytest.mark.parametrize(
+    "rerun, user_file", [(False, "mycode/main.php"), (True, "notes.txt")], ids=["nested user file", "extra top-level file"]
+)
+def test_analyze_never_replaces_a_directory_that_is_not_a_bundle(tmp_path, capsys, rerun, user_file):
+    # gamma is moved in last, so its refusal undoes the moves of alpha and beta
+    out = tmp_path / "out"
+    args = ["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "csv", "--out", str(out)]
+    if rerun:
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+    (out / "gamma" / user_file).parent.mkdir(parents=True, exist_ok=True)
+    (out / "gamma" / user_file).write_bytes(b"the user's own file\n")
+    before = tree(out)
+    assert main(args) == EXIT_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "OutputError",
+        "message": f"cannot write under --out {out}: {out / 'gamma'} is not a bundle, so it is not replaced",
+    }
+    assert tree(out) == before
+
+
+def test_analyze_replaces_an_empty_directory_named_like_an_app(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "beta").mkdir(parents=True)
+    assert main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "json", "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in (out / "beta").iterdir()) == ["anomalies.json", "bundle.json"]
 
 
 def test_detect_leaves_a_file_named_like_its_own_temporary_file_alone(tmp_path, capsys):

@@ -74,3 +74,10 @@ def test_bundle_does_not_depend_on_hash_order(tmp_path, hash_seed):
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed}
     subprocess.run([sys.executable, "-m", "smellsurv.cli", *args], env=env, capture_output=True, check=True)
     _assert_same_bundle(out, DATA / "triapp_golden")
+
+
+def test_parity_script_finds_every_golden_reproduced():
+    # tests/parity.py is what checks the goldens on an interpreter without pytest
+    run = subprocess.run([sys.executable, str(Path(__file__).parent / "parity.py")], capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.endswith(": 3 bundles, 3 detect outputs, 0 differ\n")

@@ -12,7 +12,7 @@ from smellsurv.anomaly import AnomalyFlag, AnomalyThresholds, ChangeRates, Densi
 from smellsurv.ingest import History, PmdParseResult, SizeMetrics, VersionSnapshot, _ManifestRow, parse_pmd_report
 from smellsurv.report import analyze_history
 from smellsurv.rules import RULES, CodeEntity, SmellRule
-from smellsurv.survival import CurvePoint, GroupComparison, GroupSummary, LogRankResult, SurvivalCurve
+from smellsurv.survival import CurvePoint, GroupComparison, GroupSummary, LogRankResult
 from smellsurv.tracking import (
     InstanceKey,
     TrackingOptions,
@@ -94,7 +94,6 @@ VALUES = [
     (TrackingOptions(), "gap_tolerance"),
     (record(5, True), "end_date"),
     (POINT, "survival"),
-    (SurvivalCurve((POINT,)), "points"),
     (GroupSummary(2, 1, 0.5, 10.0, 7.5, 2.5), "found"),
     (LogRankResult(1.0, 0.3), "p_value"),
     (GroupComparison("scope", {}, {}, None, "empty group: localized"), "error"),
