@@ -114,20 +114,10 @@ def flag_anomalies(
     return flags
 
 
-class ChangeRates(NamedTuple):
-    """Relative change of the size metrics between two chosen versions.
-
-    A rate is None when the metric is missing at either endpoint.
-    """
-
-    d_loc: float | None
-    d_lloc: float
-    d_classes: float | None
-
-
-def metric_change_rates(history: History) -> ChangeRates:
+def metric_change_rates(history: History) -> dict[str, float | None]:
     """Size change between the last version at or before the temporal
-    midpoint and the last version overall."""
+    midpoint and the last version overall, by metric: d_loc, d_lloc and
+    d_classes. A rate is None when the metric is missing at either endpoint."""
     split = split_instant(history)
     start = [snap for snap in history.snapshots if snap.timestamp <= split][-1].size
     end = history.snapshots[-1].size
@@ -137,8 +127,8 @@ def metric_change_rates(history: History) -> ChangeRates:
             return None
         return change_rate(a, b)
 
-    return ChangeRates(
-        d_loc=optional_rate(start.loc, end.loc),
-        d_lloc=change_rate(start.lloc, end.lloc),
-        d_classes=optional_rate(start.classes, end.classes),
-    )
+    return {
+        "d_loc": optional_rate(start.loc, end.loc),
+        "d_lloc": change_rate(start.lloc, end.lloc),
+        "d_classes": optional_rate(start.classes, end.classes),
+    }

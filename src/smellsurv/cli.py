@@ -80,9 +80,10 @@ def _publishing(out_dir: Path):
     """Yield an empty staging directory under out_dir; when the block returns,
     move each staged entry over its namesake in out_dir, the old entry going
     aside first; a file never replaces a directory (EISDIR), nor a directory
-    a file (ENOTDIR) or a directory holding other than BUNDLE_FILES. If a
-    move fails, every move made is undone, newest first, so a failed run
-    leaves out_dir as it was (or absent, with the parents this created).
+    a file or a dangling link (ENOTDIR) or a directory holding other than
+    BUNDLE_FILES. If a move fails, every move made is undone, newest first,
+    so a failed run leaves out_dir as it was (or absent, with the parents
+    this created).
     Any OSError or ValueError (a NUL byte, text utf-8 cannot encode) becomes
     an OutputError naming out_dir."""
     try:
@@ -97,7 +98,7 @@ def _publishing(out_dir: Path):
                 aside = Path(tempfile.mkdtemp(dir=staging))  # named unlike any staged entry
                 for name in names:
                     target = out_dir / name
-                    if target.exists() and target.is_dir() != (staging / name).is_dir():
+                    if os.path.lexists(target) and target.is_dir() != (staging / name).is_dir():
                         code = errno.EISDIR if target.is_dir() else errno.ENOTDIR
                         raise OSError(code, os.strerror(code), str(target))
                     if target.is_dir():

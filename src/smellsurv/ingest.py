@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import stat
 from collections import Counter
 from collections.abc import Iterator
 from datetime import datetime, timezone
@@ -307,9 +308,11 @@ def _check_row(row_no: int, row: dict[str, str], version_id: str, base_dir: Path
     if not report_path.is_absolute():
         report_path = base_dir / report_path
     try:
-        report_path.stat()
+        mode = report_path.stat().st_mode
     except OSError as exc:
         raise ManifestError(f"report file unreadable: {exc}", row=row_no) from exc
+    if not stat.S_ISREG(mode):  # a FIFO or a device would be read without end, a directory not at all
+        raise ManifestError(f"report file {report_path} is not a regular file", row=row_no)
     return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
 

@@ -19,7 +19,6 @@ from . import svgplot
 from .anomaly import (
     AnomalyFlag,
     AnomalyThresholds,
-    ChangeRates,
     DensityPoint,
     density_series,
     flag_anomalies,
@@ -183,8 +182,8 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
         [
             app,
             r.key.rule,
-            r.scope,
-            r.key.location(),
+            scope_of(r.key.rule),
+            f"{r.key.file}::{r.key.entity_path}::{r.key.ordinal}",
             r.first_version,
             dates[r.first_date],
             r.last_present_version,
@@ -249,8 +248,8 @@ def _grouped_curve_table(comparison: GroupComparison) -> Table:
 
 def _logrank_json(comparison: GroupComparison):
     test = comparison.test
-    if test is None:
-        return {"error": comparison.error}
+    if isinstance(test, str):
+        return {"error": test}
     doc = {"statistic": json_number(fmt_prob(test.statistic)), "p_value": json_number(fmt_prob(test.p_value))}
     if test.warning:
         doc["warning"] = test.warning
@@ -307,7 +306,7 @@ class AnalysisBundle(NamedTuple):
     timeframe: GroupComparison
     series: list[DensityPoint]
     flags: list[AnomalyFlag]
-    rates: ChangeRates
+    rates: dict[str, float | None]
 
     @property
     def app(self) -> str:
@@ -402,7 +401,7 @@ def _bundle_json(bundle: AnalysisBundle) -> str:
             "split_instant": split_instant(history).isoformat(),
         },
         "records": len(bundle.records),
-        "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in bundle.rates._asdict().items()},
+        "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in bundle.rates.items()},
         "anomaly_flags": _json_rows(_flag_table(bundle.flags)),
     }
     for c in (bundle.scope, bundle.timeframe):

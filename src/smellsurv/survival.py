@@ -13,6 +13,8 @@ import math
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
+from .rules import scope_of
+
 if TYPE_CHECKING:
     from .tracking import SurvivalRecord
 
@@ -169,19 +171,18 @@ class GroupComparison(NamedTuple):
     """One two-way partition, analysed once.
 
     curves holds a KM curve for each non-empty group; an empty group's
-    summary is None. test is None exactly when error says why.
+    summary is None. test is the log-rank result, or why it is undefined.
     """
 
     partition: str
     curves: dict[str, SurvivalCurve]
     summaries: dict[str, GroupSummary | None]
-    test: LogRankResult | None
-    error: str | None
+    test: LogRankResult | str
 
 
 # partition -> (its two group labels, the label of a record)
 _PARTITIONS = {
-    "scope": (("localized", "scattered"), lambda r: r.scope),
+    "scope": (("localized", "scattered"), lambda r: scope_of(r.key.rule)),
     "timeframe": (("1", "2"), lambda r: str(r.timeframe)),
 }
 
@@ -201,19 +202,12 @@ def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupCompar
 
     curves = {label: kaplan_meier(pairs) for label, pairs in groups.items() if pairs}
     summaries = {label: summarize(curves[label]) if label in curves else None for label in labels}
-    test = error = None
     empty = [label for label in labels if label not in curves]
     if empty:
-        error = f"empty group: {empty[0]}"
+        test = f"empty group: {empty[0]}"
     else:
         try:
             test = log_rank(curves[labels[0]], curves[labels[1]])
         except ValueError as exc:
-            error = str(exc)
-    return GroupComparison(
-        partition=partition,
-        curves=curves,
-        summaries=summaries,
-        test=test,
-        error=error,
-    )
+            test = str(exc)
+    return GroupComparison(partition=partition, curves=curves, summaries=summaries, test=test)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from datetime import datetime
 from typing import TYPE_CHECKING, NamedTuple
 
-from .rules import Occurrence, _RULE_ORDER, scope_of
+from .rules import Occurrence, _RULE_ORDER
 
 if TYPE_CHECKING:  # ingest imports this module to key each report
     from .ingest import History
@@ -28,9 +28,6 @@ class InstanceKey(NamedTuple):
     file: str
     entity_path: str
     ordinal: int
-
-    def location(self) -> str:
-        return f"{self.file}::{self.entity_path}::{self.ordinal}"
 
 
 class TrackingOptions(NamedTuple):
@@ -43,7 +40,6 @@ class SurvivalRecord(NamedTuple):
     observed, so censored is read from it."""
 
     key: InstanceKey
-    scope: str
     first_version: str
     first_date: datetime
     last_present_version: str
@@ -155,11 +151,9 @@ def build_survival_records(
         first = snapshots[run.first_idx]
         end_date = snapshots[run.last_present_idx + 1].timestamp if run.last_present_idx < final_idx else None
         duration = _days_between(first.timestamp, end_date or snapshots[final_idx].timestamp)
-        key = run.key
         records.append(
             SurvivalRecord(
-                key=key,
-                scope=scope_of(key.rule),
+                key=run.key,
                 first_version=first.version_id,
                 first_date=first.timestamp,
                 last_present_version=snapshots[run.last_present_idx].version_id,

@@ -36,7 +36,6 @@ def record(
     rule = "ExcessiveMethodLength" if scope == "localized" else "DepthOfInheritance"
     return SurvivalRecord(
         key=InstanceKey(rule, f"f{i}.php", f"e{i}", 0),
-        scope=scope,
         first_version="v1",
         first_date=ts(0),
         last_present_version="v?",

@@ -199,20 +199,20 @@ def test_table_style_change_rates():
     )
     # v2 is the last snapshot at or before the split, v3 the last overall
     rates = metric_change_rates(history)
-    assert round(rates.d_lloc, 2) == 0.42
-    assert round(rates.d_classes, 2) == 4.22
-    assert round(rates.d_loc, 2) == 0.48
+    assert round(rates["d_lloc"], 2) == 0.42
+    assert round(rates["d_classes"], 2) == 4.22
+    assert round(rates["d_loc"], 2) == 0.48
 
 
 def test_missing_optional_metrics_are_unavailable_not_fatal():
     history = make_history([5, 5], [1000, 1200])
     rates = metric_change_rates(history)
-    assert rates.d_loc is None
-    assert rates.d_classes is None
-    assert rates.d_lloc == pytest.approx(0.2)
+    assert rates["d_loc"] is None
+    assert rates["d_classes"] is None
+    assert rates["d_lloc"] == pytest.approx(0.2)
 
 
 def test_identical_endpoints_give_zero_rates():
     history = make_history([5, 5], [1000, 1000], locs=[2000, 2000], classes=[10, 10])
     rates = metric_change_rates(history)
-    assert (rates.d_loc, rates.d_lloc, rates.d_classes) == (0.0, 0.0, 0.0)
+    assert (rates["d_loc"], rates["d_lloc"], rates["d_classes"]) == (0.0, 0.0, 0.0)

@@ -542,6 +542,25 @@ def test_malformed_earlier_report_fails_analyze_but_not_gate(tmp_path, capsys):
     assert str(tmp_path / "m0.xml") in record["message"]
 
 
+@pytest.mark.parametrize("make", [os.mkfifo, Path.mkdir], ids=["fifo", "directory"])
+@pytest.mark.parametrize("command", ["gate", "analyze"])
+def test_a_report_that_is_not_a_regular_file_is_refused_without_being_read(tmp_path, command, make):
+    # in a child with a timeout: a FIFO read by the parser would block forever
+    rows = four_version_rows(tmp_path)
+    make(tmp_path / "r1.xml")
+    rows[2][3] = "r1.xml"  # row 3 of 5: not among the latest two
+    manifest = write_rows(tmp_path, rows)
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    args = [sys.executable, "-m", "smellsurv.cli", command, "--manifest", str(manifest), *out]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout) == (EXIT_ERROR, "")
+    assert json.loads(result.stderr) == {
+        "error": "ManifestError", "row": 3, "message": f"report file {tmp_path / 'r1.xml'} is not a regular file",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 40)), min_size=2, max_size=9))
 def test_gate_matches_the_full_history_verdict(series):
@@ -1150,6 +1169,20 @@ def test_analyze_never_replaces_a_directory_that_is_not_a_bundle(tmp_path, capsy
         "message": f"cannot write under --out {out}: {out / 'gamma'} is not a bundle, so it is not replaced",
     }
     assert tree(out) == before
+
+
+def test_analyze_never_replaces_a_dangling_link_named_like_an_app(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "beta").symlink_to(tmp_path / "nowhere")
+    assert main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "json", "--out", str(out)]) == EXIT_ERROR
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "OutputError",
+        "message": f"cannot write under --out {out}: [Errno 20] Not a directory: '{out / 'beta'}'",
+    }
+    assert os.listdir(out) == ["beta"]
+    assert os.readlink(out / "beta") == str(tmp_path / "nowhere")
 
 
 def test_analyze_replaces_an_empty_directory_named_like_an_app(tmp_path, capsys):

@@ -336,8 +336,7 @@ def test_compare_groups_by_timeframe():
 def test_compare_groups_empty_group_named():
     records = [record(5, True, scope="localized")]
     comparison = compare_groups(records, "scope")
-    assert comparison.test is None
-    assert comparison.error == "empty group: scattered"
+    assert comparison.test == "empty group: scattered"
     assert comparison.summaries["scattered"] is None
     assert list(comparison.curves) == ["localized"]
     assert comparison.summaries["localized"] == summarize(kaplan_meier(pairs(records)))
@@ -348,8 +347,7 @@ def test_compare_groups_without_events_has_no_test():
     tf2 = [record(d, False, timeframe=2) for d in (50,)]
     comparison = compare_groups(tf1 + tf2, "timeframe")
     assert comparison.summaries == {"1": summarize(kaplan_meier(pairs(tf1))), "2": summarize(kaplan_meier(pairs(tf2)))}
-    assert comparison.test is None
-    assert comparison.error == "test undefined: no events in the pooled data"
+    assert comparison.test == "test undefined: no events in the pooled data"
 
 
 def test_identical_groups_under_partition_p_one():

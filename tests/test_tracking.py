@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smellsurv.anomaly import AnomalyFlag, AnomalyThresholds, ChangeRates, DensityPoint
+from smellsurv.anomaly import AnomalyFlag, AnomalyThresholds, DensityPoint
 from smellsurv.ingest import History, PmdParseResult, SizeMetrics, VersionSnapshot, _ManifestRow, parse_pmd_report
 from smellsurv.report import analyze_history
 from smellsurv.rules import RULES, CodeEntity, SmellRule
@@ -70,7 +70,6 @@ def test_assign_keys_fields():
     keys = assign_keys([occurrence(rule="NumberOfChildren", file="x.php", entity_path="C")] * 3)
     assert keys[2] == InstanceKey("NumberOfChildren", "x.php", "C", 2)
     assert hash(keys[2]) == hash(InstanceKey("NumberOfChildren", "x.php", "C", 2))
-    assert keys[2].location() == "x.php::C::2"
 
 
 def k(rule="ExcessiveClassLength", file="old.php", entity="C", ordinal=0):
@@ -96,11 +95,10 @@ VALUES = [
     (POINT, "survival"),
     (GroupSummary(2, 1, 0.5, 10.0, 7.5, 2.5), "found"),
     (LogRankResult(1.0, 0.3), "p_value"),
-    (GroupComparison("scope", {}, {}, None, "empty group: localized"), "error"),
+    (GroupComparison("scope", {}, {}, "empty group: localized"), "test"),
     (DensityPoint("v1", ts(0), 1, 10, 0.1, None, None, None), "rho"),
     (AnomalyThresholds(), "up"),
     (AnomalyFlag("v2", "increase_50", 0.6), "kind"),
-    (ChangeRates(None, 0.1, None), "d_lloc"),
     (analyze_history(history_from_bits({"A/m": "110"}, days=[0, 10, 20])), "records"),
 ]
 VALUE_IDS = [type(value).__name__ for value, _ in VALUES]
