@@ -132,10 +132,17 @@ def parse_pmd_report(
     skipped and counted. Entity paths are composed from the
     package/class/method/function attributes when present; identity degrades
     to file+line when they are absent. An empty report is an empty result,
-    not an error. File names and entity paths go through ``strings``, so one
-    dict passed for many reports keeps one copy of each.
+    not an error.
+
+    One ``strings`` dict passed for many reports keeps one copy of each file
+    name and entity path, and joins each entity path once: it maps a str to
+    itself and a (package, class, method, function) attribute tuple to its
+    path. The tuple holds only str and None, so it never equals a str or an
+    InstanceKey (whose last field is an int), which ``assign_keys`` keeps in
+    the same dict.
     """
-    intern = ({} if strings is None else strings).setdefault
+    strings = {} if strings is None else strings
+    intern, joined = strings.setdefault, strings.get
     rules = _RULE_ORDER
     local = _LocalNames()
     rows = []
@@ -172,13 +179,15 @@ def parse_pmd_report(
                 )
                 return
             parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
-            entity_path = "/".join(filter(None, parts))
+            entity_path = joined(parts)
+            if entity_path is None:
+                entity_path = "/".join(filter(None, parts))
+                entity_path = strings[parts] = intern(entity_path, entity_path)
             # lines order each group for its ordinals (a missing line sorts as
             # -1); rows that tie on all five fields give equal occurrences, so
             # how a tie falls cannot change the list
             rows.append((
-                file_path, -1 if b is None else b, -1 if e is None else e, order,
-                intern(entity_path, entity_path),
+                file_path, -1 if b is None else b, -1 if e is None else e, order, entity_path,
             ))
         elif depth == 2:
             file_path = None
@@ -217,6 +226,10 @@ def parse_pmd_report(
         raise _malformed(max(parser.ErrorByteIndex, 0), exc.lineno, exc.offset, str(exc)) from None
     except (LookupError, ValueError) as exc:  # a codec expat cannot use; UnicodeError is a ValueError
         raise ReportParseError(f"declared encoding {declaration.get('encoding')!r} cannot be read: {exc}") from None
+    finally:
+        # unread_entity holds the parser that holds these two handlers; dropping
+        # them frees the parser, its rows and closures on return, not at a GC pass
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
     if problems:
         raise ReportParseError(problems[0])
     rows.sort()
@@ -347,8 +360,8 @@ def _snapshot_from_row(
     except SmellSurvError as exc:
         exc.row = entry.row
         raise
-    keys = assign_keys(occurrences)  # interned, so a key present in many versions is one object
-    return VersionSnapshot(entry.version_id, entry.timestamp, tuple(map(strings.setdefault, keys, keys)), entry.size)
+    keys = assign_keys(occurrences, strings)  # a key present in many versions is one object
+    return VersionSnapshot(entry.version_id, entry.timestamp, tuple(keys), entry.size)
 
 
 def load_manifests(
@@ -397,7 +410,7 @@ def load_manifests(
                     row=b.row,
                 )
         checked[app] = entries[-latest:] if latest else entries
-    strings: dict = {}  # one copy of each file name, entity path and key; a str never equals a key
+    strings: dict = {}  # one copy of each file name, entity path and key, shared by every report
     return [
         History(app, tuple(_snapshot_from_row(entry, rules, strip_prefix, strings) for entry in entries))
         for app, entries in sorted(checked.items())

@@ -52,20 +52,32 @@ class SurvivalRecord(NamedTuple):
         return 0 if self.end_date is None else 1
 
 
-def assign_keys(occurrences: list[Occurrence]) -> list[InstanceKey]:
+def assign_keys(occurrences: list[Occurrence], strings: dict | None = None) -> list[InstanceKey]:
     """Keys for one version's occurrences, parallel to the input list.
 
     Ordinals count up from 0 within each (rule, file, entity_path) group, in
     list order. The loaders list a group in line order: ascending begin_line,
     then end_line, with occurrences without line info first, in document
     order.
+
+    One ``strings`` dict passed for many versions maps each key to itself,
+    so each key is built once and every version that holds it shares that
+    object. The plain (rule, file, entity_path, ordinal) tuple looked up
+    equals and hashes like its key; its int last field never equals the str
+    or None last field of the attribute tuples that ``parse_pmd_report``
+    keeps in the same dict, and a tuple never equals a str.
     """
+    known = {} if strings is None else strings
     counts: dict[Occurrence, int] = {}
     keys = []
     for group in occurrences:
         ordinal = counts.get(group, 0)
         counts[group] = ordinal + 1
-        keys.append(InstanceKey(*group, ordinal))
+        key = known.get(group + (ordinal,))
+        if key is None:
+            key = InstanceKey(*group, ordinal)
+            known[key] = key
+        keys.append(key)
     return keys
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import gc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -12,6 +14,29 @@ BASE = datetime(2015, 1, 1, tzinfo=timezone.utc)
 
 def ts(day: float) -> datetime:
     return BASE + timedelta(days=day)
+
+
+@contextlib.contextmanager
+def cyclic_garbage():
+    """Yield a list that, once the block ends, holds every object the block
+    left to the cyclic GC: collection is off and DEBUG_SAVEALL keeps what one
+    collection at the end finds unreachable. The GC state, its debug flags
+    and gc.garbage are restored however the block ends."""
+    enabled, flags, saved = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.collect()
+    gc.disable()
+    found = []
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        del gc.garbage[:]
+        yield found
+        gc.collect()
+        found.extend(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = saved
+        if enabled:
+            gc.enable()
 
 
 def occurrence(

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rat
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
-from conftest import NO_SMELL_REPORT, history_from_bits, load_manifest, pairs, ts, write_no_smell_history
+from conftest import NO_SMELL_REPORT, cyclic_garbage, history_from_bits, load_manifest, pairs, ts, write_no_smell_history
 from oracles import logrank_oracle, records_oracle
 
 TRIAPP = Path(__file__).parent / "data" / "triapp"
@@ -411,6 +412,16 @@ def test_gate_fails_on_increase(tmp_path, capsys):
 
 def test_gate_triapp_passes():
     assert main(["gate", "--manifest", str(TRIAPP / "manifest.csv")]) == EXIT_OK
+
+
+def test_analyze_and_gate_leave_no_cycle_of_smellsurv_code(tmp_path, capsys):
+    # argparse's parsers and json's encoder closures make cycles of their own
+    with cyclic_garbage() as garbage:
+        assert main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert main(["gate", "--manifest", str(TRIAPP / "manifest.csv")]) == EXIT_OK
+    functions = [o for o in garbage if isinstance(o, types.FunctionType)]
+    assert [f.__qualname__ for f in functions if (f.__module__ or "").startswith("smellsurv")] == []
+    assert [o for o in garbage if type(o).__name__ == "xmlparser"] == []
 
 
 def test_gate_single_version_is_insufficient(tmp_path):

@@ -26,7 +26,7 @@ from smellsurv.ingest import (
 from smellsurv.rules import RULES, default_ruleset, evaluate_rules, load_code_model
 from smellsurv.tracking import InstanceKey, assign_keys
 
-from conftest import history_from_bits, load_manifest
+from conftest import cyclic_garbage, history_from_bits, load_manifest
 from oracles import Violation, keys_oracle, pmd_report_oracle
 
 
@@ -404,6 +404,35 @@ def test_keys_of_a_parsed_report_match_the_key_oracle(document, strip_prefix):
             parse_pmd_report(document, strip_prefix)
         return
     assert assign_keys(parse_pmd_report(document, strip_prefix).occurrences) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    documents=st.lists(st.one_of(pmd_documents(), grouped_pmd_documents()), min_size=1, max_size=4),
+    strip_prefix=st.sampled_from([None, "/work/app", "C:\\work"]),
+)
+def test_one_strings_dict_shared_by_many_reports_changes_no_parse_or_key(documents, strip_prefix):
+    # the dict holds str -> str, attribute tuple -> entity path and key -> key;
+    # an entry of one kind must never answer a lookup of another
+    strings = {}
+    first = {}
+    for document in documents:
+        shared = _outcome(lambda: parse_pmd_report(document, strip_prefix, strings))
+        assert shared == _outcome(lambda: parse_pmd_report(document, strip_prefix))
+        if shared[0] == "ReportParseError":
+            continue
+        keys = assign_keys(shared[0], strings)
+        assert keys == assign_keys(shared[0])
+        for key in keys:
+            assert type(key) is InstanceKey
+            assert first.setdefault(key, key) is key
+
+
+def test_a_parsed_report_leaves_nothing_to_the_cyclic_gc():
+    document = (Path(__file__).parent / "data" / "triapp" / "reports" / "alpha-2.1.xml").read_bytes()
+    with cyclic_garbage() as garbage:
+        assert parse_pmd_report(document).occurrences
+    assert Counter(type(o).__name__ for o in garbage) == {}
 
 
 def test_path_normalization_and_prefix_strip():
