@@ -102,7 +102,7 @@ def flag_anomalies(
         delta = point.delta_rho
         if delta is None:
             continue
-        if delta >= thresholds.up2 or math.isinf(delta):
+        if delta >= thresholds.up2:
             kind = "increase_100"
         elif delta >= thresholds.up:
             kind = "increase_50"

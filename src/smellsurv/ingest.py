@@ -164,18 +164,19 @@ def parse_pmd_report(
             if order is None:
                 skipped[rule_name] += 1
                 return
+            # a line is ASCII decimal digits; a missing one reads as -1, which
+            # orders before every line and never against another
             begin = attrs.get("beginline")
             end = attrs.get("endline")
             try:
-                b = None if begin is None else int(begin)
-                e = None if end is None else int(end)
-                ordered = b is None or e is None or b <= e
-            except ValueError:
-                ordered = False
-            if not ordered:
+                b = -1 if begin is None else int(begin) if begin.isascii() and begin.isdigit() else None
+                e = -1 if end is None else int(end) if end.isascii() and end.isdigit() else None
+            except ValueError:  # more digits than int() converts
+                b = None
+            if b is None or e is None or -1 < e < b:
                 problems.append(
                     f"violation of {rule_name} in {file_path!r}: beginline {begin!r}"
-                    f" and endline {end!r} must be integers, beginline <= endline"
+                    f" and endline {end!r} must be decimal digits, beginline <= endline"
                 )
                 return
             parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
@@ -183,15 +184,12 @@ def parse_pmd_report(
             if entity_path is None:
                 entity_path = "/".join(filter(None, parts))
                 entity_path = strings[parts] = intern(entity_path, entity_path)
-            # lines order each group for its ordinals (a missing line sorts as
-            # -1); rows that tie on all five fields give equal occurrences, so
-            # how a tie falls cannot change the list
-            rows.append((
-                file_path, -1 if b is None else b, -1 if e is None else e, order, entity_path,
-            ))
+            # lines order each group for its ordinals; rows that tie on all five
+            # fields give equal occurrences, so how a tie falls cannot change the list
+            rows.append((file_path, b, e, order, entity_path))
         elif depth == 2:
             file_path = None
-            if not problems and local[name] == "file":  # nothing is read under a wrong root
+            if local[name] == "file":
                 path = normalize_path(attrs.get("name", ""), strip_prefix)
                 file_path = intern(path, path)
         elif depth == 1 and local[name] != "pmd":

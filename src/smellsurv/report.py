@@ -36,6 +36,7 @@ from .survival import (
 from .tracking import (
     SurvivalRecord,
     TrackingOptions,
+    _days_between,
     assign_timeframes,
     build_survival_records,
     split_instant,
@@ -375,14 +376,8 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
             ]
             emit(f"km_{c.partition}.svg", [svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}")])
         origin = bundle.history.snapshots[0].timestamp
-        segments = sorted(
-            (
-                (r.first_date - origin).total_seconds() / 86400.0,
-                (r.first_date - origin).total_seconds() / 86400.0 + r.duration_days,
-                r.censored == 0,
-            )
-            for r in bundle.records
-        )
+        starts = [(_days_between(origin, r.first_date), r) for r in bundle.records]
+        segments = sorted((start, start + r.duration_days, r.end_date is None) for start, r in starts)
         emit("lifelines.svg", [svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines")])
         rates = [p.delta_rho for p in bundle.series]
         emit("density.svg", [svgplot.threshold_chart(rates, bundle.thresholds, f"{bundle.app}: smell density change")])

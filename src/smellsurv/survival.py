@@ -52,8 +52,7 @@ def kaplan_meier(pairs: Iterable[tuple[float, bool]]) -> SurvivalCurve:
         while i < n and pairs[i][0] == t:
             events += pairs[i][1]
             i += 1
-        if events:
-            s *= 1.0 - events / at_risk
+        s *= 1.0 - events / at_risk
         points.append(CurvePoint(time_days=t, n_at_risk=at_risk, n_events=events, survival=s))
     return tuple(points)
 

@@ -6,6 +6,10 @@ line order within each version, so pure line shifts do not break identity.
 A file or class rename DOES break identity and shows up as one removal plus
 one addition; the optional rename heuristic re-joins such pairs.
 
+A key seen at version index idx continues its latest run, last present at
+index last, when idx - last <= gap_tolerance + 1, and starts a new one
+otherwise; a run's end is read off its last index once all are read.
+
 Lifetime bookkeeping follows the removal convention: censored=1 means the
 instance disappeared (the event was observed, dated at the first version
 where it is absent), censored=0 means it is still present in the final
@@ -105,26 +109,13 @@ def apply_rename_heuristic(
 
     pairs = []
     for added in sorted(added_keys):
-        candidates = by_identity.get((added.rule, added.entity_path))
-        if not candidates:
-            continue
+        candidates = by_identity.get((added.rule, added.entity_path), ())
         match = next((c for c in candidates if c.file != added.file), None)
         if match is None:
             continue
         candidates.remove(match)
         pairs.append((match, added))
     return pairs
-
-
-class _Run:
-    """One open run of presence; key is the key it was born under."""
-
-    __slots__ = ("key", "first_idx", "last_present_idx")
-
-    def __init__(self, key: InstanceKey, first_idx: int, last_present_idx: int):
-        self.key = key
-        self.first_idx = first_idx
-        self.last_present_idx = last_present_idx
 
 
 def _days_between(start: datetime, end: datetime) -> float:
@@ -146,73 +137,64 @@ def build_survival_records(
     """Decompose each key's presence across versions into survival records.
 
     Each maximal run of presence (bridging absences of at most gap_tolerance
-    consecutive versions) yields one record. A run that ends before the last
+    consecutive versions) yields one record: a key seen at version index idx
+    continues its latest run, last present at index last, exactly when
+    idx - last <= gap_tolerance + 1. A key that disappears and returns beyond
+    the tolerance starts a new record. A run that ends before the last
     snapshot is an observed removal (censored=1) dated at the first version
     where the key is absent; a run alive in the final snapshot is censored=0
-    and measured to the last observation date. A key that disappears and
-    returns beyond the tolerance starts a new record.
+    and measured to the last observation date.
     """
     snapshots = history.snapshots
     split = split_instant(history)
     final_idx = len(snapshots) - 1
+    reach = options.gap_tolerance + 1
 
-    records: list[SurvivalRecord] = []
-
-    def close_run(run: _Run) -> None:
-        # a run absent from the final snapshot was removed, dated at its first absence
-        first = snapshots[run.first_idx]
-        end_date = snapshots[run.last_present_idx + 1].timestamp if run.last_present_idx < final_idx else None
-        duration = _days_between(first.timestamp, end_date or snapshots[final_idx].timestamp)
-        records.append(
-            SurvivalRecord(
-                key=run.key,
-                first_version=first.version_id,
-                first_date=first.timestamp,
-                last_present_version=snapshots[run.last_present_idx].version_id,
-                end_date=end_date,
-                duration_days=duration,
-                timeframe=1 if first.timestamp < split else 2,
-            )
-        )
-
-    open_runs: dict[InstanceKey, _Run] = {}
+    # a run is [the key it was born under, first index, last present index];
+    # latest maps a key to the last run it belonged to, live or not
+    latest: dict[InstanceKey, list] = {}
+    runs: list[list] = []
     # the rename heuristic builds each version's set once and keeps the last one
     previous = set(snapshots[0].keys) if options.rename_heuristic else None
     for idx, snap in enumerate(snapshots):
         if idx > 0 and options.rename_heuristic:
             current = set(snap.keys)
             for old, new in apply_rename_heuristic(previous - current, current - previous):
-                run = open_runs.get(old)
-                # new may already carry a gap-bridged run of its own;
-                # that run keeps its identity and the removal stays a removal
-                if run is None or new in open_runs:
-                    continue
-                open_runs[new] = open_runs.pop(old)
+                # old was present in the last version, so its run is live; a
+                # live, gap-bridged run of new keeps its identity instead and
+                # the removal stays a removal
+                run = latest.get(new)
+                if run is None or idx - run[2] > reach:
+                    latest[new] = latest.pop(old)
             previous = current
 
         for key in snap.keys:
-            run = open_runs.get(key)
-            if run is None:
-                open_runs[key] = _Run(key, idx, idx)
+            run = latest.get(key)
+            if run is None or idx - run[2] > reach:
+                runs.append([key, idx, idx])
+                latest[key] = runs[-1]
             else:
-                run.last_present_idx = idx
+                run[2] = idx
 
-        expired = [key for key, run in open_runs.items() if idx - run.last_present_idx > options.gap_tolerance]
-        for key in expired:
-            close_run(open_runs.pop(key))
-
-    for run in open_runs.values():
-        close_run(run)
-
-    records.sort(
-        key=lambda r: (
-            r.key.file,
-            r.key.entity_path,
-            _RULE_ORDER[r.key.rule],
-            r.key.ordinal,
-            r.first_date,
+    final = snapshots[final_idx].timestamp
+    records = []
+    for key, first_idx, last_idx in runs:
+        first = snapshots[first_idx]
+        # a run absent from the final snapshot was removed, dated at its first absence
+        end_date = snapshots[last_idx + 1].timestamp if last_idx < final_idx else None
+        records.append(
+            SurvivalRecord(
+                key=key,
+                first_version=first.version_id,
+                first_date=first.timestamp,
+                last_present_version=snapshots[last_idx].version_id,
+                end_date=end_date,
+                duration_days=_days_between(first.timestamp, end_date or final),
+                timeframe=1 if first.timestamp < split else 2,
+            )
         )
-    )
+
+    records.sort(key=lambda r: (r.key.file, r.key.entity_path, _RULE_ORDER[r.key.rule], r.key.ordinal, r.first_date))
     return records
 
 

@@ -140,3 +140,40 @@ def history_from_bits(
             VersionSnapshot(version_id=f"v{i + 1}", timestamp=ts(days[i]), keys=keys, size=SizeMetrics(lloc=lloc))
         )
     return History(app_name=app, snapshots=tuple(snapshots))
+
+
+# (rule, file, class, method) -> presence in the eight versions of app "churn",
+# read with CHURN_OPTIONS
+CHURN_PRESENCE = {
+    ("ExcessiveMethodLength", "app/a.php", "A", "m1"): "11011111",  # absent in v3 only: bridged
+    ("ExcessiveMethodLength", "app/b.php", "B", "m2"): "11001101",  # absent in v3-v4: two runs, then v7 bridged
+    ("ExcessiveMethodLength", "app/old.php", "R", "run"): "11110000",  # moves to new.php at v5: joined
+    ("ExcessiveMethodLength", "app/new.php", "R", "run"): "00001111",
+    ("ExcessiveParameterList", "app/x.php", "D", "n"): "11111000",  # moves to y.php at v6, but y.php's
+    ("ExcessiveParameterList", "app/y.php", "D", "n"): "11110111",  # run bridges v5: the rename is refused
+    ("DepthOfInheritance", "app/a.php", "A", None): "01110011",
+    ("CouplingBetweenObjects", "app/b.php", "B", None): "11111100",
+    ("UnusedPrivateField", "app/a.php", "A", None): "10101010",  # not a rule: skipped
+}
+CHURN_OPTIONS = ["--gap-tolerance", "1", "--rename-heuristic"]
+CHURN_DATES = ["2020-01-01", "2020-02-15", "2020-03-01", "2020-05-10", "2020-06-01", "2020-08-20", "2020-09-01", "2020-12-01"]
+
+
+def write_churn_history(directory: Path) -> Path:
+    """Eight PMD versions of app "churn" laid out by CHURN_PRESENCE, with a
+    growing lloc; returns the manifest."""
+    rows = ["app,version,timestamp,report_path,lloc"]
+    for i, date in enumerate(CHURN_DATES):
+        files: dict[str, list[str]] = {}
+        for j, ((rule, file, cls, method), bits) in enumerate(CHURN_PRESENCE.items()):
+            if bits[i] == "1":
+                entity = f' class="{cls}"' + (f' method="{method}"' if method else "")
+                files.setdefault(file, []).append(
+                    f'<violation beginline="{20 * j + 1}" endline="{20 * j + 15}" rule="{rule}"{entity}>x</violation>'
+                )
+        body = "".join(f'<file name="{file}">{"".join(v)}</file>' for file, v in sorted(files.items()))
+        (directory / f"r{i + 1}.xml").write_text(NO_SMELL_REPORT.replace("</pmd>", body + "</pmd>"))
+        rows.append(f"churn,{i + 1}.0,{date},r{i + 1}.xml,{1000 + 150 * i}")
+    manifest = directory / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return manifest

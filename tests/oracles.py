@@ -239,6 +239,9 @@ def pmd_report_oracle(document: bytes, strip_prefix: str | None = None) -> tuple
             parts = [violation.get(attr) for attr in ("package", "class", "method", "function")]
             begin, end = violation.get("beginline"), violation.get("endline")
             try:
+                # a line is one or more of the ten ASCII digits, nothing around them
+                if not all(re.fullmatch("[0-9]+", line) for line in (begin, end) if line is not None):
+                    raise ValueError
                 begin_line = int(begin) if begin is not None else None
                 end_line = int(end) if end is not None else None
             except ValueError:
@@ -302,3 +305,52 @@ def rename_pairs_oracle(removed: set[tuple], added: set[tuple]) -> list[tuple[tu
             taken.add(match)
             pairs.append((match, addition))
     return pairs
+
+
+def survival_records_oracle(history, gap_tolerance: int, rename_heuristic: bool) -> list[tuple]:
+    """Survival records of a history by the eager loop the package once ran.
+
+    Every key opens a run [born key, first index, last present index]. With
+    rename_heuristic, before version i is read, each (old, new) pair that
+    rename_pairs_oracle finds between versions i-1 and i hands old's open run
+    to new, unless new already has an open run. After version i is read,
+    every run absent for more than gap_tolerance versions is closed. A run
+    closed before the final version is a removal dated at the version after
+    its last presence; any other is measured to the final timestamp.
+    Returns (key, first_version, first_date, last_present_version, end_date,
+    duration_days, timeframe) tuples, sorted by file, entity path, rule
+    declaration order, ordinal and first date.
+    """
+    snapshots = history.snapshots
+    start, final = snapshots[0].timestamp, snapshots[-1].timestamp
+    split = start + (final - start) / 2
+    final_idx = len(snapshots) - 1
+    records = []
+
+    def close(key, first_idx, last_idx):
+        first = snapshots[first_idx]
+        end_date = snapshots[last_idx + 1].timestamp if last_idx < final_idx else None
+        duration = ((end_date or final) - first.timestamp).total_seconds() / 86400.0
+        records.append((
+            key, first.version_id, first.timestamp, snapshots[last_idx].version_id,
+            end_date, duration, 1 if first.timestamp < split else 2,
+        ))
+
+    open_runs = {}
+    for idx, snap in enumerate(snapshots):
+        if idx > 0 and rename_heuristic:
+            previous, current = set(snapshots[idx - 1].keys), set(snap.keys)
+            for old, new in rename_pairs_oracle(previous - current, current - previous):
+                if old in open_runs and new not in open_runs:
+                    open_runs[new] = open_runs.pop(old)
+        for key in snap.keys:
+            if key in open_runs:
+                open_runs[key][2] = idx
+            else:
+                open_runs[key] = [key, idx, idx]
+        for key in [key for key, run in open_runs.items() if idx - run[2] > gap_tolerance]:
+            close(*open_runs.pop(key))
+    for run in open_runs.values():
+        close(*run)
+    order = list(RULE_DEFINITIONS)
+    return sorted(records, key=lambda r: (r[0][1], r[0][2], order.index(r[0][0]), r[0][3], r[2]))

@@ -3,11 +3,12 @@
     python tests/parity.py
 
 Runs ``python -m smellsurv.cli`` under this interpreter: ``analyze
---formats csv,json,svg`` over the triapp, no-smell and inf-rate manifests,
-and ``detect --formats csv,json`` over each triapp code model. Each output
-is compared byte for byte with its golden under tests/data. Prints one line
-per difference and exits 1 if there is any, else exits 0. It needs only the
-standard library, so it runs on an interpreter without pytest.
+--formats csv,json,svg`` over the triapp, no-smell and inf-rate manifests
+and, with CHURN_OPTIONS, the churn manifest, and ``detect --formats
+csv,json`` over each triapp code model. Each output is compared byte for
+byte with its golden under tests/data. Prints one line per difference and
+exits 1 if there is any, else exits 0. It needs only the standard library,
+so it runs on an interpreter without pytest.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ DATA = TESTS / "data"
 SRC = TESTS.parent / "src"
 sys.path[:0] = [str(TESTS), str(SRC)]  # the conftest writers import smellsurv
 
-from conftest import write_inf_rate_history, write_no_smell_history  # noqa: E402
+from conftest import CHURN_OPTIONS, write_churn_history, write_inf_rate_history, write_no_smell_history  # noqa: E402
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -45,13 +46,17 @@ def _differences(args: list[str], out: Path, golden: Path) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        manifests = {"triapp_golden": DATA / "triapp" / "manifest.csv"}
-        for golden, writer in (("clean_golden", write_no_smell_history), ("inf_rate_golden", write_inf_rate_history)):
+        manifests = {"triapp_golden": (DATA / "triapp" / "manifest.csv", [])}
+        for golden, writer, options in (
+            ("clean_golden", write_no_smell_history, []),
+            ("inf_rate_golden", write_inf_rate_history, []),
+            ("churn_golden", write_churn_history, CHURN_OPTIONS),
+        ):
             (work / golden).mkdir()
-            manifests[golden] = writer(work / golden)
+            manifests[golden] = writer(work / golden), options
         failures = []
-        for golden, manifest in manifests.items():
-            args = ["analyze", "--manifest", str(manifest), "--formats", "csv,json,svg"]
+        for golden, (manifest, options) in manifests.items():
+            args = ["analyze", "--manifest", str(manifest), *options, "--formats", "csv,json,svg"]
             failures += _differences(args, work / golden / "out", DATA / golden)
         models = sorted((DATA / "triapp" / "models").glob("*.json"))
         for model in models:

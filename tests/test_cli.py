@@ -660,6 +660,35 @@ def test_report_error_names_the_file_and_the_row(tmp_path, capsys, command, name
 
 
 @pytest.mark.parametrize("command", ["analyze", "gate"])
+@pytest.mark.parametrize("attribute", ["beginline", "endline"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        " 12 ", "\u0661\u0662", "1_0", "+3", "-1",
+        pytest.param("9" * 5000, marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
+    ],
+    ids=["spaces", "arabic-indic digits", "underscore", "plus sign", "minus sign", "over-long"],
+)
+def test_a_line_number_other_than_ascii_digits_is_a_report_parse_error(tmp_path, capsys, command, attribute, line):
+    # int() reads all five of these; a PMD line number is only ASCII digits
+    lines = "".join(f' {name}="{value}"' for name, value in {"beginline": "1", "endline": "90", attribute: line}.items())
+    rows = four_version_rows(tmp_path)
+    (tmp_path / "bad.xml").write_text(
+        f'<pmd><file name="a.php"><violation{lines} rule="ExcessiveMethodLength" class="A" method="m"/></file></pmd>',
+        encoding="utf-8",
+    )
+    rows[3][3] = "bad.xml"
+    manifest = write_rows(tmp_path, rows)
+    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
+    assert main([command, "--manifest", str(manifest), *out]) == EXIT_ERROR
+    (record,) = map(json.loads, capsys.readouterr().err.splitlines())
+    assert (record["error"], record["row"]) == ("ReportParseError", 4)
+    assert str(tmp_path / "bad.xml") in record["message"]
+    assert f"{attribute} {line!r}" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "gate"])
 @pytest.mark.parametrize("encoding", ["bogus", "rot13", "cp932", "idna", "punycode"])
 def test_a_declared_encoding_expat_cannot_use_is_a_report_parse_error(tmp_path, capsys, command, encoding):
     # Python's codecs refuse these names, or cannot hand expat a one-byte table

@@ -4,9 +4,11 @@ tests/data/*_golden/ hold the `--formats csv,json,svg` bundles of the triapp
 manifest, of a two-version history without smells (both groups empty,
 km_all.csv only a header) and of a history whose smell count goes
 0 -> 3 -> 3 -> 1 -> 0 (an infinite density change rate, flagged, and
-clipped in density.svg), and detect_golden/<model>/ the `detect --formats
-csv,json` output of each triapp code model, with the model's file stem as
-its version id. A refactor of the rules, the analysis or the writers must
+clipped in density.svg), of the eight-version churn history read with
+CHURN_OPTIONS (a bridged gap, a gap beyond the tolerance, a joined rename
+and a rename refused because the new key's run bridges a gap), and
+detect_golden/<model>/ the `detect --formats csv,json` output of each
+triapp code model, with the model's file stem as its version id. A refactor of the rules, the analysis or the writers must
 reproduce every file exactly; a change meant to alter output regenerates
 them and says so.
 """
@@ -22,7 +24,7 @@ import pytest
 
 from smellsurv.cli import EXIT_OK, main
 
-from conftest import write_inf_rate_history, write_no_smell_history
+from conftest import CHURN_OPTIONS, write_churn_history, write_inf_rate_history, write_no_smell_history
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
@@ -40,19 +42,21 @@ def _assert_same_bundle(out: Path, golden: Path) -> None:
 
 
 @pytest.mark.parametrize(
-    "manifest, golden",
+    "manifest, golden, options",
     [
-        (lambda tmp: DATA / "triapp" / "manifest.csv", "triapp_golden"),
-        (write_no_smell_history, "clean_golden"),
-        (write_inf_rate_history, "inf_rate_golden"),
+        (lambda tmp: DATA / "triapp" / "manifest.csv", "triapp_golden", []),
+        (write_no_smell_history, "clean_golden", []),
+        (write_inf_rate_history, "inf_rate_golden", []),
+        (write_churn_history, "churn_golden", CHURN_OPTIONS),
     ],
-    ids=["triapp", "no-smell", "inf-rate"],
+    ids=["triapp", "no-smell", "inf-rate", "churn"],
 )
-def test_bundle_matches_golden(tmp_path, manifest, golden):
+def test_bundle_matches_golden(tmp_path, manifest, golden, options):
     inputs = tmp_path / "in"
     inputs.mkdir()
     out = tmp_path / "out"
-    code = main(["analyze", "--manifest", str(manifest(inputs)), "--formats", "csv,json,svg", "--out", str(out)])
+    args = ["analyze", "--manifest", str(manifest(inputs)), *options, "--formats", "csv,json,svg", "--out", str(out)]
+    code = main(args)
     assert code == EXIT_OK
     _assert_same_bundle(out, DATA / golden)
 
@@ -80,4 +84,4 @@ def test_parity_script_finds_every_golden_reproduced():
     # tests/parity.py is what checks the goldens on an interpreter without pytest
     run = subprocess.run([sys.executable, str(Path(__file__).parent / "parity.py")], capture_output=True, text=True)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout.endswith(": 3 bundles, 3 detect outputs, 0 differ\n")
+    assert run.stdout.endswith(": 4 bundles, 3 detect outputs, 0 differ\n")

@@ -174,15 +174,16 @@ def test_multi_file_report_in_file_line_order():
 
 
 def test_violations_with_equal_sort_keys_stay_in_document_order():
-    # a missing line sorts as -1 (the sort never compares a None), so A's three
-    # violations tie on every sort key and all sort before the line-0
-    # violation of class "0", whose path sorts first
+    # a missing line sorts before line 0 (the sort never compares a None), so
+    # A's two violations with only an endline tie on every sort key, follow A's
+    # violation without lines and sort before the line-0 violation of class
+    # "0", whose path sorts first
     doc = pmd(
         '<file name="a.php">'
         '<violation beginline="0" endline="4" rule="ExcessiveClassLength" class="0"/>'
-        '<violation beginline="-1" endline="4" rule="ExcessiveClassLength" class="A"/>'
         '<violation endline="4" rule="ExcessiveClassLength" class="A"/>'
-        '<violation beginline="-1" endline="4" rule="ExcessiveClassLength" class="A"/>'
+        '<violation rule="ExcessiveClassLength" class="A"/>'
+        '<violation endline="4" rule="ExcessiveClassLength" class="A"/>'
         "</file>"
     )
     occurrences = parse_pmd_report(doc.encode()).occurrences

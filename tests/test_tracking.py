@@ -24,7 +24,7 @@ from smellsurv.tracking import (
 )
 
 from conftest import history_from_bits, occurrence, record, ts
-from oracles import records_oracle, rename_pairs_oracle
+from oracles import records_oracle, rename_pairs_oracle, survival_records_oracle
 
 
 def key_of(records, entity_path):
@@ -277,6 +277,37 @@ def test_rename_heuristic_is_inert_when_no_entity_changes_file(bits, gap_toleran
         history, TrackingOptions(gap_tolerance=gap_tolerance, rename_heuristic=True)
     )
     assert renamed == plain
+
+
+@st.composite
+def churning_histories(draw):
+    """Histories of 1-10 versions over keys in 2-3 files, so that keys
+    vanish, return across gaps and move between files."""
+    files = ["a.php", "b.php", "c.php"][: draw(st.integers(min_value=2, max_value=3))]
+    pool = st.builds(
+        InstanceKey,
+        st.sampled_from(RULES[:2]),
+        st.sampled_from(files),
+        st.sampled_from(["", "A", "B/m"]),
+        st.integers(min_value=0, max_value=1),
+    )
+    versions = draw(st.lists(st.sets(pool, max_size=8), min_size=1, max_size=10))
+    steps = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=len(versions), max_size=len(versions)))
+    return History("churn", tuple(
+        VersionSnapshot(f"v{i + 1}", ts(sum(steps[: i + 1])), tuple(sorted(keys)), SizeMetrics(lloc=1000))
+        for i, keys in enumerate(versions)
+    ))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    history=churning_histories(),
+    gap_tolerance=st.integers(min_value=0, max_value=3),
+    rename_heuristic=st.booleans(),
+)
+def test_records_match_the_eager_tracking_oracle(history, gap_tolerance, rename_heuristic):
+    options = TrackingOptions(gap_tolerance=gap_tolerance, rename_heuristic=rename_heuristic)
+    assert build_survival_records(history, options) == survival_records_oracle(history, gap_tolerance, rename_heuristic)
 
 
 @pytest.mark.parametrize("rename_heuristic", [False, True])
