@@ -13,7 +13,7 @@ import math
 from datetime import datetime
 from typing import NamedTuple
 
-from .ingest import History
+from .ingest import History, SizeMetrics
 from .tracking import split_instant
 
 
@@ -116,19 +116,12 @@ def flag_anomalies(
 
 def metric_change_rates(history: History) -> dict[str, float | None]:
     """Size change between the last version at or before the temporal
-    midpoint and the last version overall, by metric: d_loc, d_lloc and
-    d_classes. A rate is None when the metric is missing at either endpoint."""
+    midpoint and the last version overall, one d_<metric> per SizeMetrics
+    field. A rate is None when the metric is missing at either endpoint."""
     split = split_instant(history)
     start = [snap for snap in history.snapshots if snap.timestamp <= split][-1].size
     end = history.snapshots[-1].size
-
-    def optional_rate(a: int | None, b: int | None) -> float | None:
-        if a is None or b is None:
-            return None
-        return change_rate(a, b)
-
     return {
-        "d_loc": optional_rate(start.loc, end.loc),
-        "d_lloc": change_rate(start.lloc, end.lloc),
-        "d_classes": optional_rate(start.classes, end.classes),
+        f"d_{m}": None if a is None or b is None else change_rate(a, b)
+        for m, a, b in zip(SizeMetrics._fields, start, end)
     }

@@ -33,6 +33,14 @@ from .tracking import InstanceKey, assign_keys
 
 MANIFEST_COLUMNS = ("app", "version", "timestamp", "report_path", "lloc")
 MANIFEST_OPTIONAL_COLUMNS = ("loc", "classes")
+# 640 is sys.int_info.str_digits_check_threshold, the lowest digit limit int() can be set
+# to, so int() reads every count under any setting
+COUNT_DIGITS = 640
+
+
+def _count(text: str) -> int | None:
+    """The value of a count, 1 to COUNT_DIGITS ASCII decimal digits, else None."""
+    return int(text) if len(text) <= COUNT_DIGITS and text.isascii() and text.isdigit() else None
 
 
 # YYYY-MM-DD[(T| )HH[:MM[:SS[.fff|.ffffff]]][Z|±HH:MM[:SS]]], read alike by fromisoformat from
@@ -164,19 +172,16 @@ def parse_pmd_report(
             if order is None:
                 skipped[rule_name] += 1
                 return
-            # a line is ASCII decimal digits; a missing one reads as -1, which
-            # orders before every line and never against another
+            # a line is a count; a missing one reads as -1, which orders
+            # before every line and never against another
             begin = attrs.get("beginline")
             end = attrs.get("endline")
-            try:
-                b = -1 if begin is None else int(begin) if begin.isascii() and begin.isdigit() else None
-                e = -1 if end is None else int(end) if end.isascii() and end.isdigit() else None
-            except ValueError:  # more digits than int() converts
-                b = None
+            b = -1 if begin is None else _count(begin)
+            e = -1 if end is None else _count(end)
             if b is None or e is None or -1 < e < b:
                 problems.append(
                     f"violation of {rule_name} in {file_path!r}: beginline {begin!r}"
-                    f" and endline {end!r} must be decimal digits, beginline <= endline"
+                    f" and endline {end!r} must be 1 to {COUNT_DIGITS} decimal digits, beginline <= endline"
                 )
                 return
             parts = (attrs.get("package"), attrs.get("class"), attrs.get("method"), attrs.get("function"))
@@ -264,7 +269,9 @@ def _manifest_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
                 f"manifest {path}: header must start with {','.join(required)}, got {','.join(header)}",
                 row=1,
             )
-        for col in header[len(required):]:
+        for i, col in enumerate(header[len(required):], len(required)):
+            if col in header[:i]:
+                raise ManifestError(f"manifest {path}: column {col!r} named twice", row=1)
             if col not in MANIFEST_OPTIONAL_COLUMNS:
                 raise ManifestError(f"manifest {path}: unknown column {col!r}", row=1)
         start = reader.line_num + 1  # the line the next record starts on
@@ -295,26 +302,16 @@ def _check_row(row_no: int, row: dict[str, str], version_id: str, base_dir: Path
         timestamp = parse_timestamp(row["timestamp"])
     except (ValueError, OverflowError) as exc:  # overflow: out of range once in UTC
         raise ManifestError(f"bad timestamp {row['timestamp']!r}: {exc}", row=row_no) from exc
-    try:
-        lloc = int(row["lloc"])
-    except ValueError as exc:
-        raise ManifestError(f"bad lloc {row['lloc']!r}", row=row_no) from exc
-    if lloc <= 0:
-        raise ManifestError(f"lloc must be positive, got {lloc} (density undefined)", row=row_no)
-
-    def optional_int(col: str) -> int | None:
+    counts = {}
+    for col in SizeMetrics._fields:  # lloc is required, an empty loc or classes is None
         raw = row.get(col, "").strip()
-        if not raw:
-            return None
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ManifestError(f"bad {col} {raw!r}", row=row_no) from exc
-        if value < 0:
-            raise ManifestError(f"{col} must be >= 0, got {value}", row=row_no)
-        return value
-
-    size = SizeMetrics(lloc=lloc, loc=optional_int("loc"), classes=optional_int("classes"))
+        if raw or col == "lloc":
+            counts[col] = _count(raw)
+            if counts[col] is None:
+                raise ManifestError(f"{col} must be 1 to {COUNT_DIGITS} decimal digits, got {raw!r}", row=row_no)
+    if counts["lloc"] == 0:
+        raise ManifestError("lloc must be positive, got 0 (density undefined)", row=row_no)
+    size = SizeMetrics(**counts)
     report_path = Path(row["report_path"].strip())
     if not report_path.is_absolute():
         report_path = base_dir / report_path
@@ -374,11 +371,11 @@ def load_manifests(
 
     Rows may arrive in any order; snapshots are sorted by timestamp. Rows are
     checked in file order, and every row before any report is read:
-    duplicate version ids, unparseable timestamps, non-positive lloc,
-    negative loc or classes, and missing or unreadable report files are
-    fatal, reported with their row number. With ``latest``, only each app's
-    ``latest`` most recent reports are read and its History holds just
-    those versions.
+    duplicate version ids, unparseable timestamps, an lloc, loc or classes
+    that is not a count, a zero lloc, and missing or unreadable report
+    files are fatal, reported with their row number. With ``latest``, only
+    each app's ``latest`` most recent reports are read and its History
+    holds just those versions.
     """
     path = Path(path)
     per_app: dict[str, dict[str, _ManifestRow]] = {}

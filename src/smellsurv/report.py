@@ -359,10 +359,9 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
             emit(f"logrank_{c.partition}.json", [_json_line(_logrank_json(c))])
 
     if "json" in formats:
-        thresholds = bundle.thresholds
         emit("anomalies.json", [_json_text({
             "app": bundle.app,
-            "thresholds": {"up": thresholds.up, "up2": thresholds.up2, "down": thresholds.down},
+            "thresholds": bundle.thresholds._asdict(),
             "density": _json_rows(_density_table(bundle.series)),
             "flags": _json_rows(_flag_table(bundle.flags)),
         })])

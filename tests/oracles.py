@@ -239,8 +239,8 @@ def pmd_report_oracle(document: bytes, strip_prefix: str | None = None) -> tuple
             parts = [violation.get(attr) for attr in ("package", "class", "method", "function")]
             begin, end = violation.get("beginline"), violation.get("endline")
             try:
-                # a line is one or more of the ten ASCII digits, nothing around them
-                if not all(re.fullmatch("[0-9]+", line) for line in (begin, end) if line is not None):
+                # a line is 1 to 640 of the ten ASCII digits, nothing around them
+                if not all(re.fullmatch("[0-9]{1,640}", line) for line in (begin, end) if line is not None):
                     raise ValueError
                 begin_line = int(begin) if begin is not None else None
                 end_line = int(end) if end is not None else None

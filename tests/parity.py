@@ -3,12 +3,12 @@
     python tests/parity.py
 
 Runs ``python -m smellsurv.cli`` under this interpreter: ``analyze
---formats csv,json,svg`` over the triapp, no-smell and inf-rate manifests
-and, with CHURN_OPTIONS, the churn manifest, and ``detect --formats
-csv,json`` over each triapp code model. Each output is compared byte for
-byte with its golden under tests/data. Prints one line per difference and
-exits 1 if there is any, else exits 0. It needs only the standard library,
-so it runs on an interpreter without pytest.
+--formats csv,json,svg`` over each ANALYZE_GOLDENS manifest with its
+options, and ``detect --formats csv,json`` over each triapp code model.
+Each output is compared byte for byte with its golden under tests/data.
+Prints one line per difference and exits 1 if there is any, else exits 0.
+It needs only the standard library, so it runs on an interpreter without
+pytest.
 """
 
 from __future__ import annotations
@@ -25,6 +25,16 @@ SRC = TESTS.parent / "src"
 sys.path[:0] = [str(TESTS), str(SRC)]  # the conftest writers import smellsurv
 
 from conftest import CHURN_OPTIONS, write_churn_history, write_inf_rate_history, write_no_smell_history  # noqa: E402
+
+
+# id -> (golden directory under tests/data, writer of its manifest into a
+# directory, extra analyze options); tests/test_golden.py runs the same table
+ANALYZE_GOLDENS = {
+    "triapp": ("triapp_golden", lambda tmp: DATA / "triapp" / "manifest.csv", []),
+    "no-smell": ("clean_golden", write_no_smell_history, []),
+    "inf-rate": ("inf_rate_golden", write_inf_rate_history, []),
+    "churn": ("churn_golden", write_churn_history, CHURN_OPTIONS),
+}
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -46,17 +56,10 @@ def _differences(args: list[str], out: Path, golden: Path) -> list[str]:
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        manifests = {"triapp_golden": (DATA / "triapp" / "manifest.csv", [])}
-        for golden, writer, options in (
-            ("clean_golden", write_no_smell_history, []),
-            ("inf_rate_golden", write_inf_rate_history, []),
-            ("churn_golden", write_churn_history, CHURN_OPTIONS),
-        ):
-            (work / golden).mkdir()
-            manifests[golden] = writer(work / golden), options
         failures = []
-        for golden, (manifest, options) in manifests.items():
-            args = ["analyze", "--manifest", str(manifest), *options, "--formats", "csv,json,svg"]
+        for golden, manifest, options in ANALYZE_GOLDENS.values():
+            (work / golden).mkdir()
+            args = ["analyze", "--manifest", str(manifest(work / golden)), *options, "--formats", "csv,json,svg"]
             failures += _differences(args, work / golden / "out", DATA / golden)
         models = sorted((DATA / "triapp" / "models").glob("*.json"))
         for model in models:
@@ -65,7 +68,7 @@ def main() -> int:
     for failure in failures:
         print(f"differs: {failure}")
     version = sys.version.split()[0]
-    print(f"Python {version}: {len(manifests)} bundles, {len(models)} detect outputs, {len(failures)} differ")
+    print(f"Python {version}: {len(ANALYZE_GOLDENS)} bundles, {len(models)} detect outputs, {len(failures)} differ")
     return 1 if failures else 0
 
 

@@ -505,7 +505,7 @@ def four_version_rows(tmp_path) -> list[list[str]]:
 
 def write_rows(tmp_path, rows) -> Path:
     manifest = tmp_path / "manifest.csv"
-    manifest.write_text("".join(",".join(row) + "\n" for row in rows))
+    manifest.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     return manifest
 
 
@@ -520,11 +520,19 @@ def write_rows(tmp_path, rows) -> Path:
         (3, 1, "1.0", "duplicate version id"),
         (3, 2, "2020-01-01", "timestamps not strictly increasing"),
         (2, 3, "missing.json", "report file unreadable"),
-        (2, 5, "-1", "loc must be >= 0, got -1"),
-        (5, 6, "-95", "classes must be >= 0, got -95"),
+        (2, 5, "-1", "loc must be 1 to 640 decimal digits, got '-1'"),
+        (5, 6, "-95", "classes must be 1 to 640 decimal digits, got '-95'"),
+        # int() reads each of these as a number; a count is only ASCII digits, at most 640 of them
+        *[
+            (row, column, value, f"{name} must be 1 to 640 decimal digits, got {value!r}")
+            for row, column, name in ((2, 4, "lloc"), (5, 5, "loc"), (3, 6, "classes"))
+            for value in ("1_0000", "\u0661\u0660\u0660\u0660\u0660", "+5", "9" * 641)
+        ],
     ],
     ids=["bad timestamp", "timestamp before year 1 in UTC", "timestamp after year 9999 in UTC", "zero lloc",
-         "duplicate version", "equal timestamps", "missing report", "negative loc", "negative classes"],
+         "duplicate version", "equal timestamps", "missing report", "negative loc", "negative classes",
+         *[f"{name} {case}" for name in ("lloc", "loc", "classes")
+           for case in ("underscore", "arabic-indic digits", "plus sign", "641 digits")]],
 )
 def test_gate_checks_every_row(tmp_path, capsys, row, column, value, message):
     # and so does analyze, with the same error
@@ -537,6 +545,21 @@ def test_gate_checks_every_row(tmp_path, capsys, row, column, value, message):
         assert record["error"] == "ManifestError"
         assert record["row"] == row
         assert message in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("columns", [("loc", "loc"), ("lloc", "classes")], ids=["loc", "lloc"])
+def test_a_header_naming_a_column_twice_is_refused(tmp_path, capsys, columns):
+    # the last cell of a repeated column would otherwise hide the first: a loc of -5 passed
+    rows = four_version_rows(tmp_path)
+    rows[0][5:] = columns
+    rows[1][5] = "-5"
+    manifest = write_rows(tmp_path, rows)
+    for command in (["gate"], ["analyze", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--manifest", str(manifest)]) == EXIT_ERROR
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["row"]) == ("ManifestError", 1)
+        assert f"column {columns[0]!r} named twice" in record["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -664,14 +687,13 @@ def test_report_error_names_the_file_and_the_row(tmp_path, capsys, command, name
 @pytest.mark.parametrize(
     "line",
     [
-        " 12 ", "\u0661\u0662", "1_0", "+3", "-1",
-        pytest.param("9" * 5000, marks=pytest.mark.skipif(
-            not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")),
+        " 12 ", "\u0661\u0662", "1_0", "+3", "-1", "9" * 641, "9" * 5000,
     ],
-    ids=["spaces", "arabic-indic digits", "underscore", "plus sign", "minus sign", "over-long"],
+    ids=["spaces", "arabic-indic digits", "underscore", "plus sign", "minus sign", "641 digits", "over-long"],
 )
 def test_a_line_number_other_than_ascii_digits_is_a_report_parse_error(tmp_path, capsys, command, attribute, line):
-    # int() reads all five of these; a PMD line number is only ASCII digits
+    # int() reads the first six of these, and the last without a digit limit;
+    # a PMD line number is 1 to 640 ASCII digits
     lines = "".join(f' {name}="{value}"' for name, value in {"beginline": "1", "endline": "90", attribute: line}.items())
     rows = four_version_rows(tmp_path)
     (tmp_path / "bad.xml").write_text(

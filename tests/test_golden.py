@@ -24,14 +24,7 @@ import pytest
 
 from smellsurv.cli import EXIT_OK, main
 
-from conftest import CHURN_OPTIONS, write_churn_history, write_inf_rate_history, write_no_smell_history
-
-DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).parents[1] / "src"
-
-
-def _files(root: Path) -> dict[str, bytes]:
-    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+from parity import ANALYZE_GOLDENS, DATA, SRC, _files
 
 
 def _assert_same_bundle(out: Path, golden: Path) -> None:
@@ -41,17 +34,8 @@ def _assert_same_bundle(out: Path, golden: Path) -> None:
         assert got[name] == content, f"{name} differs from its golden"
 
 
-@pytest.mark.parametrize(
-    "manifest, golden, options",
-    [
-        (lambda tmp: DATA / "triapp" / "manifest.csv", "triapp_golden", []),
-        (write_no_smell_history, "clean_golden", []),
-        (write_inf_rate_history, "inf_rate_golden", []),
-        (write_churn_history, "churn_golden", CHURN_OPTIONS),
-    ],
-    ids=["triapp", "no-smell", "inf-rate", "churn"],
-)
-def test_bundle_matches_golden(tmp_path, manifest, golden, options):
+@pytest.mark.parametrize("golden, manifest, options", ANALYZE_GOLDENS.values(), ids=ANALYZE_GOLDENS.keys())
+def test_bundle_matches_golden(tmp_path, golden, manifest, options):
     inputs = tmp_path / "in"
     inputs.mkdir()
     out = tmp_path / "out"

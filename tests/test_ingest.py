@@ -382,7 +382,7 @@ def grouped_pmd_documents(draw):
     violations = []
     for _ in range(draw(st.integers(0, 8))):
         rule = draw(st.sampled_from(["ExcessiveMethodLength", "ExcessiveParameterList"]))
-        begin, end = draw(st.lists(st.one_of(st.none(), st.integers(-1, 4)), min_size=2, max_size=2))
+        begin, end = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)), min_size=2, max_size=2))
         if begin is not None and end is not None and begin > end:
             begin, end = end, begin
         method = draw(st.sampled_from(["", ' method="m"']))
