@@ -130,13 +130,7 @@ def cmd_detect(args) -> int:
         args.version_id.encode("utf-8")
     except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 arrive as lone surrogates
         raise ConfigError(f"--version-id {args.version_id!r} is not UTF-8 text") from exc
-    try:
-        entities = load_code_model(args.code_model)
-    except OSError as exc:
-        raise ConfigError(f"code model {args.code_model} unreadable: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # a NUL byte
-        raise ConfigError(f"code model {args.code_model}: {exc}") from exc
-    occurrences = evaluate_rules(entities, _ruleset(args))
+    occurrences = evaluate_rules(load_code_model(args.code_model), _ruleset(args))
     out_dir = Path(args.out)
     with _publishing(out_dir) as staging:
         write_occurrences(args.version_id, occurrences, staging, formats)

@@ -1,8 +1,12 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one reader of its inputs.
 
 Every input is checked where it is read, and every failure is raised as a
 ``SmellSurvError`` subclass: the CLI reports only these.
 """
+
+import os
+import stat
+from collections.abc import Callable
 
 
 class SmellSurvError(Exception):
@@ -37,3 +41,20 @@ class ManifestError(SmellSurvError):
 class OutputError(SmellSurvError):
     """A file or directory under ``--out`` could not be created, written,
     moved, replaced or removed."""
+
+
+def read_input(path, what: str, error: Callable[[str], SmellSurvError], read: bool = True) -> bytes | None:
+    """The bytes of the regular file at path, or with ``read=False`` None once it
+    is known to be one; else raise ``error(f"{what} {path} unreadable: {reason}")``.
+    It is opened without blocking, so a FIFO is refused, not waited on."""
+    try:
+        if read:
+            with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    return fh.read()
+        elif stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        reason = "not a regular file"
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+    raise error(f"{what} {path} unreadable: {reason}")

@@ -11,16 +11,17 @@ from __future__ import annotations
 import csv
 import io
 import re
-import stat
 from collections import Counter
 from collections.abc import Iterator
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 from xml.parsers import expat
 
-from .errors import ManifestError, ReportParseError, SmellSurvError
+from .errors import ManifestError, ReportParseError, SmellSurvError, read_input
 from .rules import (
+    COUNT_DIGITS,
     RULES,
     Occurrence,
     SmellRule,
@@ -28,14 +29,12 @@ from .rules import (
     _code_model_entities,
     evaluate_rules,
     load_code_model,
+    normalize_path,
 )
 from .tracking import InstanceKey, assign_keys
 
 MANIFEST_COLUMNS = ("app", "version", "timestamp", "report_path", "lloc")
 MANIFEST_OPTIONAL_COLUMNS = ("loc", "classes")
-# 640 is sys.int_info.str_digits_check_threshold, the lowest digit limit int() can be set
-# to, so int() reads every count under any setting
-COUNT_DIGITS = 640
 
 
 def _count(text: str) -> int | None:
@@ -88,20 +87,6 @@ class History(NamedTuple):
 
     app_name: str
     snapshots: tuple[VersionSnapshot, ...]
-
-
-def normalize_path(path: str, strip_prefix: str | None = None) -> str:
-    """Unify separators to '/' and drop a configured leading prefix."""
-    unified = path.replace("\\", "/")
-    if strip_prefix:
-        prefix = strip_prefix.replace("\\", "/")
-        if not prefix.endswith("/"):
-            prefix += "/"
-        if unified.startswith(prefix):
-            unified = unified[len(prefix):]
-        elif unified == prefix[:-1]:
-            unified = ""
-    return unified
 
 
 class PmdParseResult(NamedTuple):
@@ -242,17 +227,14 @@ def parse_pmd_report(
 def _manifest_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
     """Yield each data row of the manifest at path, as the line it starts on
     and its cells by column name. Every error names the file; one that has a
-    line (a bad byte, a NUL, a bad CSV record) carries it as the row."""
+    line (a bad byte, a NUL, a bad CSV record) carries it as the row. One
+    leading byte order mark is dropped."""
+    data = read_input(path, "manifest", ManifestError)
     try:
-        data = path.read_bytes()
-        text = data.decode("utf-8")
-    except OSError as exc:
-        raise ManifestError(f"manifest {path} unreadable: {exc.strerror or exc}") from exc
+        text = data.decode("utf-8").removeprefix("\ufeff")  # utf-8-sig would shift exc.start by 3
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ManifestError(f"manifest {path} is not UTF-8: byte {exc.start}: {exc.reason}", row=line) from exc
-    except ValueError as exc:  # a NUL byte in the path
-        raise ManifestError(f"manifest {path} unreadable: {exc}") from exc
     # csv refuses a NUL only before Python 3.11, so it is refused here, on every version
     nul = data.find(b"\0")
     if nul >= 0:
@@ -315,12 +297,7 @@ def _check_row(row_no: int, row: dict[str, str], version_id: str, base_dir: Path
     report_path = Path(row["report_path"].strip())
     if not report_path.is_absolute():
         report_path = base_dir / report_path
-    try:
-        mode = report_path.stat().st_mode
-    except OSError as exc:
-        raise ManifestError(f"report file unreadable: {exc}", row=row_no) from exc
-    if not stat.S_ISREG(mode):  # a FIFO or a device would be read without end, a directory not at all
-        raise ManifestError(f"report file {report_path} is not a regular file", row=row_no)
+    read_input(report_path, "report file", partial(ManifestError, row=row_no), read=False)
     return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
 
@@ -339,17 +316,14 @@ def _snapshot_from_row(
     path = entry.report_path
     suffix = path.suffix.lower()
     try:
-        data = b"" if suffix == ".json" else path.read_bytes()  # the code-model loader reads a .json
-        if suffix == ".xml" or data.lstrip()[:1] == b"<":
-            occurrences = parse_pmd_report(data, strip_prefix, strings).occurrences
+        if suffix == ".json":
+            occurrences = evaluate_rules(load_code_model(path, strip_prefix), rules)
         else:
-            entities = load_code_model(path) if suffix == ".json" else _code_model_entities(data, path)
-            if strip_prefix is not None:
-                # before the rules run, so that names merged here sort and key as one file
-                entities = [e._replace(file=normalize_path(e.file, strip_prefix)) for e in entities]
-            occurrences = evaluate_rules(entities, rules)
-    except OSError as exc:
-        raise ManifestError(f"report file unreadable: {exc}", row=entry.row) from exc
+            data = read_input(path, "report file", ManifestError)
+            if suffix == ".xml" or data.lstrip()[:1] == b"<":
+                occurrences = parse_pmd_report(data, strip_prefix, strings).occurrences
+            else:
+                occurrences = evaluate_rules(_code_model_entities(data, path, strip_prefix), rules)
     except ReportParseError as exc:  # only the PMD parser raises one
         raise ReportParseError(f"PMD report {path}: {exc}", row=entry.row, byte_offset=exc.byte_offset) from exc
     except SmellSurvError as exc:

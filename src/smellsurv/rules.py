@@ -13,7 +13,10 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input
+
+COUNT_DIGITS = 640  # sys.int_info.str_digits_check_threshold: a count this long reads under any digit limit
+_COUNT_BOUND = 10**COUNT_DIGITS
 
 
 # a rule is its PMD name, a scope "localized" or "scattered", and an entity
@@ -52,29 +55,47 @@ def default_ruleset() -> list[SmellRule]:
     return [SmellRule(rule, default) for rule, (_, _, _, default) in _RULES.items()]
 
 
+def normalize_path(path: str, strip_prefix: str | None = None) -> str:
+    """Unify separators to '/' and drop a configured leading prefix."""
+    unified = path.replace("\\", "/")
+    if strip_prefix:
+        prefix = strip_prefix.replace("\\", "/")
+        if not prefix.endswith("/"):
+            prefix += "/"
+        if unified.startswith(prefix):
+            unified = unified[len(prefix):]
+        elif unified == prefix[:-1]:
+            unified = ""
+    return unified
+
+
+def _json(data: bytes, what: str, path: str | Path):
+    """The JSON document in data; a failure is a ConfigError naming what and path."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path}: not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not JSON, an integer over the digit limit, nested too deep
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
 def load_ruleset(path: str | Path) -> list[SmellRule]:
     """Read threshold overrides from a JSON file: {"<rule>": threshold, ...}.
 
     Rules not named keep their defaults. Unknown rule names are a
     configuration error.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"rules file {path} unreadable: {exc.strerror or exc}") from exc
-    # not UTF-8, not JSON, an integer over the digit limit, a NUL in the path;
-    # or nested too deep for the decoder
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"rules file {path}: {exc}") from exc
+    raw = _json(read_input(path, "rules file", ConfigError), "rules file", path)
     if not isinstance(raw, dict):
         raise ConfigError(f"rules file {path}: expected a JSON object of rule -> threshold")
     thresholds = {rule: default for rule, (_, _, _, default) in _RULES.items()}
     for name, value in raw.items():
         if name not in thresholds:
             raise ConfigError(f"rules file {path}: unknown rule id {name!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not value > 0:
-            raise ConfigError(f"rules file {path}: threshold for {name} must be a positive number")
+        if type(value) not in (int, float) or not value > 0 or type(value) is int and value >= _COUNT_BOUND:
+            raise ConfigError(
+                f"rules file {path}: threshold for {name} must be a positive number, an integer < 10**{COUNT_DIGITS}"
+            )
         thresholds[name] = value
     return [SmellRule(rule, thr) for rule, thr in thresholds.items()]
 
@@ -141,27 +162,22 @@ def evaluate_rules(
     return [(RULES[order], file, entity_path) for file, entity_path, order in fired]
 
 
-def load_code_model(path: str | Path) -> list[CodeEntity]:
+def load_code_model(path: str | Path, strip_prefix: str | None = None) -> list[CodeEntity]:
     """Read a code-model JSON file: a list of entity objects, or {"entities": [...]}.
 
     Each entity object needs "kind" and the strings "name" and "file"; the
-    string "parent" and the metric fields, JSON integers >= 0, are optional.
+    string "parent" and the metric fields, JSON integers >= 0 and below
+    10**COUNT_DIGITS, are optional. File names are normalized as read.
     """
-    with open(path, "rb") as fh:
-        return _code_model_entities(fh.read(), path)
+    return _code_model_entities(read_input(path, "code model", ConfigError), path, strip_prefix)
 
 
-def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
+def _code_model_entities(data: bytes, path: str | Path, strip_prefix: str | None = None) -> list[CodeEntity]:
     """Entities of a code model already read as bytes; errors name path."""
-    # after a strict decode only a \u escape makes a lone surrogate; a one-byte search (memchr) is the cheap test
+    # after a strict decode only a \u escape makes a lone surrogate, and only an escape a "\"; memchr finds it
     escaped = b"\\" in data
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"code model {path}: not UTF-8: {exc}") from exc
-    # not JSON, an integer over the digit limit, or nested too deep for the decoder
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"code model {path}: {exc}") from exc
+    renames = escaped or strip_prefix  # else no file name can change
+    raw = _json(data, "code model", path)
     if isinstance(raw, dict):
         raw = raw.get("entities")
     if not isinstance(raw, list):
@@ -190,10 +206,15 @@ def _code_model_entities(data: bytes, path: str | Path) -> list[CodeEntity]:
         )
         for value in metrics:
             # `type(...) is int` also refuses a bool, which is an int subclass
-            if type(value) is not int or value < 0:
+            if type(value) is not int or not 0 <= value < _COUNT_BOUND:
                 field = next(f for f, v in zip(_METRICS, metrics) if v is value)
+                got = f"more than {COUNT_DIGITS} digits" if type(value) is int and abs(value) >= _COUNT_BOUND else repr(value)
                 raise ConfigError(
-                    f"code model {path}: entity #{i}: {field} must be a JSON integer >= 0, got {value!r}"
+                    f"code model {path}: entity #{i}: {field} must be a JSON integer >= 0 and"
+                    f" < 10**{COUNT_DIGITS}, got {got}"
                 )
-        entities.append(CodeEntity(kind, name, file, parent or None, *metrics))
+        if renames:
+            file = normalize_path(file, strip_prefix)
+        # CodeEntity(...) without the NamedTuple's Python-level __new__
+        entities.append(tuple.__new__(CodeEntity, (kind, name, file, parent or None, *metrics)))
     return entities

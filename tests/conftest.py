@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -14,6 +15,18 @@ BASE = datetime(2015, 1, 1, tzinfo=timezone.utc)
 
 def ts(day: float) -> datetime:
     return BASE + timedelta(days=day)
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits: int):
+    """Run the block with int()'s int-to-str digit limit set to digits (0 is
+    no limit), as PYTHONINTMAXSTRDIGITS sets it; the old limit is restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @contextlib.contextmanager

@@ -4,6 +4,7 @@ import builtins
 import contextlib
 import csv
 import encodings.aliases
+import errno
 import io
 import json
 import os
@@ -32,7 +33,9 @@ from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rat
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
-from conftest import NO_SMELL_REPORT, cyclic_garbage, history_from_bits, load_manifest, pairs, ts, write_no_smell_history
+from conftest import (
+    NO_SMELL_REPORT, cyclic_garbage, history_from_bits, int_digit_limit, load_manifest, pairs, ts, write_no_smell_history,
+)
 from oracles import logrank_oracle, records_oracle
 
 TRIAPP = Path(__file__).parent / "data" / "triapp"
@@ -67,6 +70,17 @@ def test_detect_long_method(tmp_path):
     assert [(r["rule"], r["scope"], r["version"]) for r in rows] == [
         ("ExcessiveMethodLength", "localized", "2.3")
     ]
+
+
+def test_detect_writes_a_file_name_as_analyze_keys_it(tmp_path):
+    # a "\" is a "/" in every report, whatever the flags; no detect golden holds a "\"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps([{"kind": "method", "name": "m", "file": "src\\a.php", "parent": "A", "loc": 150}]))
+    assert main(["detect", "--code-model", str(model), "--version-id", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert [r["file"] for r in read_csv(tmp_path / "out" / "occurrences.csv")] == ["src/a.php"]
+    assert [o["file"] for o in json.loads((tmp_path / "out" / "occurrences.json").read_text())] == ["src/a.php"]
+    goldens = [p for p in (TRIAPP.parent / "detect_golden").rglob("*") if p.is_file()]
+    assert goldens and not any(b"\\" in p.read_bytes() for p in goldens)
 
 
 def test_detect_unreadable_path_reports_error(tmp_path, capsys):
@@ -519,7 +533,7 @@ def write_rows(tmp_path, rows) -> Path:
         (2, 4, "0", "lloc must be positive"),
         (3, 1, "1.0", "duplicate version id"),
         (3, 2, "2020-01-01", "timestamps not strictly increasing"),
-        (2, 3, "missing.json", "report file unreadable"),
+        (2, 3, "missing.json", "missing.json unreadable: No such file or directory"),
         (2, 5, "-1", "loc must be 1 to 640 decimal digits, got '-1'"),
         (5, 6, "-95", "classes must be 1 to 640 decimal digits, got '-95'"),
         # int() reads each of these as a number; a count is only ASCII digits, at most 640 of them
@@ -563,6 +577,28 @@ def test_a_header_naming_a_column_twice_is_refused(tmp_path, capsys, columns):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("strip", [[], ["--strip-prefix", "zzz"]], ids=["no prefix", "a prefix that matches nothing"])
+def test_one_file_is_one_key_in_code_models_and_pmd_reports(tmp_path, strip):
+    # src\a.php in a code model, in a PMD report and in a code model again: one
+    # smell present throughout, not a removal and an addition at each change of format
+    model = json.dumps([{"kind": "method", "name": "m", "file": "src\\a.php", "parent": "A", "loc": 150}])
+    (tmp_path / "v1.json").write_text(model)
+    (tmp_path / "v2.xml").write_text(
+        '<pmd><file name="src\\a.php">'
+        '<violation beginline="1" endline="150" rule="ExcessiveMethodLength" class="A" method="m"/></file></pmd>'
+    )
+    (tmp_path / "v3.json").write_text(model)
+    manifest = write_rows(tmp_path, [
+        ["app", "version", "timestamp", "report_path", "lloc"],
+        *(["demo", f"{i}.0", f"2020-0{i}-01", name, "1000"] for i, name in enumerate(["v1.json", "v2.xml", "v3.json"], 1)),
+    ])
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out"), *strip]) == EXIT_OK
+    records = read_csv(tmp_path / "out" / "demo" / "records.csv")
+    assert [(r["key"], r["first_version"], r["last_present_version"], r["censored"]) for r in records] == [
+        ("src/a.php::A/m::0", "1.0", "3.0", "0"),
+    ]
+
+
 def test_malformed_earlier_report_fails_analyze_but_not_gate(tmp_path, capsys):
     rows = four_version_rows(tmp_path)
     (tmp_path / "m0.xml").write_text('<pmd><file name="a.php">')
@@ -577,21 +613,41 @@ def test_malformed_earlier_report_fails_analyze_but_not_gate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("make", [os.mkfifo, Path.mkdir], ids=["fifo", "directory"])
-@pytest.mark.parametrize("command", ["gate", "analyze"])
-def test_a_report_that_is_not_a_regular_file_is_refused_without_being_read(tmp_path, command, make):
-    # in a child with a timeout: a FIFO read by the parser would block forever
+@pytest.mark.parametrize(
+    "command, flag, error, what",
+    [
+        ("gate", None, "ManifestError", "report file"),
+        ("analyze", None, "ManifestError", "report file"),
+        ("gate", "--manifest", "ManifestError", "manifest"),
+        ("gate", "--rules", "ConfigError", "rules file"),
+        ("detect", "--code-model", "ConfigError", "code model"),
+    ],
+    ids=["gate", "analyze", "manifest", "rules", "code model"],
+)
+def test_a_report_that_is_not_a_regular_file_is_refused_without_being_read(tmp_path, command, flag, error, what, make):
+    # in a child with a timeout: a FIFO that is read would block forever; a
+    # report is refused when its row is checked, before any report is read
+    odd = tmp_path / "odd.xml"
+    make(odd)
     rows = four_version_rows(tmp_path)
-    make(tmp_path / "r1.xml")
-    rows[2][3] = "r1.xml"  # row 3 of 5: not among the latest two
+    if flag is None:
+        rows[2][3] = odd.name  # row 3 of 5: not among the latest two
     manifest = write_rows(tmp_path, rows)
-    out = ["--out", str(tmp_path / "out")] if command == "analyze" else []
-    args = [sys.executable, "-m", "smellsurv.cli", command, "--manifest", str(manifest), *out]
+    args = {
+        "analyze": {"--manifest": str(manifest), "--out": str(tmp_path / "out")},
+        "detect": {"--code-model": str(tmp_path / "m0.json"), "--version-id": "1", "--out": str(tmp_path / "out")},
+        "gate": {"--manifest": str(manifest)},
+    }[command]
+    if flag is not None:
+        args[flag] = str(odd)
+    command_line = [sys.executable, "-m", "smellsurv.cli", command, *(part for item in args.items() for part in item)]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    result = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run(command_line, env=env, capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stdout) == (EXIT_ERROR, "")
-    assert json.loads(result.stderr) == {
-        "error": "ManifestError", "row": 3, "message": f"report file {tmp_path / 'r1.xml'} is not a regular file",
-    }
+    # reading, open() refuses a directory itself; a report's row is checked by a stat
+    reason = "Is a directory" if make is Path.mkdir and flag is not None else "not a regular file"
+    expected = {"error": error, "message": f"{what} {odd} unreadable: {reason}"}
+    assert json.loads(result.stderr) == ({**expected, "row": 3} if flag is None else expected)
     assert not (tmp_path / "out").exists()
 
 
@@ -924,6 +980,32 @@ def test_an_unreadable_code_model_is_a_config_error_naming_it(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name, error, what", [("m2.json", "ConfigError", "code model"), ("m2.xml", "ManifestError", "report file")]
+)
+def test_a_report_that_cannot_be_opened_is_an_error_with_its_row(tmp_path, capsys, monkeypatch, name, error, what):
+    # a file mode does not stop a test run as root, so the refusal is made by hand
+    rows = four_version_rows(tmp_path)
+    report = tmp_path / name
+    if name.endswith(".xml"):
+        report.write_text(NO_SMELL_REPORT)
+    rows[3][3] = name
+    manifest = write_rows(tmp_path, rows)
+    os_open = os.open
+
+    def refusing(path, *args, **kwargs):
+        if Path(path) == report:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing)
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {
+        "error": error, "message": f"{what} {report} unreadable: Permission denied", "row": 4,
+    }
+    assert not (tmp_path / "out").exists()
+
+
 # documents json refuses past its decoder's limits: an integer literal over
 # the int-to-str digit limit, and arrays nested deeper than the recursion limit
 UNDECODABLE_JSON = {
@@ -935,7 +1017,10 @@ UNDECODABLE_JSON = {
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
 @pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
 @pytest.mark.parametrize("case", UNDECODABLE_JSON)
-def test_json_the_decoder_refuses_is_a_config_error_naming_the_file(tmp_path, capsys, command, case):
+# with no limit json reads an integer of any length, so the 640-digit bound on
+# a threshold or metric, not the decoder, must refuse the over-long one
+@pytest.mark.parametrize("digit_limit", [4300, 0], ids=["default digit limit", "no digit limit"])
+def test_json_the_decoder_refuses_is_a_config_error_naming_the_file(tmp_path, capsys, command, case, digit_limit):
     # detect reads it as --code-model, gate as --rules, analyze as a manifest row's code model
     rows = four_version_rows(tmp_path)
     bad = tmp_path / "bad.json"
@@ -948,7 +1033,8 @@ def test_json_the_decoder_refuses_is_a_config_error_naming_the_file(tmp_path, ca
         "detect": ["--code-model", str(bad), "--version-id", "1", "--out", str(tmp_path / "out")],
         "gate": ["--manifest", str(manifest), "--rules", str(bad)],
     }[command]
-    assert main([command, *args]) == EXIT_ERROR
+    with int_digit_limit(digit_limit):
+        assert main([command, *args]) == EXIT_ERROR
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert record["message"].startswith(f"{'rules file' if command == 'gate' else 'code model'} {bad}: ")
@@ -960,8 +1046,8 @@ def test_json_the_decoder_refuses_is_a_config_error_naming_the_file(tmp_path, ca
     "command, flag, error, message",
     [
         ("gate", "--manifest", "ManifestError", "manifest {path} unreadable: embedded null byte"),
-        ("gate", "--rules", "ConfigError", "rules file {path}: embedded null byte"),
-        ("detect", "--code-model", "ConfigError", "code model {path}: embedded null byte"),
+        ("gate", "--rules", "ConfigError", "rules file {path} unreadable: embedded null byte"),
+        ("detect", "--code-model", "ConfigError", "code model {path} unreadable: embedded null byte"),
         ("detect", "--out", "OutputError", "cannot write under --out {path}: embedded null byte"),
         ("analyze", "--out", "OutputError", "cannot write under --out {path}: embedded null byte"),
     ],
@@ -1391,6 +1477,23 @@ def test_an_unreadable_manifest_is_a_manifest_error_naming_it(tmp_path, capsys, 
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ManifestError" and "row" not in record
     assert str(manifest) in record["message"]
+
+
+def test_a_manifest_that_starts_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    # spreadsheet tools write one; a bad byte after it keeps its offset and its row
+    manifest = write_rows(tmp_path, four_version_rows(tmp_path))
+    plain = manifest.read_bytes()
+    outputs = []
+    for data in (plain, b"\xef\xbb\xbf" + plain):
+        manifest.write_bytes(data)
+        outputs.append((main(["gate", "--manifest", str(manifest)]), capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+    manifest.write_bytes(b"\xef\xbb\xbf" + plain.replace(b"demo,3.0", b"demo,3.\xff"))
+    assert main(["gate", "--manifest", str(manifest)]) == EXIT_ERROR
+    bad = plain.index(b"demo,3.0") + len(b"demo,3.") + 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ManifestError", "message": f"manifest {manifest} is not UTF-8: byte {bad}: invalid start byte", "row": 4,
+    }
 
 
 def test_importing_the_cli_pulls_in_no_network_modules():

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import smellsurv.ingest
+import smellsurv.rules
 from smellsurv.cli import EXIT_ERROR, main
 from smellsurv.errors import ConfigError, ManifestError, ReportParseError
 from smellsurv.ingest import (
@@ -23,7 +25,7 @@ from smellsurv.ingest import (
     parse_pmd_report,
     parse_timestamp,
 )
-from smellsurv.rules import RULES, default_ruleset, evaluate_rules, load_code_model
+from smellsurv.rules import RULES, CodeEntity, default_ruleset, evaluate_rules
 from smellsurv.tracking import InstanceKey, assign_keys
 
 from conftest import cyclic_garbage, history_from_bits, load_manifest
@@ -529,14 +531,18 @@ def test_unreadable_report_error_names_the_path(tmp_path, name):
 
 def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
     # a .json report is read once, by the code-model loader, not also as bytes
-    read_bytes = Path.read_bytes
+    reads = []
 
-    def only_the_manifest(self):
-        if self != tmp_path / "manifest.csv":
-            pytest.fail(f"{self} read as bytes")
-        return read_bytes(self)
+    def recording(module):
+        def read_input(path, what, error, read=True):
+            reads.append((module.__name__, Path(path).name, read))
+            return original(path, what, error, read)
 
-    monkeypatch.setattr(Path, "read_bytes", only_the_manifest)
+        original = module.read_input
+        monkeypatch.setattr(module, "read_input", read_input)
+
+    recording(smellsurv.ingest)
+    recording(smellsurv.rules)
     (tmp_path / "m1.json").write_text(json.dumps([
         {"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150},
     ]))
@@ -551,11 +557,19 @@ def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
     history = load_manifest(manifest, base_dir=tmp_path)
     assert [len(s.keys) for s in history.snapshots] == [1, 0]
     assert history.snapshots[0].keys[0].rule == "ExcessiveMethodLength"
+    assert reads == [
+        ("smellsurv.ingest", "manifest.csv", True),
+        ("smellsurv.ingest", "m1.json", False),
+        ("smellsurv.ingest", "m2.json", False),
+        ("smellsurv.rules", "m1.json", True),
+        ("smellsurv.rules", "m2.json", True),
+    ]
 
 
 CODE_MODEL_FILES = ["/work/a.php", "\\work\\a.php", "/work\\a.php", "a.php", "b.php"]
 
 
+@pytest.mark.parametrize("strip_prefix", [None, "/work"])
 @settings(max_examples=100, deadline=None)
 @given(
     entities=st.lists(
@@ -570,18 +584,19 @@ CODE_MODEL_FILES = ["/work/a.php", "\\work\\a.php", "/work\\a.php", "a.php", "b.
         max_size=8,
     ),
 )
-def test_code_model_keys_match_the_key_oracle_when_strip_prefix_merges_files(entities):
-    # /work/a.php, \work\a.php and /work\a.php are all a.php once the prefix is stripped
+def test_code_model_keys_match_the_key_oracle_when_strip_prefix_merges_files(strip_prefix, entities):
+    # /work/a.php, \work\a.php and /work\a.php are all a.php once the prefix is stripped,
+    # and all /work/a.php without it
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "m.json"
         model.write_text(json.dumps(entities))
         manifest = Path(tmp) / "manifest.csv"
         manifest.write_text("app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,m.json,4000\n")
-        (history,) = load_manifests(manifest, default_ruleset(), strip_prefix="/work")
-        # the order the package once keyed in: the rules run on the file names
-        # as written, and the names are normalized after
-        raw = evaluate_rules(load_code_model(model), default_ruleset())
-    expected = keys_oracle([Violation(rule, normalize_path(file, "/work"), path) for rule, file, path in raw])
+        (history,) = load_manifests(manifest, default_ruleset(), strip_prefix=strip_prefix)
+    # the order the package once keyed in: the rules run on the file names
+    # as written, and the names are normalized after
+    raw = evaluate_rules([CodeEntity(**entity) for entity in entities], default_ruleset())
+    expected = keys_oracle([Violation(rule, normalize_path(file, strip_prefix), path) for rule, file, path in raw])
     assert Counter(history.snapshots[0].keys) == Counter(expected)
 
 

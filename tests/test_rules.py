@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from smellsurv.rules import (
 )
 from smellsurv.tracking import assign_keys
 
+from conftest import int_digit_limit
 from oracles import Violation, keys_oracle, rules_oracle
 
 DEFAULTS = default_ruleset()
@@ -111,11 +113,17 @@ def test_default_ruleset_scope_balance():
 
 def test_nonpositive_threshold_rejected(tmp_path):
     path = tmp_path / "rules.json"
-    for value in ("0", "-1", "NaN", "true", '"10"'):
+    # an integer of 641 digits is refused under any int digit limit, one of 640 loads
+    for value in ("0", "-1", "NaN", "true", '"10"', "1" + "0" * 640):
         path.write_text(f'{{"ExcessiveMethodLength": {value}}}')
         with pytest.raises(ConfigError) as info:
             load_ruleset(path)
-        assert str(info.value) == f"rules file {path}: threshold for ExcessiveMethodLength must be a positive number"
+        assert str(info.value) == (
+            f"rules file {path}: threshold for ExcessiveMethodLength must be a positive number, an integer < 10**640"
+        )
+    for value in ("9" * 640, "1e300"):
+        path.write_text(f'{{"ExcessiveMethodLength": {value}}}')
+        assert {r.id: r.threshold for r in load_ruleset(path)}["ExcessiveMethodLength"] == json.loads(value)
 
 
 metric_values = st.integers(min_value=0, max_value=2000)
@@ -186,6 +194,31 @@ def test_load_code_model_bare_list_and_errors(tmp_path):
     path.write_text(json.dumps([{"kind": "method", "file": "b.php"}]))
     with pytest.raises(ConfigError, match="entity #0"):
         load_code_model(path)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_a_metric_is_below_10_to_the_640(tmp_path):
+    # so a code model reads alike under any int digit limit; with none, json
+    # reads 5,000 digits and the bound refuses them without echoing them
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps([{"kind": "class", "name": "A", "file": "a.php", "coupling": 10**640 - 1}]))
+    assert load_code_model(path)[0].coupling == 10**640 - 1
+    message = f"code model {path}: entity #0: coupling must be a JSON integer >= 0 and < 10**640, got "
+    for coupling in (b"-1", b"1" + b"0" * 640, b"-" + b"9" * 641, b"9" * 5000):
+        path.write_bytes(b'[{"kind": "class", "name": "A", "file": "a.php", "coupling": ' + coupling + b"}]")
+        with int_digit_limit(0), pytest.raises(ConfigError) as info:
+            load_code_model(path)
+        assert str(info.value) == message + ("-1" if coupling == b"-1" else "more than 640 digits")
+
+
+def test_each_file_name_is_normalized_as_it_is_read(tmp_path):
+    # a "\" is a "/" with or without a prefix; under prefix pre, pre/a.php is a.php
+    # while pre/pre/a.php is pre/a.php, which a second pass would strip again
+    path = tmp_path / "model.json"
+    files = ["pre/a.php", "pre/pre/a.php", "src\\b.php", "pre\\c.php", "pre/a.php"]
+    path.write_text(json.dumps([{"kind": "class", "name": "A", "file": file} for file in files]))
+    assert [e.file for e in load_code_model(path)] == ["pre/a.php", "pre/pre/a.php", "src/b.php", "pre/c.php", "pre/a.php"]
+    assert [e.file for e in load_code_model(path, "pre")] == ["a.php", "pre/a.php", "src/b.php", "c.php", "a.php"]
 
 
 ENTITY = {
