@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from itertools import chain, islice
+from itertools import chain, islice, tee
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -133,6 +133,19 @@ def _write(path: Path, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
+def _write_with_cut(path: Path, cut_path: Path, table: Table, columns: list[str]) -> None:
+    """Write the table to path and its named columns to cut_path in one pass
+    over its rows, each chunk of rows to both files before the next is formatted."""
+    header, rows = table
+    picks = [header.index(column) for column in columns]
+    rows, cut_rows = tee(rows)
+    chunks = zip(_csv_chunks((header, rows)), _csv_chunks((columns, ([row[i] for i in picks] for row in cut_rows))))
+    with open(path, "w", encoding="utf-8", newline="") as fh, open(cut_path, "w", encoding="utf-8", newline="") as cut:
+        for chunk, cut_chunk in chunks:
+            fh.write(chunk)
+            cut.write(cut_chunk)
+
+
 # ---------------------------------------------------------------------------
 # occurrence documents (detect subcommand)
 # ---------------------------------------------------------------------------
@@ -171,6 +184,7 @@ RECORDS_HEADER = [
     "duration_days",
     "timeframe",
 ]
+LIFELINE_COLUMNS = ["rule", "key", "first_date", "end_date"]
 
 
 def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
@@ -179,7 +193,7 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
         for date in (r.first_date, r.end_date):
             if date not in dates:
                 dates[date] = date.isoformat()
-    rows = [
+    rows = (
         [
             app,
             r.key.rule,
@@ -194,16 +208,8 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
             str(r.timeframe),
         ]
         for r in records
-    ]
+    )
     return RECORDS_HEADER, rows
-
-
-def _project(table: Table, columns: list[str]) -> Table:
-    """The table cut down to the named columns, in their order; each row is
-    cut as it is read."""
-    header, rows = table
-    picks = [header.index(column) for column in columns]
-    return columns, ([row[i] for i in picks] for row in rows)
 
 
 def _summary_cells(summary: GroupSummary | None) -> list[str]:
@@ -262,11 +268,8 @@ def _logrank_json(comparison: GroupComparison):
 # ---------------------------------------------------------------------------
 
 def _counts_by_rule_table(history: History) -> Table:
-    rows = []
-    for snap in history.snapshots:
-        counts = Counter([key.rule for key in snap.keys])
-        stamp = snap.timestamp.isoformat()
-        rows.extend([snap.version_id, stamp, rule, str(counts[rule])] for rule in RULES)
+    counted = ((s.version_id, s.timestamp.isoformat(), Counter([k.rule for k in s.keys])) for s in history.snapshots)
+    rows = ([version, stamp, rule, str(counts[rule])] for version, stamp, counts in counted for rule in RULES)
     return ["version", "timestamp", "rule", "count"], rows
 
 
@@ -346,9 +349,9 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
         written.append(app_dir / name)
 
     if "csv" in formats:
-        records = _record_table(bundle.app, bundle.records)
-        emit("records.csv", _csv_chunks(records))
-        emit("lifelines.csv", _csv_chunks(_project(records, ["rule", "key", "first_date", "end_date"])))
+        records, lifelines = app_dir / "records.csv", app_dir / "lifelines.csv"
+        _write_with_cut(records, lifelines, _record_table(bundle.app, bundle.records), LIFELINE_COLUMNS)
+        written += [records, lifelines]
         emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history)))
         emit("density.csv", _csv_chunks(_density_table(bundle.series)))
         emit("anomalies.csv", _csv_chunks(_flag_table(bundle.flags)))
@@ -373,13 +376,13 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
                 (label, [(p.time_days, p.survival) for p in curve])
                 for label, curve in c.curves.items()
             ]
-            emit(f"km_{c.partition}.svg", [svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}")])
+            emit(f"km_{c.partition}.svg", svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}"))
         origin = bundle.history.snapshots[0].timestamp
-        starts = [(_days_between(origin, r.first_date), r) for r in bundle.records]
+        starts = ((_days_between(origin, r.first_date), r) for r in bundle.records)
         segments = sorted((start, start + r.duration_days, r.end_date is None) for start, r in starts)
-        emit("lifelines.svg", [svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines")])
+        emit("lifelines.svg", svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines"))
         rates = [p.delta_rho for p in bundle.series]
-        emit("density.svg", [svgplot.threshold_chart(rates, bundle.thresholds, f"{bundle.app}: smell density change")])
+        emit("density.svg", svgplot.threshold_chart(rates, bundle.thresholds, f"{bundle.app}: smell density change"))
 
     return written
 

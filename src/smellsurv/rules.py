@@ -69,14 +69,29 @@ def normalize_path(path: str, strip_prefix: str | None = None) -> str:
     return unified
 
 
-def _json(data: bytes, what: str, path: str | Path):
+def _json(data: bytes, what: str, path: str | Path, parse_int=None):
     """The JSON document in data; a failure is a ConfigError naming what and path."""
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), parse_int=parse_int)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{what} {path}: not UTF-8: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # not JSON, an integer over the digit limit, nested too deep
+    except (json.JSONDecodeError, RecursionError) as exc:  # not JSON, nested too deep
         raise ConfigError(f"{what} {path}: {exc}") from exc
+    except ValueError:  # int()'s, past its digit limit: read again, so the document reads alike under any limit
+        return _json(data, what, path, _bounded_int)
+
+
+def _bounded_int(text: str) -> int:
+    # JSON has no leading zero, so more than COUNT_DIGITS digits is past every bound: read as 10**COUNT_DIGITS, signed
+    digits = text.lstrip("-")
+    return int(text) if len(digits) <= COUNT_DIGITS else (_COUNT_BOUND if digits == text else -_COUNT_BOUND)
+
+
+def _shown(value) -> str:
+    """A JSON value as an error names it, never writing out an integer past the bound."""
+    if type(value) in (list, dict):  # by its type: it may hold one
+        return "a JSON array" if type(value) is list else "a JSON object"
+    return f"more than {COUNT_DIGITS} digits" if type(value) is int and abs(value) >= _COUNT_BOUND else repr(value)
 
 
 def load_ruleset(path: str | Path) -> list[SmellRule]:
@@ -190,7 +205,7 @@ def _code_model_entities(data: bytes, path: str | Path, strip_prefix: str | None
         raw_kind = get("kind")
         kind = _KINDS.get(raw_kind) if type(raw_kind) is str else None
         if kind is None:
-            raise ConfigError(f"code model {path}: entity #{i}: unknown kind {raw_kind!r}")
+            raise ConfigError(f"code model {path}: entity #{i}: unknown kind {_shown(raw_kind)}")
         name, file, parent = get("name"), get("file"), get("parent", "")
         if type(name) is not str or type(file) is not str or type(parent) is not str:
             raise ConfigError(f"code model {path}: entity #{i}: name, file and parent must be strings")
@@ -208,10 +223,9 @@ def _code_model_entities(data: bytes, path: str | Path, strip_prefix: str | None
             # `type(...) is int` also refuses a bool, which is an int subclass
             if type(value) is not int or not 0 <= value < _COUNT_BOUND:
                 field = next(f for f, v in zip(_METRICS, metrics) if v is value)
-                got = f"more than {COUNT_DIGITS} digits" if type(value) is int and abs(value) >= _COUNT_BOUND else repr(value)
                 raise ConfigError(
                     f"code model {path}: entity #{i}: {field} must be a JSON integer >= 0 and"
-                    f" < 10**{COUNT_DIGITS}, got {got}"
+                    f" < 10**{COUNT_DIGITS}, got {_shown(value)}"
                 )
         if renames:
             file = normalize_path(file, strip_prefix)

@@ -3,11 +3,14 @@ density-change threshold chart. No styling ambitions, no dependencies.
 
 Every text and line element is written by _text and _line, which fix the
 order of its attributes: the committed golden bundles pin those bytes.
+A chart is its elements' text, one line each, so no writer holds it whole.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from typing import Iterable, Iterator
 
 WIDTH = 800
 HEIGHT = 480
@@ -58,15 +61,15 @@ class _Frame:
         return MARGIN_TOP + (self.y_max - y) / self.y_span * PLOT_H
 
 
-def _document(body: list[str], title: str) -> str:
-    return "\n".join([
+def _document(title: str, *body: Iterable[str]) -> Iterator[str]:
+    head = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f"<title>{_escape(title)}</title>",
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         _text(WIDTH // 2, 22, 15, title, "middle"),
-        *body,
-        "</svg>\n",
-    ])
+    ]
+    for part in chain(head, *body, ["</svg>"]):
+        yield part + "\n"
 
 
 def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
@@ -97,7 +100,7 @@ def _legend(labels_colors: list[tuple[str, str]]) -> list[str]:
     return out
 
 
-def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) -> str:
+def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) -> Iterator[str]:
     """Right-continuous step plot; each series starts at (0, 1)."""
     frame = _Frame(max((x for _, pts in series for x, _ in pts), default=0.0), 0.0, 1.0)
     body = _axes(frame, "days", "survival probability")
@@ -114,21 +117,24 @@ def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) 
                 level = y
         body.append(f'<path d="{" ".join(d)}" fill="none" stroke="{color}" stroke-width="2"/>')
     body.extend(_legend(legend))
-    return _document(body, title)
+    return _document(title, body)
 
 
-def lifeline_chart(segments: list[tuple[float, float, bool]], title: str) -> str:
+def lifeline_chart(segments: list[tuple[float, float, bool]], title: str) -> Iterator[str]:
     """One horizontal segment per instance: (start, end, still_open)."""
     frame = _Frame(max((end for _, end, _ in segments), default=0.0), 0.0, float(max(len(segments), 1)))
-    body = _axes(frame, "days since first observation", "instance")
+    axes = _axes(frame, "days since first observation", "instance")
+    legend = _legend([("open at study end", "#1b6ca8"), ("removed", "#c0392b")])
+    return _document(title, axes, _lifelines(frame, segments), legend)
+
+
+def _lifelines(frame: _Frame, segments: list[tuple[float, float, bool]]) -> Iterator[str]:
     for row, (start, end, still_open) in enumerate(segments):
         y = _fmt(frame.py(row + 0.5))
-        body.append(_line(_fmt(frame.px(start)), y, _fmt(frame.px(end)), y, "#1b6ca8" if still_open else "#c0392b"))
-    body.extend(_legend([("open at study end", "#1b6ca8"), ("removed", "#c0392b")]))
-    return _document(body, title)
+        yield _line(_fmt(frame.px(start)), y, _fmt(frame.px(end)), y, "#1b6ca8" if still_open else "#c0392b")
 
 
-def threshold_chart(rates: list[float | None], thresholds: tuple[float, ...], title: str) -> str:
+def threshold_chart(rates: list[float | None], thresholds: tuple[float, ...], title: str) -> Iterator[str]:
     """Line chart of a change-rate series over the version index, with a dashed
     guide at each threshold. A None rate (the first version's) is left out of
     the line; an infinite one is drawn clipped to the top of the frame."""
@@ -151,4 +157,4 @@ def threshold_chart(rates: list[float | None], thresholds: tuple[float, ...], ti
         body.append(f'<path d="M {path}" fill="none" stroke="#1b6ca8" stroke-width="2"/>')
     for x in infinite:
         body.append(_text(_fmt(frame.px(x)), MARGIN_TOP + 12, 10, "inf", "middle", ' fill="#c0392b"'))
-    return _document(body, title)
+    return _document(title, body)

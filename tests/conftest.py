@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import sys
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -27,6 +28,15 @@ def int_digit_limit(digits: int):
         yield
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def traced_peak(fn):
+    """fn()'s result, and the peak in bytes of the memory tracemalloc traces while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -34,7 +33,8 @@ from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes
 
 from conftest import (
-    NO_SMELL_REPORT, cyclic_garbage, history_from_bits, int_digit_limit, load_manifest, pairs, ts, write_no_smell_history,
+    NO_SMELL_REPORT, cyclic_garbage, history_from_bits, int_digit_limit, load_manifest, pairs, traced_peak, ts,
+    write_no_smell_history,
 )
 from oracles import logrank_oracle, records_oracle
 
@@ -283,20 +283,31 @@ def test_records_csv_matches_oracle_byte_for_byte(tmp_path):
     assert got == expected
 
 
-def test_write_bundle_never_holds_a_csv_tables_whole_text(tmp_path):
-    # 10,000 records; with each table's whole text built in memory the peak
-    # was 5.1-5.6 times the size of records.csv, written a chunk at a time 2.5-2.7
+def ten_thousand_record_bundle():
     patterns = ["1100", "0110", "1111", "1000", "0011"]
     history = history_from_bits({f"Cls{i:05d}/method_{i}": patterns[i % 5] for i in range(10_000)})
     bundle = analyze_history(history)
     assert len(bundle.records) == 10_000
-    tracemalloc.start()
-    try:
-        write_bundle(bundle, tmp_path, {"csv"})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * (tmp_path / "synthetic" / "records.csv").stat().st_size
+    return bundle
+
+
+def test_write_bundle_never_holds_a_csv_tables_whole_text(tmp_path):
+    # 10,000 records; with each table's whole text built in memory the peak
+    # was 5.1-5.6 times the size of records.csv, written a chunk at a time
+    # 3.07, and with records.csv and lifelines.csv also written from one pass
+    # over the record rows, one chunk of them alive at a time, 0.46
+    bundle = ten_thousand_record_bundle()
+    _, peak = traced_peak(lambda: write_bundle(bundle, tmp_path, {"csv"}))
+    assert peak < (tmp_path / "synthetic" / "records.csv").stat().st_size
+
+
+def test_write_bundle_never_holds_a_charts_whole_text(tmp_path):
+    # 10,000 records; with lifelines.svg joined into one text the peak was
+    # 4.67 times its size, written one element at a time 1.39: what remains
+    # is the sorted list of segments the chart's row order needs
+    bundle = ten_thousand_record_bundle()
+    _, peak = traced_peak(lambda: write_bundle(bundle, tmp_path, {"svg"}))
+    assert peak < 2 * (tmp_path / "synthetic" / "lifelines.svg").stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1018,9 @@ def test_a_report_that_cannot_be_opened_is_an_error_with_its_row(tmp_path, capsy
 
 
 # documents json refuses past its decoder's limits: an integer literal over
-# the int-to-str digit limit, and arrays nested deeper than the recursion limit
+# the int-to-str digit limit (read again, it is refused by the bound on a
+# threshold, or is not a list of entities), and arrays nested deeper than
+# the recursion limit
 UNDECODABLE_JSON = {
     "over-long integer": b'{"ExcessiveMethodLength": ' + b"9" * 5000 + b"}",
     "deep nesting": b"[" * 100_000 + b"]" * 100_000,
@@ -1040,6 +1053,41 @@ def test_json_the_decoder_refuses_is_a_config_error_naming_the_file(tmp_path, ca
     assert record["message"].startswith(f"{'rules file' if command == 'gate' else 'code model'} {bad}: ")
     assert record.get("row") == (4 if command == "analyze" else None)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("digit_limit", [640, 4300, 0], ids=["lowest digit limit", "default digit limit", "no digit limit"])
+def test_an_over_long_integer_reads_alike_under_any_digit_limit(tmp_path, capsys, digit_limit):
+    # 5,000 digits: a field no loader reads is no error, and a metric, a
+    # threshold or a kind is refused with the same message, which never
+    # writes the integer out, whether or not a digit limit stops json first
+    digits = "9" * 5000
+    model, rules = tmp_path / "model.json", tmp_path / "rules.json"
+
+    def write_model(kind='"class"', coupling="14", note="0"):
+        entity = '{"kind": %s, "name": "A", "file": "a.php", "coupling": %s, "note": %s}' % (kind, coupling, note)
+        model.write_text(f"[{entity}]")
+
+    rules.write_text('{"ExcessiveMethodLength": %s}' % digits)
+    detect = ["detect", "--code-model", str(model), "--version-id", "1", "--out", str(tmp_path / "out")]
+    with int_digit_limit(digit_limit):
+        write_model(note=digits)
+        assert main(detect) == EXIT_OK
+        assert capsys.readouterr().out == f"1: 1 occurrences -> {tmp_path / 'out'}\n"
+        assert main([*detect, "--rules", str(rules)]) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            f"rules file {rules}: threshold for ExcessiveMethodLength must be a positive number, an integer < 10**640"
+        )
+        for coupling, got in (("-" + digits, "more than 640 digits"), (f"[{digits}]", "a JSON array")):
+            write_model(coupling=coupling)
+            assert main(detect) == EXIT_ERROR
+            assert json.loads(capsys.readouterr().err)["message"] == (
+                f"code model {model}: entity #0: coupling must be a JSON integer >= 0 and < 10**640, got {got}"
+            )
+        for kind, got in ((digits, "more than 640 digits"), ('{"k": %s}' % digits, "a JSON object")):
+            write_model(kind=kind)
+            assert main(detect) == EXIT_ERROR
+            assert json.loads(capsys.readouterr().err)["message"] == f"code model {model}: entity #0: unknown kind {got}"
 
 
 @pytest.mark.parametrize(

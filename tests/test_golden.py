@@ -10,7 +10,9 @@ and a rename refused because the new key's run bridges a gap), and
 detect_golden/<model>/ the `detect --formats csv,json` output of each
 triapp code model, with the model's file stem as its version id. A refactor of the rules, the analysis or the writers must
 reproduce every file exactly; a change meant to alter output regenerates
-them and says so.
+them and says so. Each analyze bundle is also written one format per
+write_bundle call, as bench/tracer.py replays it, and must match the same
+golden.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
+from smellsurv import cli
 from smellsurv.cli import EXIT_OK, main
+from smellsurv.report import FORMATS, write_bundle
 
 from parity import ANALYZE_GOLDENS, DATA, SRC, _files
 
@@ -34,15 +38,36 @@ def _assert_same_bundle(out: Path, golden: Path) -> None:
         assert got[name] == content, f"{name} differs from its golden"
 
 
-@pytest.mark.parametrize("golden, manifest, options", ANALYZE_GOLDENS.values(), ids=ANALYZE_GOLDENS.keys())
-def test_bundle_matches_golden(tmp_path, golden, manifest, options):
+def _analyze(tmp_path: Path, manifest, options: list[str]) -> Path:
+    """Run analyze --formats csv,json,svg over the manifest written under tmp_path; the output directory."""
     inputs = tmp_path / "in"
     inputs.mkdir()
     out = tmp_path / "out"
     args = ["analyze", "--manifest", str(manifest(inputs)), *options, "--formats", "csv,json,svg", "--out", str(out)]
-    code = main(args)
-    assert code == EXIT_OK
+    assert main(args) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("golden, manifest, options", ANALYZE_GOLDENS.values(), ids=ANALYZE_GOLDENS.keys())
+def test_bundle_matches_golden(tmp_path, golden, manifest, options):
+    _assert_same_bundle(_analyze(tmp_path, manifest, options), DATA / golden)
+
+
+@pytest.mark.parametrize("golden, manifest, options", ANALYZE_GOLDENS.values(), ids=ANALYZE_GOLDENS.keys())
+def test_bundle_written_one_format_per_call_matches_golden(tmp_path, monkeypatch, golden, manifest, options):
+    # as bench/tracer.py replays write_bundle: one call per format into the
+    # same app directory, each returning the paths it wrote
+    written = []
+
+    def one_format_per_call(bundle, out_dir, formats):
+        paths = [path for fmt in FORMATS if fmt in formats for path in write_bundle(bundle, out_dir, {fmt})]
+        written.extend(f"{path.parent.name}/{path.name}" for path in paths)
+        return paths
+
+    monkeypatch.setattr(cli, "write_bundle", one_format_per_call)
+    out = _analyze(tmp_path, manifest, options)
     _assert_same_bundle(out, DATA / golden)
+    assert sorted(written) == sorted(_files(DATA / golden))
 
 
 @pytest.mark.parametrize("model", sorted((DATA / "triapp" / "models").glob("*.json")), ids=lambda p: p.stem)

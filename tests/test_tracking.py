@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from smellsurv.tracking import (
     split_instant,
 )
 
-from conftest import history_from_bits, occurrence, record, ts
+from conftest import history_from_bits, occurrence, record, traced_peak, ts
 from oracles import records_oracle, rename_pairs_oracle, survival_records_oracle
 
 
@@ -326,12 +325,8 @@ def test_build_survival_records_holds_each_version_as_a_list(rename_heuristic):
         for v in range(100)
     )
     history = History(app_name="synthetic", snapshots=snapshots)
-    tracemalloc.start()
-    try:
-        records = build_survival_records(history, TrackingOptions(rename_heuristic=rename_heuristic))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    options = TrackingOptions(rename_heuristic=rename_heuristic)
+    records, peak = traced_peak(lambda: build_survival_records(history, options))
     assert len(records) == 3348
     assert peak < 10 * sum(len(snap.keys) for snap in snapshots)
 
