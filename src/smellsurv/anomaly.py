@@ -14,7 +14,6 @@ from datetime import datetime
 from typing import NamedTuple
 
 from .ingest import History, SizeMetrics
-from .tracking import split_instant
 
 
 def change_rate(prev: float, cur: float) -> float:
@@ -114,11 +113,11 @@ def flag_anomalies(
     return flags
 
 
-def metric_change_rates(history: History) -> dict[str, float | None]:
-    """Size change between the last version at or before the temporal
-    midpoint and the last version overall, one d_<metric> per SizeMetrics
-    field. A rate is None when the metric is missing at either endpoint."""
-    split = split_instant(history)
+def metric_change_rates(history: History, split: datetime) -> dict[str, float | None]:
+    """Size change between the last version at or before the split (the
+    temporal midpoint) and the last version overall, one d_<metric> per
+    SizeMetrics field. A rate is None when the metric is missing at either
+    endpoint."""
     start = [snap for snap in history.snapshots if snap.timestamp <= split][-1].size
     end = history.snapshots[-1].size
     return {

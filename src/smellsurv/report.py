@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from datetime import datetime
 from itertools import chain, islice, tee
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -187,7 +188,7 @@ RECORDS_HEADER = [
 LIFELINE_COLUMNS = ["rule", "key", "first_date", "end_date"]
 
 
-def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
+def _record_table(app: str, records: list[SurvivalRecord], split: datetime) -> Table:
     dates = {None: ""}  # each distinct date formatted once
     for r in records:
         for date in (r.first_date, r.end_date):
@@ -205,7 +206,7 @@ def _record_table(app: str, records: list[SurvivalRecord]) -> Table:
             dates[r.end_date],
             str(r.censored),
             fmt_days(r.duration_days),
-            str(r.timeframe),
+            "1" if r.first_date < split else "2",
         ]
         for r in records
     )
@@ -304,6 +305,7 @@ class AnalysisBundle(NamedTuple):
 
     history: History
     thresholds: AnomalyThresholds
+    split: datetime  # the timeframe split, the temporal midpoint
     records: list[SurvivalRecord]
     km_all: SurvivalCurve
     scope: GroupComparison
@@ -323,17 +325,22 @@ def analyze_history(
     thresholds: AnomalyThresholds = AnomalyThresholds(),
 ) -> AnalysisBundle:
     records = build_survival_records(history, options)
+    split = split_instant(history)
+    scope: dict[str, list[tuple[float, bool]]] = {"localized": [], "scattered": []}
+    for r in records:
+        scope[scope_of(r.key.rule)].append((r.duration_days, r.end_date is not None))
     series = density_series(history)
     return AnalysisBundle(
         history=history,
         thresholds=thresholds,
+        split=split,
         records=records,
-        km_all=kaplan_meier([(r.duration_days, r.end_date is not None) for r in records]),
-        scope=compare_groups(records, "scope"),
-        timeframe=compare_groups(assign_timeframes(records, history), "timeframe"),
+        km_all=kaplan_meier(chain(*scope.values())),
+        scope=compare_groups(scope, "scope"),
+        timeframe=compare_groups(assign_timeframes(records, split), "timeframe"),
         series=series,
         flags=flag_anomalies(series, thresholds),
-        rates=metric_change_rates(history),
+        rates=metric_change_rates(history, split),
     )
 
 
@@ -350,7 +357,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
 
     if "csv" in formats:
         records, lifelines = app_dir / "records.csv", app_dir / "lifelines.csv"
-        _write_with_cut(records, lifelines, _record_table(bundle.app, bundle.records), LIFELINE_COLUMNS)
+        _write_with_cut(records, lifelines, _record_table(bundle.app, bundle.records, bundle.split), LIFELINE_COLUMNS)
         written += [records, lifelines]
         emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history)))
         emit("density.csv", _csv_chunks(_density_table(bundle.series)))
@@ -395,7 +402,7 @@ def _bundle_json(bundle: AnalysisBundle) -> str:
         "observation": {
             "start": history.snapshots[0].timestamp.isoformat(),
             "end": history.snapshots[-1].timestamp.isoformat(),
-            "split_instant": split_instant(history).isoformat(),
+            "split_instant": bundle.split.isoformat(),
         },
         "records": len(bundle.records),
         "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in bundle.rates.items()},

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
-
-from .rules import scope_of
-
-if TYPE_CHECKING:
-    from .tracking import SurvivalRecord
+from typing import Iterable, Iterator, NamedTuple
 
 # slack for detecting a survival level that is mathematically exact but was
 # computed as a float product (e.g. 0.5 reached via 5/6 * 4/5 * 3/4)
@@ -179,34 +174,21 @@ class GroupComparison(NamedTuple):
     test: LogRankResult | str
 
 
-# partition -> (its two group labels, the label of a record)
-_PARTITIONS = {
-    "scope": (("localized", "scattered"), lambda r: scope_of(r.key.rule)),
-    "timeframe": (("1", "2"), lambda r: str(r.timeframe)),
-}
+def compare_groups(groups: dict[str, list[tuple[float, bool]]], partition: str) -> GroupComparison:
+    """Curves, summaries and log-rank over two labelled groups of
+    (duration, event observed) pairs, in label order.
 
-
-def compare_groups(records: list[SurvivalRecord], partition: str) -> GroupComparison:
-    """Curves, summaries and log-rank over a two-way partition of the records.
-
-    partition="scope" splits localized vs scattered; partition="timeframe"
-    splits on the records' timeframe field, which for view 1 must already be
-    the truncated sub-study records from assign_timeframes. An empty group
-    or a pooled sample without events leaves the test undefined.
+    partition names the comparison, such as "scope" or "timeframe". An empty
+    group or a pooled sample without events leaves the test undefined.
     """
-    labels, group_of = _PARTITIONS[partition]
-    groups: dict[str, list[tuple[float, bool]]] = {label: [] for label in labels}
-    for record in records:
-        groups[group_of(record)].append((record.duration_days, record.end_date is not None))
-
     curves = {label: kaplan_meier(pairs) for label, pairs in groups.items() if pairs}
-    summaries = {label: summarize(curves[label]) if label in curves else None for label in labels}
-    empty = [label for label in labels if label not in curves]
+    summaries = {label: summarize(curves[label]) if label in curves else None for label in groups}
+    empty = [label for label in groups if label not in curves]
     if empty:
         test = f"empty group: {empty[0]}"
     else:
         try:
-            test = log_rank(curves[labels[0]], curves[labels[1]])
+            test = log_rank(*curves.values())
         except ValueError as exc:
             test = str(exc)
     return GroupComparison(partition=partition, curves=curves, summaries=summaries, test=test)

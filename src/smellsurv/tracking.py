@@ -49,7 +49,6 @@ class SurvivalRecord(NamedTuple):
     last_present_version: str
     end_date: datetime | None
     duration_days: float
-    timeframe: int
 
     @property
     def censored(self) -> int:
@@ -146,7 +145,6 @@ def build_survival_records(
     and measured to the last observation date.
     """
     snapshots = history.snapshots
-    split = split_instant(history)
     final_idx = len(snapshots) - 1
     reach = options.gap_tolerance + 1
 
@@ -190,7 +188,6 @@ def build_survival_records(
                 last_present_version=snapshots[last_idx].version_id,
                 end_date=end_date,
                 duration_days=_days_between(first.timestamp, end_date or final),
-                timeframe=1 if first.timestamp < split else 2,
             )
         )
 
@@ -198,18 +195,22 @@ def build_survival_records(
     return records
 
 
-def assign_timeframes(records: list[SurvivalRecord], history: History) -> list[SurvivalRecord]:
-    """Split records at the temporal midpoint into two sub-study views.
+def assign_timeframes(records: list[SurvivalRecord], split: datetime) -> dict[str, list[tuple[float, bool]]]:
+    """Split records at the split instant into two sub-study views of
+    (duration, event observed) pairs, in input order.
 
-    Timeframe 1 holds records born before the split, re-censored as if the
+    Timeframe "1" holds records born before the split, re-censored as if the
     study ended there: a removal observed after the split (or never) becomes
-    censored=0 with duration measured to the split. Timeframe 2 holds records
-    born at or after the split, unchanged. Both come back in one list, in
-    input order.
+    censored=0 with its duration measured to the split, and one dated at the
+    split stays observed. Timeframe "2" holds records born at or after the
+    split, unchanged.
     """
-    split = split_instant(history)
-    return [
-        r if r.first_date >= split or (r.end_date is not None and r.end_date <= split)
-        else r._replace(end_date=None, duration_days=_days_between(r.first_date, split))
-        for r in records
-    ]
+    views: dict[str, list[tuple[float, bool]]] = {"1": [], "2": []}
+    for r in records:
+        if r.first_date >= split:
+            views["2"].append((r.duration_days, r.end_date is not None))
+        elif r.end_date is not None and r.end_date <= split:
+            views["1"].append((r.duration_days, True))
+        else:
+            views["1"].append((_days_between(r.first_date, split), False))
+    return views

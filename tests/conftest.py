@@ -77,7 +77,6 @@ def record(
     duration: float,
     event: bool,
     scope: str = "localized",
-    timeframe: int = 1,
 ) -> SurvivalRecord:
     """Bare survival record for feeding the statistics layer directly."""
     i = next(_record_counter)
@@ -89,13 +88,7 @@ def record(
         last_present_version="v?",
         end_date=ts(duration) if event else None,
         duration_days=float(duration),
-        timeframe=timeframe,
     )
-
-
-def pairs(records: list[SurvivalRecord]) -> list[tuple[float, bool]]:
-    """The (duration, event) pairs the statistics take."""
-    return [(r.duration_days, r.end_date is not None) for r in records]
 
 
 def load_manifest(table: str, base_dir) -> History:

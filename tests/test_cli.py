@@ -30,10 +30,10 @@ from smellsurv import cli, survival
 from smellsurv.errors import SmellSurvError
 from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
-from smellsurv.tracking import assign_timeframes
+from smellsurv.tracking import split_instant
 
 from conftest import (
-    NO_SMELL_REPORT, cyclic_garbage, history_from_bits, int_digit_limit, load_manifest, pairs, traced_peak, ts,
+    NO_SMELL_REPORT, cyclic_garbage, history_from_bits, int_digit_limit, load_manifest, traced_peak, ts,
     write_no_smell_history,
 )
 from oracles import logrank_oracle, records_oracle
@@ -392,10 +392,22 @@ def test_engineered_timeframes_reach_significance():
     bundle = analyze_history(history)
     comparison = bundle.timeframe
     assert comparison.test is not None
-    views = assign_timeframes(bundle.records, history)
-    view1, view2 = ([r for r in views if r.timeframe == t] for t in (1, 2))
-    assert comparison.curves == {"1": kaplan_meier(pairs(view1)), "2": kaplan_meier(pairs(view2))}
-    stat, p = logrank_oracle(pairs(view1), pairs(view2))
+    # the README's rule: timeframe 1 holds the records born before the split,
+    # re-censored as if the study ended there, where a removal dated at the
+    # split stays observed; timeframe 2 holds the rest, unchanged. Every fast
+    # record is removed at day 200, the split itself.
+    split = ts(200.0)
+    assert bundle.split == split
+    view1 = [
+        (r.duration_days, True) if r.end_date is not None and r.end_date <= split
+        else ((split - r.first_date).total_seconds() / 86400.0, False)
+        for r in bundle.records if r.first_date < split
+    ]
+    view2 = [(r.duration_days, r.end_date is not None) for r in bundle.records if r.first_date >= split]
+    assert view1 == [(200.0, True)] * 20
+    assert view2 == [(200.0, False)] * 20
+    assert comparison.curves == {"1": kaplan_meier(view1), "2": kaplan_meier(view2)}
+    stat, p = logrank_oracle(view1, view2)
     assert comparison.test.p_value == pytest.approx(p, abs=1e-9)
     assert comparison.test.p_value < 0.05
 
@@ -897,6 +909,23 @@ def test_analyze_calls_kaplan_meier_once_per_curve(tmp_path, monkeypatch):
     ])
     assert code == EXIT_OK
     assert 0 < len(calls) <= 14
+
+
+def test_analyze_computes_the_split_once_per_app(tmp_path, monkeypatch):
+    # the timeframes, records.csv, bundle.json and the size change rates all
+    # read the one split of their app
+    calls = []
+
+    def counted(history):
+        calls.append(history.app_name)
+        return split_instant(history)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("smellsurv") and getattr(module, "split_instant", None) is split_instant:
+            monkeypatch.setattr(module, "split_instant", counted)
+    code = main(["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "csv,json", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert sorted(calls) == ["alpha", "beta", "gamma"]
 
 
 def test_csv_only_format_skips_json_and_svg(tmp_path):

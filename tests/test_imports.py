@@ -189,6 +189,32 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os", "line 5: B"]
 
 
+def smellsurv_imports(source: str) -> list[str]:
+    """Every import in source, at any depth, of smellsurv or of a module
+    relative to its own package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "smellsurv"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names if alias.name.partition(".")[0] == "smellsurv")
+    return found
+
+
+def test_survival_imports_nothing_from_smellsurv():
+    # the statistics read (duration, event observed) pairs, not tracking's records
+    source = (ROOT / "src" / "smellsurv" / "survival.py").read_text(encoding="utf-8")
+    assert smellsurv_imports(source) == []
+
+
+def test_the_check_finds_a_smellsurv_import():
+    source = (
+        "import math\nimport smellsurv.rules\nfrom . import tracking\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from .tracking import SurvivalRecord\ndef f():\n    from smellsurv import rules\n"
+    )
+    assert smellsurv_imports(source) == ["smellsurv.rules", ".", ".tracking", "smellsurv"]
+
+
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, ast and dis: about a fifth of a gate run
     code = "import sys, smellsurv.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

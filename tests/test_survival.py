@@ -18,7 +18,6 @@ from smellsurv.survival import (
     summarize,
 )
 
-from conftest import pairs, record
 from oracles import km_oracle, logrank_oracle, rmean_oracle, rmean_se_oracle
 
 
@@ -312,46 +311,56 @@ def test_summarize_zero_horizon_group():
 
 
 def test_compare_groups_by_scope():
-    localized = [record(d, e, scope="localized") for d, e in [(10, True), (20, True), (30, True), (40, False)]]
-    scattered = [record(2 * d, e, scope="scattered") for d, e in [(10, True), (20, True), (30, True), (40, False)]]
-    comparison = compare_groups(localized + scattered, "scope")
+    localized = [(10.0, True), (20.0, True), (30.0, True), (40.0, False)]
+    scattered = [(2 * d, e) for d, e in localized]
+    comparison = compare_groups({"localized": localized, "scattered": scattered}, "scope")
+    assert comparison.partition == "scope"
     assert list(comparison.summaries) == ["localized", "scattered"]
     s_loc = comparison.summaries["localized"]
     s_sca = comparison.summaries["scattered"]
     assert s_sca.median_days == 2 * s_loc.median_days
-    stat, p = logrank_oracle(pairs(localized), pairs(scattered))
+    stat, p = logrank_oracle(localized, scattered)
     assert comparison.test.statistic == pytest.approx(stat, abs=1e-9)
     assert comparison.test.p_value == pytest.approx(p, abs=1e-9)
 
 
 def test_compare_groups_by_timeframe():
-    tf1 = [record(d, True, timeframe=1) for d in (5, 6, 7)]
-    tf2 = [record(d, False, timeframe=2) for d in (50, 60)]
-    comparison = compare_groups(tf1 + tf2, "timeframe")
+    tf1 = [(d, True) for d in (5.0, 6.0, 7.0)]
+    tf2 = [(d, False) for d in (50.0, 60.0)]
+    comparison = compare_groups({"1": tf1, "2": tf2}, "timeframe")
     assert comparison.summaries["1"].removed == 3
     assert comparison.summaries["2"].removed == 0
     assert comparison.test.warning is not None
 
 
+def test_compare_groups_keeps_the_label_order():
+    # the first label is group A of the log-rank test
+    a, b = [(5.0, True), (9.0, True)], [(7.0, True), (30.0, False)]
+    forward = compare_groups({"1": a, "2": b}, "timeframe")
+    backward = compare_groups({"2": b, "1": a}, "timeframe")
+    assert list(backward.summaries) == list(backward.curves) == ["2", "1"]
+    assert forward.test == log_rank(kaplan_meier(a), kaplan_meier(b))
+    assert backward.test == log_rank(kaplan_meier(b), kaplan_meier(a))
+
+
 def test_compare_groups_empty_group_named():
-    records = [record(5, True, scope="localized")]
-    comparison = compare_groups(records, "scope")
+    localized = [(5.0, True)]
+    comparison = compare_groups({"localized": localized, "scattered": []}, "scope")
     assert comparison.test == "empty group: scattered"
     assert comparison.summaries["scattered"] is None
     assert list(comparison.curves) == ["localized"]
-    assert comparison.summaries["localized"] == summarize(kaplan_meier(pairs(records)))
+    assert comparison.summaries["localized"] == summarize(kaplan_meier(localized))
 
 
 def test_compare_groups_without_events_has_no_test():
-    tf1 = [record(d, False, timeframe=1) for d in (5, 6)]
-    tf2 = [record(d, False, timeframe=2) for d in (50,)]
-    comparison = compare_groups(tf1 + tf2, "timeframe")
-    assert comparison.summaries == {"1": summarize(kaplan_meier(pairs(tf1))), "2": summarize(kaplan_meier(pairs(tf2)))}
+    tf1 = [(d, False) for d in (5.0, 6.0)]
+    tf2 = [(50.0, False)]
+    comparison = compare_groups({"1": tf1, "2": tf2}, "timeframe")
+    assert comparison.summaries == {"1": summarize(kaplan_meier(tf1)), "2": summarize(kaplan_meier(tf2))}
     assert comparison.test == "test undefined: no events in the pooled data"
 
 
 def test_identical_groups_under_partition_p_one():
-    tf1 = [record(d, True, timeframe=1) for d in (5, 8)]
-    tf2 = [record(d, True, timeframe=2) for d in (5, 8)]
-    comparison = compare_groups(tf1 + tf2, "timeframe")
+    pairs = [(5.0, True), (8.0, True)]
+    comparison = compare_groups({"1": pairs, "2": list(pairs)}, "timeframe")
     assert comparison.test.p_value == 1.0

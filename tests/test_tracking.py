@@ -306,7 +306,11 @@ def churning_histories(draw):
 )
 def test_records_match_the_eager_tracking_oracle(history, gap_tolerance, rename_heuristic):
     options = TrackingOptions(gap_tolerance=gap_tolerance, rename_heuristic=rename_heuristic)
-    assert build_survival_records(history, options) == survival_records_oracle(history, gap_tolerance, rename_heuristic)
+    split = split_instant(history)
+    # the oracle's tuples end in the timeframe a record was born in
+    assert [(*r, 1 if r.first_date < split else 2) for r in build_survival_records(history, options)] == (
+        survival_records_oracle(history, gap_tolerance, rename_heuristic)
+    )
 
 
 @pytest.mark.parametrize("rename_heuristic", [False, True])
@@ -341,38 +345,40 @@ def test_split_instant_is_temporal_midpoint():
 
 
 def test_timeframe_views():
-    # split at day 50; E1 born day 0 removed day 80 (after split), E2 born day 60
+    # split at day 50; E1 born day 0 removed day 100 (after split), E2 born day 60
     history = history_from_bits({"E1": "1110", "E2": "0011"}, days=[0, 30, 60, 100])
     records = build_survival_records(history)
-    truncated, late = assign_timeframes(records, history)
-    assert [r.key.entity_path for r in (truncated, late)] == ["E1", "E2"]
-    assert truncated.censored == 0
-    assert truncated.end_date is None
-    assert truncated.duration_days == 50.0
-    assert truncated.timeframe == 1
-    assert late is records[1]
-    assert late.timeframe == 2
-    assert late.duration_days == 40.0
+    assert [(r.censored, r.duration_days) for r in records] == [(1, 100.0), (0, 40.0)]
+    # E1 is censored at the split; E2 comes through unchanged
+    assert assign_timeframes(records, split_instant(history)) == {"1": [(50.0, False)], "2": [(40.0, False)]}
 
 
 def test_removal_before_split_stays_observed_in_view1():
     history = history_from_bits({"E1": "1100"}, days=[0, 10, 40, 100])
     records = build_survival_records(history)
-    assert assign_timeframes(records, history) == records
-    assert [(r.censored, r.duration_days, r.timeframe) for r in records] == [(1, 40.0, 1)]
+    assert [(r.censored, r.duration_days) for r in records] == [(1, 40.0)]
+    assert assign_timeframes(records, split_instant(history)) == {"1": [(40.0, True)], "2": []}
+
+
+def test_removal_dated_at_the_split_stays_observed_in_view1():
+    # split at day 50, where E1 is first absent; E2 is first absent the day after
+    history = history_from_bits({"E1": "11000", "E2": "11100"}, days=[0, 20, 50, 51, 100])
+    records = build_survival_records(history)
+    assert [(r.end_date, r.duration_days) for r in records] == [(ts(50), 50.0), (ts(51), 51.0)]
+    assert assign_timeframes(records, split_instant(history)) == {"1": [(50.0, True), (50.0, False)], "2": []}
 
 
 def test_record_born_exactly_at_split_goes_to_view2():
-    history = history_from_bits({"E1": "1001", "E2": "0101"}, days=[0, 50, 80, 100])
+    history = history_from_bits({"E2": "0101"}, days=[0, 50, 80, 100])
     records = build_survival_records(history)
-    views = assign_timeframes(records, history)
-    # E2's first run starts at day 50 == split
-    assert [(r.first_date, r.timeframe) for r in views if r.key.entity_path == "E2"] == [(ts(50), 2), (ts(100), 2)]
+    # E2's first run starts at day 50 == split and is removed at day 80; its second is born at day 100
+    assert [(r.first_date, r.end_date) for r in records] == [(ts(50), ts(80)), (ts(100), None)]
+    assert assign_timeframes(records, split_instant(history)) == {"1": [], "2": [(30.0, True), (0.0, False)]}
 
 
 def test_empty_records_make_empty_views():
     history = history_from_bits({"E1": "00"}, days=[0, 10])
-    assert assign_timeframes([], history) == []
+    assert assign_timeframes([], split_instant(history)) == {"1": [], "2": []}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +444,12 @@ def test_single_key_runs_equal_oracle(bits, gap_tolerance):
     for r in records:
         if r.censored == 0:
             assert bits[-1] == "1" and r.last_present_version == f"v{len(bits)}"
-    # durations never run backwards, in the whole study or in either timeframe view
-    for r in records + assign_timeframes(records, history):
+    # durations never run backwards, in the whole study or in either timeframe
+    # view, and an observed removal comes after its birth
+    for r in records:
         assert r.duration_days >= 0
         assert r.end_date is None or r.end_date > r.first_date
+    views = assign_timeframes(records, split_instant(history))
+    for duration, observed in views["1"] + views["2"]:
+        assert duration >= 0
+        assert not observed or duration > 0
