@@ -189,48 +189,42 @@ def cmd_gate(args) -> int:
     return EXIT_GATE_FAILED if failed else EXIT_OK
 
 
-def _add_threshold_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = AnomalyThresholds()
-    parser.add_argument("--up", type=float, default=defaults.up, help="increase threshold (default %(default)s)")
-    parser.add_argument(
-        "--up2", type=float, default=defaults.up2, help="strong increase threshold (default %(default)s)"
-    )
-    parser.add_argument("--down", type=float, default=defaults.down, help="decrease threshold (default %(default)s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smellsurv",
         description="Code-smell evolution analytics: detection, survival, anomalies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag that two subcommands share is declared once, in a parent parser
+    rules = argparse.ArgumentParser(add_help=False)
+    rules.add_argument("--rules", help="JSON file with threshold overrides")
+    history = argparse.ArgumentParser(add_help=False, parents=[rules])
+    history.add_argument("--manifest", required=True, help="manifest CSV path")
+    history.add_argument("--strip-prefix", help="path prefix to strip from report file names")
+    defaults = AnomalyThresholds()
+    history.add_argument("--up", type=float, default=defaults.up, help="increase threshold (default %(default)s)")
+    history.add_argument(
+        "--up2", type=float, default=defaults.up2, help="strong increase threshold (default %(default)s)"
+    )
+    history.add_argument("--down", type=float, default=defaults.down, help="decrease threshold (default %(default)s)")
 
-    detect = sub.add_parser("detect", help="evaluate threshold rules over a code-model file")
+    detect = sub.add_parser("detect", parents=[rules], help="evaluate threshold rules over a code-model file")
     detect.add_argument("--code-model", required=True, help="code-model JSON file")
     detect.add_argument("--version-id", required=True, help="version label for the occurrences")
-    detect.add_argument("--rules", help="JSON file with threshold overrides")
     detect.add_argument("--formats", default="csv,json", help="comma-separated: csv,json")
     detect.add_argument("--out", default="out", help="output directory (default: out)")
     detect.set_defaults(func=cmd_detect)
 
-    analyze = sub.add_parser("analyze", help="full pipeline over a version manifest")
-    analyze.add_argument("--manifest", required=True, help="manifest CSV path")
-    analyze.add_argument("--rules", help="JSON file with threshold overrides")
+    analyze = sub.add_parser("analyze", parents=[history], help="full pipeline over a version manifest")
     analyze.add_argument("--gap-tolerance", type=int, default=0, help="versions of absence to bridge")
     analyze.add_argument(
         "--rename-heuristic", action="store_true", help="re-join removal+addition pairs that look like renames"
     )
     analyze.add_argument("--formats", default="csv,json", help="comma-separated: csv,json,svg")
     analyze.add_argument("--out", default="out", help="output directory (default: out)")
-    analyze.add_argument("--strip-prefix", help="path prefix to strip from report file names")
-    _add_threshold_flags(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
-    gate = sub.add_parser("gate", help="fail when the latest transition shows a density increase")
-    gate.add_argument("--manifest", required=True, help="manifest CSV path")
-    gate.add_argument("--rules", help="JSON file with threshold overrides")
-    gate.add_argument("--strip-prefix", help="path prefix to strip from report file names")
-    _add_threshold_flags(gate)
+    gate = sub.add_parser("gate", parents=[history], help="fail when the latest transition shows a density increase")
     gate.set_defaults(func=cmd_gate)
     return parser
 

@@ -35,6 +35,7 @@ from .tracking import InstanceKey, assign_keys
 
 MANIFEST_COLUMNS = ("app", "version", "timestamp", "report_path", "lloc")
 MANIFEST_OPTIONAL_COLUMNS = ("loc", "classes")
+_NOT_XML = re.compile(r"[\x01-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")  # a NUL is refused with the whole manifest
 
 
 def _count(text: str) -> int | None:
@@ -116,7 +117,7 @@ class _LocalNames(dict):
 def parse_pmd_report(
     document: bytes,
     strip_prefix: str | None = None,
-    strings: dict[str, str] | None = None,
+    names: dict | None = None,
 ) -> PmdParseResult:
     """Extract occurrences of the six rules from a PMD-format XML report.
 
@@ -127,15 +128,13 @@ def parse_pmd_report(
     to file+line when they are absent. An empty report is an empty result,
     not an error.
 
-    One ``strings`` dict passed for many reports keeps one copy of each file
+    One ``names`` table passed for many reports keeps one copy of each file
     name and entity path, and joins each entity path once: it maps a str to
     itself and a (package, class, method, function) attribute tuple to its
-    path. The tuple holds only str and None, so it never equals a str or an
-    InstanceKey (whose last field is an int), which ``assign_keys`` keeps in
-    the same dict.
+    path.
     """
-    strings = {} if strings is None else strings
-    intern, joined = strings.setdefault, strings.get
+    names = {} if names is None else names
+    intern, joined = names.setdefault, names.get
     rules = _RULE_ORDER
     local = _LocalNames()
     rows = []
@@ -173,7 +172,7 @@ def parse_pmd_report(
             entity_path = joined(parts)
             if entity_path is None:
                 entity_path = "/".join(filter(None, parts))
-                entity_path = strings[parts] = intern(entity_path, entity_path)
+                entity_path = names[parts] = intern(entity_path, entity_path)
             # lines order each group for its ordinals; rows that tie on all five
             # fields give equal occurrences, so how a tie falls cannot change the list
             rows.append((file_path, b, e, order, entity_path))
@@ -305,9 +304,11 @@ def _snapshot_from_row(
     entry: _ManifestRow,
     rules: list[SmellRule],
     strip_prefix: str | None,
-    strings: dict,
+    names: dict,
+    keys: dict,
 ) -> VersionSnapshot:
-    """Read and key one checked row's report; every error carries the row.
+    """Read and key one checked row's report, through the run's name and key
+    tables; every error carries the row.
 
     The extension picks the flavor: .xml is PMD XML, .json a code model that
     goes through the rules; anything else is sniffed by its first non-blank
@@ -321,7 +322,7 @@ def _snapshot_from_row(
         else:
             data = read_input(path, "report file", ManifestError)
             if suffix == ".xml" or data.lstrip()[:1] == b"<":
-                occurrences = parse_pmd_report(data, strip_prefix, strings).occurrences
+                occurrences = parse_pmd_report(data, strip_prefix, names).occurrences
             else:
                 occurrences = evaluate_rules(_code_model_entities(data, path, strip_prefix), rules)
     except ReportParseError as exc:  # only the PMD parser raises one
@@ -329,8 +330,8 @@ def _snapshot_from_row(
     except SmellSurvError as exc:
         exc.row = entry.row
         raise
-    keys = assign_keys(occurrences, strings)  # a key present in many versions is one object
-    return VersionSnapshot(entry.version_id, entry.timestamp, tuple(keys), entry.size)
+    # a key present in many versions is one object
+    return VersionSnapshot(entry.version_id, entry.timestamp, tuple(assign_keys(occurrences, keys)), entry.size)
 
 
 def load_manifests(
@@ -357,6 +358,8 @@ def load_manifests(
         app = row["app"].strip()
         if not app or app in (".", "..") or "/" in app or "\\" in app:
             raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
+        if _NOT_XML.search(app):  # it titles the app's SVG charts
+            raise ManifestError(f"app name {app!r} holds a character XML 1.0 cannot hold", row=row_no)
         versions = per_app.setdefault(app, {})
         version_id = row["version"].strip()
         if version_id in versions:
@@ -379,8 +382,8 @@ def load_manifests(
                     row=b.row,
                 )
         checked[app] = entries[-latest:] if latest else entries
-    strings: dict = {}  # one copy of each file name, entity path and key, shared by every report
+    names, keys = {}, {}  # one copy of each file name and entity path, and of each key, for every report
     return [
-        History(app, tuple(_snapshot_from_row(entry, rules, strip_prefix, strings) for entry in entries))
+        History(app, tuple(_snapshot_from_row(entry, rules, strip_prefix, names, keys) for entry in entries))
         for app, entries in sorted(checked.items())
     ]

@@ -41,6 +41,7 @@ from .tracking import (
     assign_timeframes,
     build_survival_records,
     split_instant,
+    timeframe_of,
 )
 
 FORMATS = ("csv", "json", "svg")
@@ -206,7 +207,7 @@ def _record_table(app: str, records: list[SurvivalRecord], split: datetime) -> T
             dates[r.end_date],
             str(r.censored),
             fmt_days(r.duration_days),
-            "1" if r.first_date < split else "2",
+            timeframe_of(r.first_date, split),
         ]
         for r in records
     )
@@ -326,7 +327,8 @@ def analyze_history(
 ) -> AnalysisBundle:
     records = build_survival_records(history, options)
     split = split_instant(history)
-    scope: dict[str, list[tuple[float, bool]]] = {"localized": [], "scattered": []}
+    # the scopes in rule order, so the first rule's is log-rank's group A
+    scope: dict[str, list[tuple[float, bool]]] = {scope_of(rule): [] for rule in RULES}
     for r in records:
         scope[scope_of(r.key.rule)].append((r.duration_days, r.end_date is not None))
     series = density_series(history)
@@ -379,11 +381,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> li
 
     if "svg" in formats:
         for c in comparisons:
-            series = [
-                (label, [(p.time_days, p.survival) for p in curve])
-                for label, curve in c.curves.items()
-            ]
-            emit(f"km_{c.partition}.svg", svgplot.step_chart(series, f"{bundle.app}: survival by {c.partition}"))
+            emit(f"km_{c.partition}.svg", svgplot.step_chart(c.curves, f"{bundle.app}: survival by {c.partition}"))
         origin = bundle.history.snapshots[0].timestamp
         starts = ((_days_between(origin, r.first_date), r) for r in bundle.records)
         segments = sorted((start, start + r.duration_days, r.end_date is None) for start, r in starts)

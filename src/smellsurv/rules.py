@@ -19,20 +19,17 @@ COUNT_DIGITS = 640  # sys.int_info.str_digits_check_threshold: a count this long
 _COUNT_BOUND = 10**COUNT_DIGITS
 
 
-# a rule is its PMD name, a scope "localized" or "scattered", and an entity
-# kind "class", "method" or "function": each is the name the outputs write
-_METHODS = frozenset({"method", "function"})
-_CLASSES = frozenset({"class"})
-
 # each rule's scope, the CodeEntity metric field it measures, the entity kinds
-# it applies to, and its default threshold; rule order is the order of this table
-_RULES: dict[str, tuple[str, str, frozenset[str], int]] = {
-    "ExcessiveMethodLength": ("localized", "loc", _METHODS, 100),
-    "ExcessiveClassLength": ("localized", "loc", _CLASSES, 1000),
-    "ExcessiveParameterList": ("localized", "parameter_count", _METHODS, 10),
-    "DepthOfInheritance": ("scattered", "depth_of_inheritance", _CLASSES, 10),
-    "CouplingBetweenObjects": ("scattered", "coupling", _CLASSES, 13),
-    "NumberOfChildren": ("scattered", "children_count", _CLASSES, 15),
+# it applies to, and its default threshold; rule order is the order of this
+# table. A rule, a scope and an entity kind are each the name the outputs
+# write, and this table is the one place that names a scope or a kind.
+_RULES: dict[str, tuple[str, str, tuple[str, ...], int]] = {
+    "ExcessiveMethodLength": ("localized", "loc", ("method", "function"), 100),
+    "ExcessiveClassLength": ("localized", "loc", ("class",), 1000),
+    "ExcessiveParameterList": ("localized", "parameter_count", ("method", "function"), 10),
+    "DepthOfInheritance": ("scattered", "depth_of_inheritance", ("class",), 10),
+    "CouplingBetweenObjects": ("scattered", "coupling", ("class",), 13),
+    "NumberOfChildren": ("scattered", "children_count", ("class",), 15),
 }
 RULES = tuple(_RULES)  # position -> rule
 _RULE_ORDER = {rule: i for i, rule in enumerate(RULES)}  # rule -> position
@@ -140,8 +137,8 @@ class CodeEntity(NamedTuple):
 Occurrence = tuple[str, str, str]
 
 
-_KINDS = {kind: kind for kind in ("class", "method", "function")}  # a decoded kind -> its one shared copy
-_METRICS = ("loc", "parameter_count", "depth_of_inheritance", "coupling", "children_count")
+_KINDS = {kind: kind for _, _, kinds, _ in _RULES.values() for kind in kinds}  # a decoded kind -> its one shared copy
+_METRICS = CodeEntity._fields[CodeEntity._fields.index("loc"):]  # the measured fields, each a count defaulting to 0
 
 
 def _rule_plan(rules: list[SmellRule]) -> dict[str, list[tuple[int, float, int]]]:

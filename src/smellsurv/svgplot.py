@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 WIDTH = 800
 HEIGHT = 480
@@ -100,21 +100,22 @@ def _legend(labels_colors: list[tuple[str, str]]) -> list[str]:
     return out
 
 
-def step_chart(series: list[tuple[str, list[tuple[float, float]]]], title: str) -> Iterator[str]:
-    """Right-continuous step plot; each series starts at (0, 1)."""
-    frame = _Frame(max((x for _, pts in series for x, _ in pts), default=0.0), 0.0, 1.0)
+def step_chart(curves: Mapping[str, Iterable], title: str) -> Iterator[str]:
+    """Right-continuous step plot of each label's curve, whose points have a
+    time_days and a survival; each curve starts at (0, 1)."""
+    frame = _Frame(max((p.time_days for curve in curves.values() for p in curve), default=0.0), 0.0, 1.0)
     body = _axes(frame, "days", "survival probability")
     legend = []
-    for i, (label, pts) in enumerate(series):
+    for i, (label, curve) in enumerate(curves.items()):
         color = PALETTE[i % len(PALETTE)]
         legend.append((label, color))
         d = [f"M {_fmt(frame.px(0.0))} {_fmt(frame.py(1.0))}"]
         level = 1.0
-        for x, y in pts:
-            d.append(f"H {_fmt(frame.px(x))}")
-            if y != level:
-                d.append(f"V {_fmt(frame.py(y))}")
-                level = y
+        for p in curve:
+            d.append(f"H {_fmt(frame.px(p.time_days))}")
+            if p.survival != level:
+                d.append(f"V {_fmt(frame.py(p.survival))}")
+                level = p.survival
         body.append(f'<path d="{" ".join(d)}" fill="none" stroke="{color}" stroke-width="2"/>')
     body.extend(_legend(legend))
     return _document(title, body)

@@ -55,7 +55,7 @@ class SurvivalRecord(NamedTuple):
         return 0 if self.end_date is None else 1
 
 
-def assign_keys(occurrences: list[Occurrence], strings: dict | None = None) -> list[InstanceKey]:
+def assign_keys(occurrences: list[Occurrence], known: dict | None = None) -> list[InstanceKey]:
     """Keys for one version's occurrences, parallel to the input list.
 
     Ordinals count up from 0 within each (rule, file, entity_path) group, in
@@ -63,14 +63,12 @@ def assign_keys(occurrences: list[Occurrence], strings: dict | None = None) -> l
     then end_line, with occurrences without line info first, in document
     order.
 
-    One ``strings`` dict passed for many versions maps each key to itself,
+    One ``known`` table passed for many versions maps each key to itself,
     so each key is built once and every version that holds it shares that
     object. The plain (rule, file, entity_path, ordinal) tuple looked up
-    equals and hashes like its key; its int last field never equals the str
-    or None last field of the attribute tuples that ``parse_pmd_report``
-    keeps in the same dict, and a tuple never equals a str.
+    equals and hashes like its key.
     """
-    known = {} if strings is None else strings
+    known = {} if known is None else known
     counts: dict[Occurrence, int] = {}
     keys = []
     for group in occurrences:
@@ -195,6 +193,11 @@ def build_survival_records(
     return records
 
 
+def timeframe_of(first_date: datetime, split: datetime) -> str:
+    """Timeframe of a record born at first_date: "1" before the split, "2" at or after it."""
+    return "1" if first_date < split else "2"
+
+
 def assign_timeframes(records: list[SurvivalRecord], split: datetime) -> dict[str, list[tuple[float, bool]]]:
     """Split records at the split instant into two sub-study views of
     (duration, event observed) pairs, in input order.
@@ -207,10 +210,9 @@ def assign_timeframes(records: list[SurvivalRecord], split: datetime) -> dict[st
     """
     views: dict[str, list[tuple[float, bool]]] = {"1": [], "2": []}
     for r in records:
-        if r.first_date >= split:
-            views["2"].append((r.duration_days, r.end_date is not None))
-        elif r.end_date is not None and r.end_date <= split:
-            views["1"].append((r.duration_days, True))
+        side = timeframe_of(r.first_date, split)
+        if side == "2" or (r.end_date is not None and r.end_date <= split):
+            views[side].append((r.duration_days, r.end_date is not None))
         else:
             views["1"].append((_days_between(r.first_date, split), False))
     return views

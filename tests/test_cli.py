@@ -13,6 +13,7 @@ import sys
 import tempfile
 import types
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from smellsurv import cli, survival
 from smellsurv.errors import SmellSurvError
 from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
-from smellsurv.tracking import split_instant
+from smellsurv.tracking import assign_timeframes, split_instant
 
 from conftest import (
     NO_SMELL_REPORT, cyclic_garbage, history_from_bits, int_digit_limit, load_manifest, traced_peak, ts,
@@ -928,6 +929,44 @@ def test_analyze_computes_the_split_once_per_app(tmp_path, monkeypatch):
     assert sorted(calls) == ["alpha", "beta", "gamma"]
 
 
+def test_the_timeframe_cell_of_records_csv_is_the_group_its_record_lands_in(tmp_path):
+    # versions at day 0, one second before day 10, day 10 and day 20: the split
+    # is day 10, so "at" is born exactly at it and "before" just before it
+    second = 1 / 86400
+    bits = {"first": "1100", "before": "0111", "at": "0011", "gone": "1110"}
+    bundle = analyze_history(history_from_bits(bits, days=[0.0, 10.0 - second, 10.0, 20.0]))
+    assert bundle.split == ts(10.0)
+    write_bundle(bundle, tmp_path, {"csv"})
+    rows = read_csv(tmp_path / "synthetic" / "records.csv")
+    assert {row["key"].split("::")[1]: row["timeframe"] for row in rows} == {
+        "first": "1", "before": "1", "at": "2", "gone": "1",
+    }
+    assert len(rows) == len(bundle.records)
+    for row, record in zip(rows, bundle.records):
+        views = assign_timeframes([record], bundle.split)
+        assert [side for side, pairs in views.items() if pairs] == [row["timeframe"]]
+    found = {row["group"]: int(row["found"]) for row in read_csv(tmp_path / "synthetic" / "summary_timeframe.csv")}
+    assert found == Counter(row["timeframe"] for row in rows)
+
+
+def test_analyze_and_gate_parse_the_shared_flags_alike():
+    parser = cli.build_parser()
+    shared = ["manifest", "rules", "strip_prefix", "up", "up2", "down"]
+    plain = ["--manifest", "m.csv"]
+    given = [*plain, "--rules", "r.json", "--strip-prefix", "/work", "--up", "0.25", "--up2", "2", "--down", "-0.75"]
+    for argv, expected in (
+        (plain, ["m.csv", None, None, 0.5, 1.0, -0.5]),
+        (given, ["m.csv", "r.json", "/work", 0.25, 2.0, -0.75]),
+    ):
+        for command in ("analyze", "gate"):
+            args = vars(parser.parse_args([command, *argv]))
+            assert [args[name] for name in shared] == expected
+    assert parser.parse_args(["detect", "--code-model", "c", "--version-id", "1", "--rules", "r.json"]).rules == "r.json"
+    for command in ("analyze", "gate"):
+        with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+            parser.parse_args([command])  # --manifest is required by both
+
+
 def test_csv_only_format_skips_json_and_svg(tmp_path):
     assert main([
         "analyze", "--manifest", str(TRIAPP / "manifest.csv"),
@@ -1451,6 +1490,37 @@ def test_app_name_must_be_one_path_component(tmp_path, capsys, app):
         assert (record["error"], record["row"]) == ("ManifestError", 2)
         assert "one path component" in record["message"]
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("app", ["al\x01pha", "al\x0bpha", "al\x1fpha", "al\ufffepha", "al\uffffpha"], ids=ascii)
+def test_an_app_name_xml_cannot_hold_is_refused_before_any_report_is_read(tmp_path, capsys, app):
+    # the app name titles its SVG charts; the last report is not even JSON
+    rows = four_version_rows(tmp_path)
+    for row in rows[1:]:
+        row[0] = app
+    (tmp_path / "m3.json").write_text("not JSON")
+    manifest = write_rows(tmp_path, rows)
+    out = tmp_path / "run" / "out"
+    for command in (["analyze", "--out", str(out), "--formats", "csv,json,svg"], ["gate"]):
+        assert main([*command, "--manifest", str(manifest)]) == EXIT_ERROR
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["row"]) == ("ManifestError", 2)
+        assert record["message"] == f"app name {app!r} holds a character XML 1.0 cannot hold"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("app", ["al\tpha", "al\x7fpha", "al\x85pha"], ids=ascii)
+def test_an_app_name_xml_can_hold_titles_well_formed_charts(tmp_path, app):
+    rows = four_version_rows(tmp_path)
+    for row in rows[1:]:
+        row[0] = app
+    manifest = write_rows(tmp_path, rows)
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--out", str(out), "--formats", "svg"]) == EXIT_OK
+    charts = sorted((out / app).glob("*.svg"))
+    assert [chart.name for chart in charts] == ["density.svg", "km_scope.svg", "km_timeframe.svg", "lifelines.svg"]
+    for chart in charts:
+        assert ET.parse(chart).getroot().find("{http://www.w3.org/2000/svg}title").text.startswith(f"{app}: ")
 
 
 def _long_report_path(rows):

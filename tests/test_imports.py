@@ -6,6 +6,9 @@ bound by an import at module level (including under a module-level ``if`` or
 ``try``) must be read somewhere in the same file, and a function, class or
 variable defined at module level in src/ must be read somewhere in src/.
 
+A fact that two modules need has one owner: only rules.py names a scope,
+and only tracking.py compares a record's birth with the timeframe split.
+
 Every command pays for what the CLI imports, so the heavy modules it does not
 need are pinned out of it too. And every file in src/, tests/ and bench/
 compiles without a SyntaxWarning, such as an ``is`` against a literal.
@@ -213,6 +216,53 @@ def test_the_check_finds_a_smellsurv_import():
         "if TYPE_CHECKING:\n    from .tracking import SurvivalRecord\ndef f():\n    from smellsurv import rules\n"
     )
     assert smellsurv_imports(source) == ["smellsurv.rules", ".", ".tracking", "smellsurv"]
+
+
+def files_naming(sources: dict[str, str], texts: set[str]) -> list[str]:
+    """The sources that hold one of texts as a whole string literal."""
+    return sorted(
+        module
+        for module, source in sources.items()
+        if any(isinstance(node, ast.Constant) and node.value in texts for node in ast.walk(ast.parse(source)))
+    )
+
+
+def test_only_rules_names_a_scope():
+    # _RULES owns the scope names; every other module asks scope_of
+    assert files_naming(read_sources("src"), {"localized", "scattered"}) == ["src/smellsurv/rules.py"]
+
+
+def test_the_check_finds_a_string_literal():
+    sources = {
+        "a.py": 'x = "localized"\n',
+        "b.py": '# "scattered"\ny = "scattered scope"\n',
+        "c.py": "z = ('scattered',)\n",
+    }
+    assert files_naming(sources, {"localized", "scattered"}) == ["a.py", "c.py"]
+
+
+def split_comparisons(source: str) -> list[int]:
+    """The lines of source that compare a first_date with a split, each read
+    as a name or an attribute."""
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    compares = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare))
+    return [node.lineno for node in compares if {"first_date", "split"} <= {name(n) for n in (node.left, *node.comparators)}]
+
+
+def test_only_tracking_compares_a_birth_with_the_split():
+    # the rule "born before the split is timeframe 1" is written once, in tracking.timeframe_of
+    found = [module for module, source in sorted(read_sources("src").items()) if split_comparisons(source)]
+    assert found == ["src/smellsurv/tracking.py"]
+
+
+def test_the_check_finds_a_split_comparison():
+    source = (
+        "a = r.first_date < split\nb = bundle.split > first_date\nc = r.first_date < r.end_date\n"
+        "d = 0 < first_date <= split\ne = first_date < other_split\n"
+    )
+    assert split_comparisons(source) == [1, 2, 4]
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():

@@ -414,17 +414,17 @@ def test_keys_of_a_parsed_report_match_the_key_oracle(document, strip_prefix):
     documents=st.lists(st.one_of(pmd_documents(), grouped_pmd_documents()), min_size=1, max_size=4),
     strip_prefix=st.sampled_from([None, "/work/app", "C:\\work"]),
 )
-def test_one_strings_dict_shared_by_many_reports_changes_no_parse_or_key(documents, strip_prefix):
-    # the dict holds str -> str, attribute tuple -> entity path and key -> key;
-    # an entry of one kind must never answer a lookup of another
-    strings = {}
+def test_one_name_table_and_one_key_table_shared_by_many_reports_change_no_parse_or_key(documents, strip_prefix):
+    # the name table holds str -> str and attribute tuple -> entity path, the
+    # key table key -> key; what earlier reports left in them changes nothing
+    names, known = {}, {}
     first = {}
     for document in documents:
-        shared = _outcome(lambda: parse_pmd_report(document, strip_prefix, strings))
+        shared = _outcome(lambda: parse_pmd_report(document, strip_prefix, names))
         assert shared == _outcome(lambda: parse_pmd_report(document, strip_prefix))
         if shared[0] == "ReportParseError":
             continue
-        keys = assign_keys(shared[0], strings)
+        keys = assign_keys(shared[0], known)
         assert keys == assign_keys(shared[0])
         for key in keys:
             assert type(key) is InstanceKey
@@ -436,6 +436,13 @@ def test_a_parsed_report_leaves_nothing_to_the_cyclic_gc():
     with cyclic_garbage() as garbage:
         assert parse_pmd_report(document).occurrences
     assert Counter(type(o).__name__ for o in garbage) == {}
+
+
+def test_a_strip_prefix_equal_to_a_whole_file_name_leaves_an_empty_name():
+    assert normalize_path("/work/app/a.php", "/work/app/a.php") == ""
+    assert normalize_path("C:\\work\\a.php", "C:/work/a.php/") == ""
+    doc = pmd('<file name="/work/a.php"><violation beginline="1" endline="200" rule="ExcessiveClassLength" class="A"/></file>')
+    assert parse_pmd_report(doc.encode(), strip_prefix="/work/a.php").occurrences == [("ExcessiveClassLength", "", "A")]
 
 
 def test_path_normalization_and_prefix_strip():
@@ -668,6 +675,33 @@ def test_multi_app_manifest(tmp_path):
 def test_header_must_match(tmp_path):
     with pytest.raises(ManifestError, match="header"):
         load_manifest("application,version,timestamp,report_path,lloc\n", base_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [("", " is empty"), ("app,version,timestamp,report_path,lloc,owner\n", ": unknown column 'owner'")],
+    ids=["empty", "unknown column"],
+)
+def test_a_manifest_without_a_sound_header_is_refused_on_row_1(tmp_path, table, message):
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifest(table, base_dir=tmp_path)
+    assert exc_info.value.row == 1
+    assert str(exc_info.value) == f"manifest {tmp_path / 'manifest.csv'}{message}"
+
+
+def test_a_manifest_of_only_a_header_names_no_versions(tmp_path):
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifest("app,version,timestamp,report_path,lloc\n", base_dir=tmp_path)
+    assert exc_info.value.row is None
+    assert str(exc_info.value) == f"manifest {tmp_path / 'manifest.csv'} names no versions"
+
+
+def test_an_empty_version_id_is_refused_with_its_row(tmp_path):
+    write_reports(tmp_path)
+    bad = "app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,r1.xml,5000\ndemo, ,2020-06-01,r2.xml,5000\n"
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifest(bad, base_dir=tmp_path)
+    assert (str(exc_info.value), exc_info.value.row) == ("empty version id", 3)
 
 
 def history_to_json(history: History) -> str:

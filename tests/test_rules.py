@@ -170,6 +170,15 @@ def test_load_ruleset_unknown_rule(tmp_path):
         load_ruleset(path)
 
 
+@pytest.mark.parametrize("document", ["[]", "3", '"rules"', "null"])
+def test_a_rules_file_that_is_not_a_json_object_is_a_config_error(tmp_path, document):
+    path = tmp_path / "rules.json"
+    path.write_text(document)
+    with pytest.raises(ConfigError) as info:
+        load_ruleset(path)
+    assert str(info.value) == f"rules file {path}: expected a JSON object of rule -> threshold"
+
+
 def test_load_code_model(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({
@@ -260,6 +269,15 @@ def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_fact
     # entity is a method over both the length and the parameter threshold
     entities = load_code_model(path)
     assert len(evaluate_rules(entities, DEFAULTS)) == 2 * len(entities)
+
+
+@pytest.mark.parametrize("entities, bad", [([1], 0), (["m"], 0), ([None], 0), ([[]], 0), ([ENTITY, True], 1)])
+def test_an_entity_that_is_not_an_object_is_a_config_error_naming_it(tmp_path, entities, bad):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(entities))
+    with pytest.raises(ConfigError) as info:
+        load_code_model(path)
+    assert str(info.value) == f"code model {path}: entity #{bad} is not an object"
 
 
 # small metrics and thresholds, so that metrics often sit exactly at a threshold
