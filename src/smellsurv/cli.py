@@ -53,6 +53,17 @@ def _error_record(exc: SmellSurvError) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _say(line: str) -> None:
+    """Print line to stdout; a character stdout cannot encode (a byte of --out
+    that is not UTF-8, under a strict encoder) is written as its escape, since
+    the line may come after the bundles are published."""
+    try:
+        print(line)
+    except UnicodeEncodeError:
+        encoding = sys.stdout.encoding
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _parse_formats(raw: str, allowed: tuple[str, ...]) -> set[str]:
     formats = {part.strip() for part in raw.split(",") if part.strip()}
     unknown = formats - set(allowed)
@@ -134,7 +145,7 @@ def cmd_detect(args) -> int:
     out_dir = Path(args.out)
     with _publishing(out_dir) as staging:
         write_occurrences(args.version_id, occurrences, staging, formats)
-    print(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
+    _say(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
     return EXIT_OK
 
 
@@ -160,7 +171,7 @@ def cmd_analyze(args) -> int:
     with _publishing(out_dir) as staging:
         written = [write_bundle(b, staging, formats) for b in bundles]
     for b, files in zip(bundles, written):
-        print(f"{b.app}: {len(b.records)} records, {len(files)} files -> {out_dir / b.app}")
+        _say(f"{b.app}: {len(b.records)} records, {len(files)} files -> {out_dir / b.app}")
     return EXIT_OK
 
 
@@ -170,7 +181,7 @@ def cmd_gate(args) -> int:
     histories = load_manifests(args.manifest, _ruleset(args), args.strip_prefix, latest=2)
     short = _insufficient_history(histories)
     if short:
-        print(short)
+        _say(short)
         return EXIT_INSUFFICIENT_HISTORY
 
     failed = False
@@ -180,7 +191,7 @@ def cmd_gate(args) -> int:
         flags = flag_anomalies(series, thresholds)
         increases = [f for f in flags if f.kind.startswith("increase")]
         verdict = "FAIL" if increases else "ok"
-        print(
+        _say(
             f"{history.app_name} {latest.version_id}: delta_rho={fmt_rate(latest.delta_rho)} "
             f"[{verdict}]" + "".join(f" {f.kind}" for f in flags)
         )

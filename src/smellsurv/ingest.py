@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from collections import Counter
 from collections.abc import Iterator
@@ -257,7 +258,7 @@ def _manifest_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
                 raise ManifestError(f"manifest {path}: unknown column {col!r}", row=1)
         start = reader.line_num + 1  # the line the next record starts on
         for record in reader:
-            if any(cell.strip() for cell in record):
+            if any(map(str.strip, record)):
                 if len(record) != len(header):
                     raise ManifestError(f"expected {len(header)} fields, got {len(record)}", row=start)
                 yield start, dict(zip(header, record))
@@ -273,29 +274,31 @@ class _ManifestRow(NamedTuple):
     version_id: str
     timestamp: datetime
     size: SizeMetrics
-    report_path: Path
+    report_path: str
 
 
-def _check_row(row_no: int, row: dict[str, str], version_id: str, base_dir: Path) -> _ManifestRow:
+def _check_row(row_no: int, row: dict[str, str], version_id: str, base_dir: str) -> _ManifestRow:
     if not version_id:
         raise ManifestError("empty version id", row=row_no)
     try:
         timestamp = parse_timestamp(row["timestamp"])
     except (ValueError, OverflowError) as exc:  # overflow: out of range once in UTC
         raise ManifestError(f"bad timestamp {row['timestamp']!r}: {exc}", row=row_no) from exc
-    counts = {}
+    counts = []
     for col in SizeMetrics._fields:  # lloc is required, an empty loc or classes is None
         raw = row.get(col, "").strip()
+        count = None
         if raw or col == "lloc":
-            counts[col] = _count(raw)
-            if counts[col] is None:
+            count = _count(raw)
+            if count is None:
                 raise ManifestError(f"{col} must be 1 to {COUNT_DIGITS} decimal digits, got {raw!r}", row=row_no)
-    if counts["lloc"] == 0:
+        counts.append(count)
+    if counts[0] == 0:
         raise ManifestError("lloc must be positive, got 0 (density undefined)", row=row_no)
-    size = SizeMetrics(**counts)
-    report_path = Path(row["report_path"].strip())
-    if not report_path.is_absolute():
-        report_path = base_dir / report_path
+    size = SizeMetrics(*counts)
+    # as written, against the manifest's directory: an absolute cell replaces it,
+    # and a trailing "/" names a directory
+    report_path = os.path.join(base_dir, row["report_path"].strip())
     read_input(report_path, "report file", partial(ManifestError, row=row_no), read=False)
     return _ManifestRow(row_no, version_id, timestamp, size, report_path)
 
@@ -315,7 +318,7 @@ def _snapshot_from_row(
     byte.
     """
     path = entry.report_path
-    suffix = path.suffix.lower()
+    suffix = os.path.splitext(path)[1].lower()
     try:
         if suffix == ".json":
             occurrences = evaluate_rules(load_code_model(path, strip_prefix), rules)
@@ -341,8 +344,8 @@ def load_manifests(
     latest: int | None = None,
 ) -> list[History]:
     """Load every application named in the manifest at path, one History
-    each, in app-name order; report paths are relative to the manifest's
-    directory.
+    each, in app-name order; a relative report path is joined, as written,
+    to the manifest's directory.
 
     Rows may arrive in any order; snapshots are sorted by timestamp. Rows are
     checked in file order, and every row before any report is read:
@@ -353,14 +356,17 @@ def load_manifests(
     holds just those versions.
     """
     path = Path(path)
+    base_dir = os.path.dirname(path)  # "" for a bare file name, so its reports are named bare too
     per_app: dict[str, dict[str, _ManifestRow]] = {}
     for row_no, row in _manifest_rows(path):
         app = row["app"].strip()
-        if not app or app in (".", "..") or "/" in app or "\\" in app:
-            raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
-        if _NOT_XML.search(app):  # it titles the app's SVG charts
-            raise ManifestError(f"app name {app!r} holds a character XML 1.0 cannot hold", row=row_no)
-        versions = per_app.setdefault(app, {})
+        versions = per_app.get(app)
+        if versions is None:  # an app name is checked on the row where it first appears
+            if not app or app in (".", "..") or "/" in app or "\\" in app:
+                raise ManifestError(f"app name {app!r} is not one path component", row=row_no)
+            if _NOT_XML.search(app):  # it titles the app's SVG charts
+                raise ManifestError(f"app name {app!r} holds a character XML 1.0 cannot hold", row=row_no)
+            versions = per_app[app] = {}
         version_id = row["version"].strip()
         if version_id in versions:
             raise ManifestError(
@@ -368,7 +374,7 @@ def load_manifests(
                 f" (first seen on row {versions[version_id].row})",
                 row=row_no,
             )
-        versions[version_id] = _check_row(row_no, row, version_id, path.parent)
+        versions[version_id] = _check_row(row_no, row, version_id, base_dir)
     if not per_app:
         raise ManifestError(f"manifest {path} names no versions")
 

@@ -9,6 +9,7 @@ A chart is its elements' text, one line each, so no writer holds it whole.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
@@ -21,6 +22,10 @@ MARGIN_BOTTOM = 50
 PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
+# a change rate or threshold beyond this is drawn at the edge of the threshold
+# chart, so its frame's span, headroom included, stays a finite float
+Y_LIMIT = sys.float_info.max / 4
+
 PALETTE = ("#1b6ca8", "#c0392b", "#27ae60", "#8e44ad", "#e67e22", "#16a085")
 
 
@@ -31,6 +36,12 @@ def _escape(text: str) -> str:
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
+
+
+def _percent(value: float) -> str:
+    """A finite value as a signed whole percentage; past where value * 100
+    overflows a float, it is written from the exact integer instead."""
+    return f"{value:+.0%}" if math.isfinite(value * 100) else f"{int(value) * 100:+d}%"
 
 
 def _text(x, y, size: int, text: str, anchor: str | None = None, extra: str = "") -> str:
@@ -138,21 +149,22 @@ def _lifelines(frame: _Frame, segments: list[tuple[float, float, bool]]) -> Iter
 def threshold_chart(rates: list[float | None], thresholds: tuple[float, ...], title: str) -> Iterator[str]:
     """Line chart of a change-rate series over the version index, with a dashed
     guide at each threshold. A None rate (the first version's) is left out of
-    the line; an infinite one is drawn clipped to the top of the frame."""
+    the line; an infinite one, or one beyond Y_LIMIT, is drawn clipped to the
+    frame."""
     points = [(x, y) for x, y in enumerate(rates) if y is not None]
     finite = [y for _, y in points if math.isfinite(y)]
     infinite = [x for x, y in points if math.isinf(y)]
-    y_lo = min([-1.0, *finite, *thresholds])
-    y_hi = max([1.5, *finite, *thresholds])
+    y_lo = max(min([-1.0, *finite, *thresholds]), -Y_LIMIT)
+    y_hi = min(max([1.5, *finite, *thresholds]), Y_LIMIT)
     if infinite:
         y_hi = max(y_hi, 2.0) * 1.25
     frame = _Frame(len(rates) - 1, y_lo, y_hi)
     body = _axes(frame, "version index", "density change rate")
     for value in thresholds:
-        y = frame.py(value)
+        y = frame.py(min(max(value, y_lo), y_hi))
         dashed = ' stroke-dasharray="5 4"'
         body.append(_line(MARGIN_LEFT, _fmt(y), WIDTH - MARGIN_RIGHT, _fmt(y), "#999999", extra=dashed))
-        body.append(_text(WIDTH - MARGIN_RIGHT - 4, _fmt(y - 4), 10, f"{value:+.0%}", "end", ' fill="#666666"'))
+        body.append(_text(WIDTH - MARGIN_RIGHT - 4, _fmt(y - 4), 10, _percent(value), "end", ' fill="#666666"'))
     if points:
         path = " L ".join(f"{_fmt(frame.px(x))} {_fmt(frame.py(min(y, y_hi)))}" for x, y in points)
         body.append(f'<path d="M {path}" fill="none" stroke="#1b6ca8" stroke-width="2"/>')

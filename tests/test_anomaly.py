@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import sys
+import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smellsurv.anomaly import (
     AnomalyThresholds,
@@ -15,6 +18,7 @@ from smellsurv.anomaly import (
     metric_change_rates,
 )
 from smellsurv.ingest import History, SizeMetrics, VersionSnapshot
+from smellsurv.svgplot import threshold_chart
 from smellsurv.tracking import InstanceKey, split_instant
 
 from conftest import ts
@@ -216,3 +220,27 @@ def test_identical_endpoints_give_zero_rates():
     history = make_history([5, 5], [1000, 1000], locs=[2000, 2000], classes=[10, 10])
     rates = metric_change_rates(history, split_instant(history))
     assert (rates["d_loc"], rates["d_lloc"], rates["d_classes"]) == (0.0, 0.0, 0.0)
+
+
+BIG = sys.float_info.max
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.none(), st.just(math.inf), st.floats(-1.0, BIG)), max_size=5),
+    st.floats(-BIG, 0.0, exclude_max=True),
+    st.floats(0.0, BIG, exclude_min=True),
+    st.floats(0.0, BIG, exclude_min=True),
+)
+@example([math.inf, 0.1], -0.5, 1e308, 1.7e308)
+@example([1.5e308, math.inf], -0.5, 0.5, 1.0)  # a finite rate this large comes from llocs past 1e308
+@example([-1.0, math.inf], -BIG, BIG, BIG)
+def test_every_number_the_threshold_chart_writes_is_finite(rates, down, up, up2):
+    # any thresholds the CLI accepts: finite, down < 0 < up <= up2
+    up, up2 = sorted((up, up2))
+    chart = ET.fromstring("".join(threshold_chart([None, *rates], AnomalyThresholds(up, up2, down), "x")))
+    for element in chart.iter():
+        for value in element.attrib.values():
+            assert all(math.isfinite(float(n)) for n in re.findall(r"[-+]?(?:[0-9.]+|nan|inf)", value))
+        if element.text != "inf":  # the marker above an infinite rate
+            assert not re.search("nan|inf", element.text or "")

@@ -1659,3 +1659,26 @@ def test_importing_the_cli_pulls_in_no_element_tree():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
+def test_a_line_stdout_cannot_encode_is_printed_escaped(tmp_path, command):
+    # argv bytes that are not UTF-8 arrive as lone surrogates, which a strict
+    # UTF-8 stdout refuses; analyze and detect print --out after publishing
+    out = os.fsdecode(os.fsencode(tmp_path) + b"/o\xffx")
+    manifest = write_no_smell_history(tmp_path)
+    manifest.write_text(manifest.read_text().replace("clean", "caf\xe9"))  # for an ASCII stdout
+    args, encoding, shown = {
+        "analyze": (["--manifest", str(TRIAPP / "manifest.csv"), "--out", out], "utf-8", [f"{out}/{app}" for app in ("alpha", "beta", "gamma")]),
+        "detect": (["--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "0.9", "--out", out], "utf-8", [out]),
+        "gate": (["--manifest", str(manifest)], "ascii", ["caf\xe9 2.0"]),
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
+    result = subprocess.run([sys.executable, "-m", "smellsurv.cli", command, *args], env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+    lines = result.stdout.decode(encoding).splitlines()
+    assert len(lines) == len(shown)
+    for line, text in zip(lines, shown):
+        assert text.encode(encoding, "backslashreplace").decode(encoding) in line
+    if command != "gate":
+        assert os.listdir(out)

@@ -536,6 +536,39 @@ def test_unreadable_report_error_names_the_path(tmp_path, name):
     assert str(tmp_path / name) in str(exc_info.value)
 
 
+def test_an_absolute_report_path_is_read_as_written(tmp_path):
+    reports, listed = tmp_path / "reports", tmp_path / "listed"
+    reports.mkdir()
+    listed.mkdir()
+    write_reports(reports)
+    table = f"app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,{reports / 'r1.xml'},5000\n"
+    assert [len(s.keys) for s in load_manifest(table, base_dir=listed).snapshots] == [1]
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifest(table.replace("r1.xml", "missing.xml"), base_dir=listed)
+    assert str(exc_info.value) == f"report file {reports / 'missing.xml'} unreadable: No such file or directory"
+
+
+@pytest.mark.parametrize(
+    "workdir, manifest, named", [("", "sub/m.csv", "sub/missing.xml"), ("sub", "m.csv", "missing.xml")]
+)
+def test_a_relative_manifest_names_its_reports_relative_to_the_working_directory(
+    tmp_path, monkeypatch, workdir, manifest, named
+):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "m.csv").write_text("app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,missing.xml,5000\n")
+    monkeypatch.chdir(tmp_path / workdir)
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifests(manifest, default_ruleset())
+    assert (str(exc_info.value), exc_info.value.row) == (f"report file {named} unreadable: No such file or directory", 2)
+
+
+def test_a_report_path_ending_in_a_slash_names_a_directory_and_is_refused_with_its_row(tmp_path):
+    write_reports(tmp_path)
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifest(MANIFEST.replace("r1.xml", "r1.xml/"), base_dir=tmp_path)
+    assert (str(exc_info.value), exc_info.value.row) == (f"report file {tmp_path}/r1.xml/ unreadable: Not a directory", 3)
+
+
 def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
     # a .json report is read once, by the code-model loader, not also as bytes
     reads = []

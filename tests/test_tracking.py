@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,7 +86,7 @@ VALUES = [
     (SNAPSHOT, "version_id"),
     (History("demo", (SNAPSHOT, LATER_SNAPSHOT)), "snapshots"),
     (PmdParseResult([], Counter()), "occurrences"),
-    (_ManifestRow(2, "v1", ts(0), SizeMetrics(lloc=10), Path("r.xml")), "row"),
+    (_ManifestRow(2, "v1", ts(0), SizeMetrics(lloc=10), "r.xml"), "row"),
     (SmellRule("NumberOfChildren", 15), "threshold"),
     (TrackingOptions(), "gap_tolerance"),
     (record(5, True), "end_date"),
