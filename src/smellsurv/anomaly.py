@@ -17,10 +17,13 @@ from .ingest import History, SizeMetrics
 
 
 def change_rate(prev: float, cur: float) -> float:
-    """Relative change cur/prev - 1; 0 -> 0 gives 0.0, 0 -> positive gives
-    +infinity."""
+    """Relative change cur/prev - 1; 0 -> 0 gives 0.0, and 0 -> positive or a
+    quotient of two counts past the float range gives +infinity."""
     if prev > 0:
-        return cur / prev - 1.0
+        try:
+            return cur / prev - 1.0
+        except OverflowError:  # counts may hold 640 digits
+            return math.inf
     return 0.0 if cur == 0 else math.inf
 
 

@@ -7,8 +7,8 @@ Subcommands:
   gate     CI check: fail when the latest transition shows a density
            increase anomaly
 
-Exit codes: 0 success / gate passed, 1 error, 2 gate failed,
-3 insufficient history for gating.
+Exit codes: 0 success / gate passed, 1 error (a usage error included),
+2 gate failed, 3 insufficient history for gating.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from pathlib import Path
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
 from .errors import ConfigError, ManifestError, OutputError, SmellSurvError
@@ -87,37 +86,38 @@ def _thresholds(args) -> AnomalyThresholds:
 
 
 @contextmanager
-def _publishing(out_dir: Path):
+def _publishing(out_dir: str):
     """Yield an empty staging directory under out_dir; when the block returns,
     move each staged entry over its namesake in out_dir, the old entry going
     aside first; a file never replaces a directory (EISDIR), nor a directory
     a file or a dangling link (ENOTDIR) or a directory holding other than
     BUNDLE_FILES. If a move fails, every move made is undone, newest first,
     so a failed run leaves out_dir as it was (or absent, with the parents
-    this created).
-    Any OSError or ValueError (a NUL byte, text utf-8 cannot encode) becomes
-    an OutputError naming out_dir."""
+    this created). Any OSError or ValueError (an empty out_dir, a NUL byte,
+    text utf-8 cannot encode) becomes an OutputError naming out_dir."""
     try:
-        created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-        out_dir.mkdir(parents=True, exist_ok=True)
+        top, parent = "", out_dir  # the highest directory this creates, as written
+        while parent and not os.path.exists(parent):
+            top, parent = parent, os.path.dirname(parent)
+        os.makedirs(out_dir, exist_ok=True)
         try:
-            staging = Path(tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir))
+            staging = tempfile.mkdtemp(prefix=".smellsurv-", dir=out_dir)
             moved = []  # (from, to) of each move made
             try:
                 yield staging
                 names = sorted(os.listdir(staging))
-                aside = Path(tempfile.mkdtemp(dir=staging))  # named unlike any staged entry
+                aside = tempfile.mkdtemp(dir=staging)  # named unlike any staged entry
                 for name in names:
-                    target = out_dir / name
-                    if os.path.lexists(target) and target.is_dir() != (staging / name).is_dir():
-                        code = errno.EISDIR if target.is_dir() else errno.ENOTDIR
-                        raise OSError(code, os.strerror(code), str(target))
-                    if target.is_dir():
+                    target, staged = os.path.join(out_dir, name), os.path.join(staging, name)
+                    if os.path.lexists(target) and os.path.isdir(target) != os.path.isdir(staged):
+                        code = errno.EISDIR if os.path.isdir(target) else errno.ENOTDIR
+                        raise OSError(code, os.strerror(code), target)
+                    if os.path.isdir(target):
                         with os.scandir(target) as entries:
                             if not all(e.name in BUNDLE_FILES and e.is_file(follow_symlinks=False) for e in entries):
                                 raise OSError(f"{target} is not a bundle, so it is not replaced")
-                    steps = [(target, aside / name)] if os.path.lexists(target) else []
-                    for src, dst in (*steps, (staging / name, target)):
+                    steps = [(target, os.path.join(aside, name))] if os.path.lexists(target) else []
+                    for src, dst in (*steps, (staged, target)):
                         os.replace(src, dst)
                         moved.append((src, dst))
             except BaseException:
@@ -128,8 +128,8 @@ def _publishing(out_dir: Path):
                 raise
             shutil.rmtree(staging)
         except BaseException:
-            if created:
-                shutil.rmtree(created[-1])
+            if top:
+                shutil.rmtree(top)
             raise
     except (OSError, ValueError) as exc:
         raise OutputError(f"cannot write under --out {out_dir}: {exc}") from exc
@@ -142,10 +142,9 @@ def cmd_detect(args) -> int:
     except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 arrive as lone surrogates
         raise ConfigError(f"--version-id {args.version_id!r} is not UTF-8 text") from exc
     occurrences = evaluate_rules(load_code_model(args.code_model), _ruleset(args))
-    out_dir = Path(args.out)
-    with _publishing(out_dir) as staging:
+    with _publishing(args.out) as staging:
         write_occurrences(args.version_id, occurrences, staging, formats)
-    _say(f"{args.version_id}: {len(occurrences)} occurrences -> {out_dir}")
+    _say(f"{args.version_id}: {len(occurrences)} occurrences -> {args.out}")
     return EXIT_OK
 
 
@@ -166,12 +165,11 @@ def cmd_analyze(args) -> int:
     if short:
         raise ManifestError(short)
     bundles = [analyze_history(h, options, thresholds) for h in histories]
-    out_dir = Path(args.out)
     # each app dir is swapped in whole, so a re-run leaves no stale files
-    with _publishing(out_dir) as staging:
+    with _publishing(args.out) as staging:
         written = [write_bundle(b, staging, formats) for b in bundles]
     for b, files in zip(bundles, written):
-        _say(f"{b.app}: {len(b.records)} records, {len(files)} files -> {out_dir / b.app}")
+        _say(f"{b.app}: {len(b.records)} records, {len(files)} files -> {os.path.join(args.out, b.app)}")
     return EXIT_OK
 
 
@@ -198,6 +196,13 @@ def cmd_gate(args) -> int:
         if increases:
             failed = True
     return EXIT_GATE_FAILED if failed else EXIT_OK
+
+
+def _usage_error(message: str):
+    """Every parser's error(): a usage error exits 1 as a ConfigError, not 2 as a failed gate."""
+    if message.endswith("expected one argument"):  # argparse reads -1e-1 after a flag as a flag
+        message += f"; write a value that starts with - as {message.split()[1][:-1]}=<value>"
+    raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,13 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gate = sub.add_parser("gate", parents=[history], help="fail when the latest transition shows a density increase")
     gate.set_defaults(func=cmd_gate)
+    for each in (parser, detect, analyze, gate):
+        each.error = _usage_error
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SmellSurvError as exc:
         print(_error_record(exc), file=sys.stderr)

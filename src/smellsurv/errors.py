@@ -27,7 +27,7 @@ class ConfigError(SmellSurvError):
     model (a lone surrogate in an entity's strings included), an unknown rule
     id, a non-positive threshold, an unknown output format, a negative gap
     tolerance, thresholds out of order, a ``--version-id`` UTF-8 cannot
-    encode."""
+    encode, a usage error argparse reports."""
 
 
 class ReportParseError(SmellSurvError):

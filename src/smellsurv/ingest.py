@@ -16,7 +16,6 @@ from collections import Counter
 from collections.abc import Iterator
 from datetime import datetime, timezone
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 from xml.parsers import expat
 
@@ -224,7 +223,7 @@ def parse_pmd_report(
     return PmdParseResult([(RULES[order], file, entity_path) for file, _, _, order, entity_path in rows], skipped)
 
 
-def _manifest_rows(path: Path) -> Iterator[tuple[int, dict[str, str]]]:
+def _manifest_rows(path: str) -> Iterator[tuple[int, dict[str, str]]]:
     """Yield each data row of the manifest at path, as the line it starts on
     and its cells by column name. Every error names the file; one that has a
     line (a bad byte, a NUL, a bad CSV record) carries it as the row. One
@@ -338,7 +337,7 @@ def _snapshot_from_row(
 
 
 def load_manifests(
-    path: str | Path,
+    path: str,
     rules: list[SmellRule],
     strip_prefix: str | None = None,
     latest: int | None = None,
@@ -355,7 +354,6 @@ def load_manifests(
     each app's ``latest`` most recent reports are read and its History
     holds just those versions.
     """
-    path = Path(path)
     base_dir = os.path.dirname(path)  # "" for a bare file name, so its reports are named bare too
     per_app: dict[str, dict[str, _ManifestRow]] = {}
     for row_no, row in _manifest_rows(path):

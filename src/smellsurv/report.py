@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from datetime import datetime
 from itertools import chain, islice, tee
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from . import svgplot
@@ -129,13 +129,13 @@ def _json_line(doc) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def _write(path: Path, chunks: Iterable[str]) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
     # a table is written a chunk at a time, never held as one text
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(chunks)
 
 
-def _write_with_cut(path: Path, cut_path: Path, table: Table, columns: list[str]) -> None:
+def _write_with_cut(path: str, cut_path: str, table: Table, columns: list[str]) -> None:
     """Write the table to path and its named columns to cut_path in one pass
     over its rows, each chunk of rows to both files before the next is formatted."""
     header, rows = table
@@ -160,13 +160,13 @@ def _occurrence_table(version_id: str, occurrences: list[Occurrence]) -> Table:
     return OCCURRENCE_HEADER, rows
 
 
-def write_occurrences(version_id: str, occurrences: list[Occurrence], out_dir: Path, formats: set[str]) -> None:
+def write_occurrences(version_id: str, occurrences: list[Occurrence], out_dir: str, formats: set[str]) -> None:
     """Write detect's occurrences.csv and/or occurrences.json into out_dir."""
     table = _occurrence_table(version_id, occurrences)
     if "csv" in formats:
-        _write(out_dir / "occurrences.csv", _csv_chunks(table))
+        _write(os.path.join(out_dir, "occurrences.csv"), _csv_chunks(table))
     if "json" in formats:
-        _write(out_dir / "occurrences.json", [_json_text(_json_rows(table))])
+        _write(os.path.join(out_dir, "occurrences.json"), [_json_text(_json_rows(table))])
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +346,19 @@ def analyze_history(
     )
 
 
-def write_bundle(bundle: AnalysisBundle, out_dir: Path, formats: set[str]) -> list[Path]:
+def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> list[str]:
     """Write one application's output files under out_dir/<app>/, in place."""
-    app_dir = Path(out_dir) / bundle.app
-    app_dir.mkdir(parents=True, exist_ok=True)
+    app_dir = os.path.join(out_dir, bundle.app)
+    os.makedirs(app_dir, exist_ok=True)
     comparisons = (bundle.scope, bundle.timeframe)
-    written: list[Path] = []
+    written: list[str] = []
 
     def emit(name: str, chunks: Iterable[str]) -> None:
-        _write(app_dir / name, chunks)
-        written.append(app_dir / name)
+        written.append(os.path.join(app_dir, name))
+        _write(written[-1], chunks)
 
     if "csv" in formats:
-        records, lifelines = app_dir / "records.csv", app_dir / "lifelines.csv"
+        records, lifelines = os.path.join(app_dir, "records.csv"), os.path.join(app_dir, "lifelines.csv")
         _write_with_cut(records, lifelines, _record_table(bundle.app, bundle.records, bundle.split), LIFELINE_COLUMNS)
         written += [records, lifelines]
         emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history)))

@@ -10,7 +10,6 @@ threshold are clean.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, read_input
@@ -66,7 +65,7 @@ def normalize_path(path: str, strip_prefix: str | None = None) -> str:
     return unified
 
 
-def _json(data: bytes, what: str, path: str | Path, parse_int=None):
+def _json(data: bytes, what: str, path: str, parse_int=None):
     """The JSON document in data; a failure is a ConfigError naming what and path."""
     try:
         return json.loads(data.decode("utf-8"), parse_int=parse_int)
@@ -91,7 +90,7 @@ def _shown(value) -> str:
     return f"more than {COUNT_DIGITS} digits" if type(value) is int and abs(value) >= _COUNT_BOUND else repr(value)
 
 
-def load_ruleset(path: str | Path) -> list[SmellRule]:
+def load_ruleset(path: str) -> list[SmellRule]:
     """Read threshold overrides from a JSON file: {"<rule>": threshold, ...}.
 
     Rules not named keep their defaults. Unknown rule names are a
@@ -174,7 +173,7 @@ def evaluate_rules(
     return [(RULES[order], file, entity_path) for file, entity_path, order in fired]
 
 
-def load_code_model(path: str | Path, strip_prefix: str | None = None) -> list[CodeEntity]:
+def load_code_model(path: str, strip_prefix: str | None = None) -> list[CodeEntity]:
     """Read a code-model JSON file: a list of entity objects, or {"entities": [...]}.
 
     Each entity object needs "kind" and the strings "name" and "file"; the
@@ -184,7 +183,7 @@ def load_code_model(path: str | Path, strip_prefix: str | None = None) -> list[C
     return _code_model_entities(read_input(path, "code model", ConfigError), path, strip_prefix)
 
 
-def _code_model_entities(data: bytes, path: str | Path, strip_prefix: str | None = None) -> list[CodeEntity]:
+def _code_model_entities(data: bytes, path: str, strip_prefix: str | None = None) -> list[CodeEntity]:
     """Entities of a code model already read as bytes; errors name path."""
     # after a strict decode only a \u escape makes a lone surrogate, and only an escape a "\"; memchr finds it
     escaped = b"\\" in data

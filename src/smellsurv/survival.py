@@ -127,8 +127,8 @@ def _risk_sets(points: SurvivalCurve, times: list[float]) -> Iterator[tuple[int,
         yield p.n_at_risk, p.n_events if p.time_days == t else 0
 
 
-def log_rank(a: SurvivalCurve, b: SurvivalCurve) -> LogRankResult:
-    """Two-group log-rank test over the groups' KM risk tables.
+def log_rank(a: SurvivalCurve, b: SurvivalCurve) -> LogRankResult | str:
+    """Two-group log-rank test over the groups' KM risk tables, or why it is undefined.
 
     At each distinct pooled event time, the expected events in group A follow
     the hypergeometric mean n_A * d / n with variance
@@ -137,7 +137,7 @@ def log_rank(a: SurvivalCurve, b: SurvivalCurve) -> LogRankResult:
     """
     times = sorted({p.time_days for p in (*a, *b) if p.n_events})
     if not times:
-        raise ValueError("test undefined: no events in the pooled data")
+        return "test undefined: no events in the pooled data"
 
     observed_a = 0
     expected_a = 0.0
@@ -184,11 +184,5 @@ def compare_groups(groups: dict[str, list[tuple[float, bool]]], partition: str) 
     curves = {label: kaplan_meier(pairs) for label, pairs in groups.items() if pairs}
     summaries = {label: summarize(curves[label]) if label in curves else None for label in groups}
     empty = [label for label in groups if label not in curves]
-    if empty:
-        test = f"empty group: {empty[0]}"
-    else:
-        try:
-            test = log_rank(*curves.values())
-        except ValueError as exc:
-            test = str(exc)
+    test = f"empty group: {empty[0]}" if empty else log_rank(*curves.values())
     return GroupComparison(partition=partition, curves=curves, summaries=summaries, test=test)

@@ -64,6 +64,13 @@ def test_change_rate_zero_previous():
     assert math.isinf(change_rate(0, 7))
 
 
+def test_change_rate_past_the_float_range_is_infinite():
+    # counts may hold 640 digits, so their quotient can pass the float range
+    assert change_rate(1, 10**400) == math.inf
+    assert change_rate(1, int("9" * 640)) == math.inf
+    assert change_rate(10**400, 1) == -1.0
+
+
 # ---------------------------------------------------------------------------
 # density series
 # ---------------------------------------------------------------------------
@@ -113,6 +120,21 @@ def test_uniform_scaling_behaviour():
             assert ls.delta_rho == pytest.approx(b.delta_rho, abs=1e-12)
             assert bs.delta_rho == pytest.approx(b.delta_rho, abs=1e-12)
             assert ls.delta_lloc == pytest.approx(b.delta_lloc, abs=1e-12)
+
+
+def test_a_version_exactly_on_a_threshold_flags_it():
+    # counts 100 -> 150 at constant size is exactly +50%; at lloc 7 the two
+    # rounded densities give a ratio just under 1.5
+    assert (150 / 7) / (100 / 7) - 1 < 0.5
+    series = density_series(make_history([100, 150], [7, 7]))
+    assert series[1].delta_rho == 0.5
+    assert [(f.version_id, f.kind) for f in flag_anomalies(series)] == [("v2", "increase_50")]
+
+
+def test_a_density_rise_past_the_float_range_is_infinite():
+    series = density_series(make_history([1, 1], [10**400, 1]))
+    assert (series[1].delta_cs, series[1].delta_lloc, series[1].delta_rho) == (0.0, -1.0, math.inf)
+    assert [f.kind for f in flag_anomalies(series)] == ["increase_100"]
 
 
 def test_smells_appearing_from_zero():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import builtins
 import contextlib
 import csv
@@ -28,7 +29,7 @@ from smellsurv.cli import (
     main,
 )
 from smellsurv import cli, survival
-from smellsurv.errors import SmellSurvError
+from smellsurv.errors import ConfigError, SmellSurvError
 from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
 from smellsurv.tracking import assign_timeframes, split_instant
@@ -452,6 +453,34 @@ def test_gate_triapp_passes():
     assert main(["gate", "--manifest", str(TRIAPP / "manifest.csv")]) == EXIT_OK
 
 
+def test_a_count_ratio_past_the_float_range_is_an_infinite_rate(tmp_path, capsys):
+    # lloc falls from 10**400 to 1 at one smell, so the density rises past the
+    # float range, and so does loc, from 1 to a 401-digit count
+    for i in range(2):
+        write_model(tmp_path / f"m{i}.json", 1)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "app,version,timestamp,report_path,lloc,loc\n"
+        f"demo,1.0,2020-01-01,m0.json,{10**400},1\n"
+        f"demo,2.0,2020-02-01,m1.json,1,{9 * 10**400}\n"
+    )
+    assert main(["gate", "--manifest", str(manifest)]) == EXIT_GATE_FAILED
+    assert capsys.readouterr().out == "demo 2.0: delta_rho=inf [FAIL] increase_100\n"
+    out = tmp_path / "out"
+    assert main(["analyze", "--manifest", str(manifest), "--formats", "csv,json,svg", "--out", str(out)]) == EXIT_OK
+    density = [{k: row[k] for k in ("rho", "delta_cs", "delta_lloc", "delta_rho")} for row in read_csv(out / "demo" / "density.csv")]
+    assert density == [
+        {"rho": "0", "delta_cs": "", "delta_lloc": "", "delta_rho": ""},
+        {"rho": "1", "delta_cs": "0", "delta_lloc": "-1", "delta_rho": "inf"},
+    ]
+    bundle = json.loads((out / "demo" / "bundle.json").read_text())
+    assert bundle["metric_change_rates"] == {"d_lloc": -1.0, "d_loc": "inf", "d_classes": None}
+    assert [(f["kind"], f["delta_rho"]) for f in bundle["anomaly_flags"]] == [("increase_100", "inf")]
+    svg = (out / "demo" / "density.svg").read_text()
+    ET.fromstring(svg)
+    assert "nan" not in svg
+
+
 def test_analyze_and_gate_leave_no_cycle_of_smellsurv_code(tmp_path, capsys):
     # argparse's parsers and json's encoder closures make cycles of their own
     with cyclic_garbage() as garbage:
@@ -833,35 +862,62 @@ def test_unknown_format_rejected(tmp_path, capsys):
 
 THRESHOLD_ORDER = "thresholds must satisfy down < 0 < up <= up2, got"
 THRESHOLD_FINITE = "thresholds must be finite, got"
+MANIFEST = ["--manifest", str(TRIAPP / "manifest.csv")]
+
+
+def argparse_message(argv: list[str]) -> str:
+    """What a stock argparse parser with smellsurv's subcommands says of argv;
+    Python versions list a subcommand's choices differently."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    sub = parser.add_subparsers(dest="command")
+    for name in ("detect", "analyze", "gate"):
+        sub.add_parser(name)
+    with pytest.raises(argparse.ArgumentError) as info:
+        parser.parse_args(argv)
+    return str(info.value)
 
 
 @pytest.mark.parametrize(
-    "command, flag, message",
+    "argv, message",
     [
-        ("analyze", "--formats=pdf", "unknown output formats: pdf"),
-        ("analyze", "--formats=", "at least one output format is required"),
-        ("analyze", "--gap-tolerance=-1", "gap_tolerance must be >= 0, got -1"),
-        ("analyze", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
-        ("analyze", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
-        ("analyze", "--up=1.5", f"{THRESHOLD_ORDER} -0.5, 1.5, 1.0"),
-        ("analyze", "--down=0.1", f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
-        ("gate", "--up=-0.1", f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
-        ("gate", "--up2=0.4", f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
-        ("gate", "--down=0.1", f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
-        ("analyze", "--up2=inf", f"{THRESHOLD_FINITE} -0.5, 0.5, inf"),
-        ("analyze", "--down=-inf", f"{THRESHOLD_FINITE} -inf, 0.5, 1.0"),
-        ("gate", "--up2=inf", f"{THRESHOLD_FINITE} -0.5, 0.5, inf"),
-        ("gate", "--down=-inf", f"{THRESHOLD_FINITE} -inf, 0.5, 1.0"),
+        (["analyze", *MANIFEST, "--formats=pdf"], "unknown output formats: pdf"),
+        (["analyze", *MANIFEST, "--formats="], "at least one output format is required"),
+        (["analyze", *MANIFEST, "--gap-tolerance=-1"], "gap_tolerance must be >= 0, got -1"),
+        (["analyze", *MANIFEST, "--up=-0.1"], f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
+        (["analyze", *MANIFEST, "--up2=0.4"], f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
+        (["analyze", *MANIFEST, "--up=1.5"], f"{THRESHOLD_ORDER} -0.5, 1.5, 1.0"),
+        (["analyze", *MANIFEST, "--down=0.1"], f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
+        (["gate", *MANIFEST, "--up=-0.1"], f"{THRESHOLD_ORDER} -0.5, -0.1, 1.0"),
+        (["gate", *MANIFEST, "--up2=0.4"], f"{THRESHOLD_ORDER} -0.5, 0.5, 0.4"),
+        (["gate", *MANIFEST, "--down=0.1"], f"{THRESHOLD_ORDER} 0.1, 0.5, 1.0"),
+        (["analyze", *MANIFEST, "--up2=inf"], f"{THRESHOLD_FINITE} -0.5, 0.5, inf"),
+        (["analyze", *MANIFEST, "--down=-inf"], f"{THRESHOLD_FINITE} -inf, 0.5, 1.0"),
+        (["gate", *MANIFEST, "--up2=inf"], f"{THRESHOLD_FINITE} -0.5, 0.5, inf"),
+        (["gate", *MANIFEST, "--down=-inf"], f"{THRESHOLD_FINITE} -inf, 0.5, 1.0"),
+        # usage errors, which argparse would exit 2 on
+        (["analyze"], "the following arguments are required: --manifest"),
+        (["gate"], "the following arguments are required: --manifest"),
+        (["gate", *MANIFEST, "--bogus"], "unrecognized arguments: --bogus"),
+        (["analyze", *MANIFEST, "--up", "x"], "argument --up: invalid float value: 'x'"),
+        (["nope"], argparse_message(["nope"])),
     ],
 )
-def test_a_bad_argument_value_is_a_config_error(tmp_path, capsys, command, flag, message):
+def test_a_bad_argument_value_is_a_config_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    args = [command, "--manifest", str(TRIAPP / "manifest.csv"), flag] + (["--out", str(out)] if command == "analyze" else [])
+    args = argv + (["--out", str(out)] if argv[0] == "analyze" else [])
     assert main(args) == EXIT_ERROR
     captured = capsys.readouterr()
     assert json.loads(captured.err) == {"error": "ConfigError", "message": message}
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_a_negative_threshold_in_exponent_form_is_read_after_an_equals_sign(capsys):
+    # argparse reads -1e-1 after a flag as a flag, so the refusal names the form it reads
+    assert main(["gate", *MANIFEST, "--down", "-1e-1"]) == EXIT_ERROR
+    message = "argument --down: expected one argument; write a value that starts with - as --down=<value>"
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+    assert cli.build_parser().parse_args(["gate", *MANIFEST, "--down=-1e-1"]).down == -0.1
 
 
 def test_analyze_history_without_any_smells(tmp_path):
@@ -963,8 +1019,11 @@ def test_analyze_and_gate_parse_the_shared_flags_alike():
             assert [args[name] for name in shared] == expected
     assert parser.parse_args(["detect", "--code-model", "c", "--version-id", "1", "--rules", "r.json"]).rules == "r.json"
     for command in ("analyze", "gate"):
-        with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(ConfigError, match="^the following arguments are required: --manifest$"):
             parser.parse_args([command])  # --manifest is required by both
+        with pytest.raises(SystemExit) as help_exit, contextlib.redirect_stdout(io.StringIO()):
+            main([command, "-h"])
+        assert help_exit.value.code == EXIT_OK
 
 
 def test_csv_only_format_skips_json_and_svg(tmp_path):
@@ -1184,10 +1243,11 @@ def test_a_nul_byte_in_a_path_flag_is_a_typed_error_naming_the_path(tmp_path, ca
 
 
 # cells and bytes that have broken a manifest reader: quoting, NUL, CR/LF, a
-# BOM, bytes that are not UTF-8, over-long fields and numbers, missing or odd
-# report paths, and timestamps out of range
+# BOM, bytes that are not UTF-8, over-long fields and numbers, counts whose
+# ratio passes the float range, missing or odd report paths, and timestamps
+# out of range
 ODD_CELLS = [
-    "", " ", "nope", "0", "-1", "1.5", "9" * 5000, "x" * 131_073, "1.0", "missing.json", ".", "..", "/",
+    "", " ", "nope", "0", "-1", "1.5", "9" * 5000, "9" * 640, "1" + "0" * 400, "x" * 131_073, "1.0", "missing.json", ".", "..", "/",
     "a/b", "manifest.csv", "2020-01-01", "2020-02-30", "0001-01-01T00:00+01:00", "9999-12-31T23:59-01:00",
     '"a,b"', '"a""b"', '"open', 'a"b', '"a\nb"', "\0", "\ufeff", "é",
 ]
@@ -1350,6 +1410,43 @@ def test_failing_detect_removes_the_out_directories_it_created(tmp_path, monkeyp
         "error": "OutputError", "message": f"cannot write under --out {out}: no space left on device",
     }
     assert not (tmp_path / "new").exists()
+
+
+def test_out_is_named_as_written_and_its_created_parents_are_removed_on_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    manifest = str(TRIAPP / "manifest.csv")
+    assert main(["analyze", "--manifest", manifest, "--formats", "json", "--out", "./o//x/"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" -> ")[1] for line in lines] == ["./o//x/alpha", "./o//x/beta", "./o//x/gamma"]
+    assert sorted(os.listdir("o/x")) == ["alpha", "beta", "gamma"]
+
+    def failing(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", failing)
+    out = "new//./deeper/../x/"
+    assert main(["analyze", "--manifest", manifest, "--formats", "json", "--out", out]) == EXIT_ERROR
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "OutputError", "message": f"cannot write under --out {out}: no space left on device",
+    }
+    assert sorted(os.listdir(tmp_path)) == ["o"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect"])
+def test_an_empty_out_is_refused_and_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    # "" names no directory; it is not read as the working directory
+    monkeypatch.chdir(tmp_path)
+    args = {
+        "analyze": ["--manifest", str(TRIAPP / "manifest.csv")],
+        "detect": ["--code-model", str(TRIAPP / "models" / "beta-0.9.json"), "--version-id", "0.9"],
+    }[command]
+    assert main([command, *args, "--out", ""]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {
+        "error": "OutputError", "message": "cannot write under --out : [Errno 2] No such file or directory: ''",
+    }
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
 
 
 def fail_once_moving_into(monkeypatch, target: Path) -> None:
@@ -1647,6 +1744,14 @@ def test_importing_the_cli_pulls_in_no_network_modules():
     # these cost about 30 ms of start-up on every command, gate included;
     # xml.sax.saxutils is one module that pulls them in
     code = "import sys, smellsurv.cli; print(sorted({'urllib.request', 'http.client', 'email'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def test_importing_the_cli_pulls_in_no_pathlib():
+    # every path is a str named as written; pathlib would also load urllib.parse
+    code = "import sys, smellsurv.cli; print(sorted({'pathlib', 'urllib.parse'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

@@ -61,7 +61,7 @@ def test_bundle_written_one_format_per_call_matches_golden(tmp_path, monkeypatch
 
     def one_format_per_call(bundle, out_dir, formats):
         paths = [path for fmt in FORMATS if fmt in formats for path in write_bundle(bundle, out_dir, {fmt})]
-        written.extend(f"{path.parent.name}/{path.name}" for path in paths)
+        written.extend(os.path.relpath(path, out_dir) for path in paths)
         return paths
 
     monkeypatch.setattr(cli, "write_bundle", one_format_per_call)

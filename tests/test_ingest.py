@@ -549,7 +549,14 @@ def test_an_absolute_report_path_is_read_as_written(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "workdir, manifest, named", [("", "sub/m.csv", "sub/missing.xml"), ("sub", "m.csv", "missing.xml")]
+    "workdir, manifest, named",
+    [
+        ("", "sub/m.csv", "sub/missing.xml"),
+        ("sub", "m.csv", "missing.xml"),
+        # as written: neither the manifest's part nor the cell's is normalized
+        ("sub", "./m.csv", "./missing.xml"),
+        ("", "./sub//./m.csv", "./sub//./missing.xml"),
+    ],
 )
 def test_a_relative_manifest_names_its_reports_relative_to_the_working_directory(
     tmp_path, monkeypatch, workdir, manifest, named
@@ -560,6 +567,12 @@ def test_a_relative_manifest_names_its_reports_relative_to_the_working_directory
     with pytest.raises(ManifestError) as exc_info:
         load_manifests(manifest, default_ruleset())
     assert (str(exc_info.value), exc_info.value.row) == (f"report file {named} unreadable: No such file or directory", 2)
+
+
+def test_an_empty_manifest_path_names_no_file():
+    with pytest.raises(ManifestError) as exc_info:
+        load_manifests("", default_ruleset())
+    assert str(exc_info.value) == "manifest  unreadable: No such file or directory"
 
 
 def test_a_report_path_ending_in_a_slash_names_a_directory_and_is_refused_with_its_row(tmp_path):
