@@ -24,7 +24,7 @@ import tempfile
 from contextlib import contextmanager
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
-from .errors import ConfigError, ManifestError, OutputError, SmellSurvError
+from .errors import ConfigError, ManifestError, OutputError, SmellSurvError, read_input
 from .ingest import load_manifests
 from .report import (
     BUNDLE_FILES,
@@ -54,13 +54,16 @@ def _error_record(exc: SmellSurvError) -> str:
 
 def _say(line: str) -> None:
     """Print line to stdout; a character stdout cannot encode (a byte of --out
-    that is not UTF-8, under a strict encoder) is written as its escape, since
-    the line may come after the bundles are published."""
+    that is not UTF-8, under a strict encoder) is written as its escape, and a
+    closed stdout drops this line and every later one, since the line may come
+    after the bundles are published and the exit code must stand."""
     try:
-        print(line)
+        print(line, flush=True)
     except UnicodeEncodeError:
         encoding = sys.stdout.encoding
-        print(line.encode(encoding, "backslashreplace").decode(encoding))
+        _say(line.encode(encoding, "backslashreplace").decode(encoding))
+    except BrokenPipeError:  # fd 1 becomes the null device, so the flush at exit finds no pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _parse_formats(raw: str, allowed: tuple[str, ...]) -> set[str]:
@@ -74,7 +77,7 @@ def _parse_formats(raw: str, allowed: tuple[str, ...]) -> set[str]:
 
 
 def _ruleset(args) -> list:
-    return load_ruleset(args.rules) if args.rules else default_ruleset()
+    return default_ruleset() if args.rules is None else load_ruleset(args.rules)
 
 
 def _thresholds(args) -> AnomalyThresholds:
@@ -141,7 +144,8 @@ def cmd_detect(args) -> int:
         args.version_id.encode("utf-8")
     except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 arrive as lone surrogates
         raise ConfigError(f"--version-id {args.version_id!r} is not UTF-8 text") from exc
-    occurrences = evaluate_rules(load_code_model(args.code_model), _ruleset(args))
+    model = load_code_model(args.code_model, read_input(args.code_model, "code model", ConfigError))
+    occurrences = evaluate_rules(model, _ruleset(args))
     with _publishing(args.out) as staging:
         write_occurrences(args.version_id, occurrences, staging, formats)
     _say(f"{args.version_id}: {len(occurrences)} occurrences -> {args.out}")

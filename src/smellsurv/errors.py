@@ -23,11 +23,11 @@ class SmellSurvError(Exception):
 
 
 class ConfigError(SmellSurvError):
-    """Bad configuration: an unreadable or malformed rules file or code
-    model (a lone surrogate in an entity's strings included), an unknown rule
-    id, a non-positive threshold, an unknown output format, a negative gap
-    tolerance, thresholds out of order, a ``--version-id`` UTF-8 cannot
-    encode, a usage error argparse reports."""
+    """Bad configuration: an unreadable rules file or ``--code-model``, a
+    malformed rules file or code model (a lone surrogate in an entity's
+    strings included), an unknown rule id, a non-positive threshold, an
+    unknown output format, a negative gap tolerance, thresholds out of order,
+    a ``--version-id`` UTF-8 cannot encode, a usage error argparse reports."""
 
 
 class ReportParseError(SmellSurvError):
@@ -35,7 +35,7 @@ class ReportParseError(SmellSurvError):
 
 
 class ManifestError(SmellSurvError):
-    """A manifest row is invalid."""
+    """A manifest or one of its rows is invalid, or a report a row names cannot be read."""
 
 
 class OutputError(SmellSurvError):

@@ -26,7 +26,6 @@ from .rules import (
     Occurrence,
     SmellRule,
     _RULE_ORDER,
-    _code_model_entities,
     evaluate_rules,
     load_code_model,
     normalize_path,
@@ -312,21 +311,18 @@ def _snapshot_from_row(
     """Read and key one checked row's report, through the run's name and key
     tables; every error carries the row.
 
-    The extension picks the flavor: .xml is PMD XML, .json a code model that
-    goes through the rules; anything else is sniffed by its first non-blank
-    byte.
+    The report is read once; its extension picks the flavor: .xml is PMD XML,
+    .json a code model that goes through the rules, and anything else is PMD
+    XML if its first non-blank byte is "<", else a code model.
     """
     path = entry.report_path
     suffix = os.path.splitext(path)[1].lower()
     try:
-        if suffix == ".json":
-            occurrences = evaluate_rules(load_code_model(path, strip_prefix), rules)
+        data = read_input(path, "report file", ManifestError)
+        if suffix == ".xml" or suffix != ".json" and data.lstrip()[:1] == b"<":
+            occurrences = parse_pmd_report(data, strip_prefix, names).occurrences
         else:
-            data = read_input(path, "report file", ManifestError)
-            if suffix == ".xml" or data.lstrip()[:1] == b"<":
-                occurrences = parse_pmd_report(data, strip_prefix, names).occurrences
-            else:
-                occurrences = evaluate_rules(_code_model_entities(data, path, strip_prefix), rules)
+            occurrences = evaluate_rules(load_code_model(path, data, strip_prefix), rules)
     except ReportParseError as exc:  # only the PMD parser raises one
         raise ReportParseError(f"PMD report {path}: {exc}", row=entry.row, byte_offset=exc.byte_offset) from exc
     except SmellSurvError as exc:

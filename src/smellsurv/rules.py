@@ -173,18 +173,13 @@ def evaluate_rules(
     return [(RULES[order], file, entity_path) for file, entity_path, order in fired]
 
 
-def load_code_model(path: str, strip_prefix: str | None = None) -> list[CodeEntity]:
-    """Read a code-model JSON file: a list of entity objects, or {"entities": [...]}.
+def load_code_model(path: str, data: bytes, strip_prefix: str | None = None) -> list[CodeEntity]:
+    """Decode the code model read from path as data: a list of entity objects, or {"entities": [...]}.
 
     Each entity object needs "kind" and the strings "name" and "file"; the
     string "parent" and the metric fields, JSON integers >= 0 and below
     10**COUNT_DIGITS, are optional. File names are normalized as read.
     """
-    return _code_model_entities(read_input(path, "code model", ConfigError), path, strip_prefix)
-
-
-def _code_model_entities(data: bytes, path: str, strip_prefix: str | None = None) -> list[CodeEntity]:
-    """Entities of a code model already read as bytes; errors name path."""
     # after a strict decode only a \u escape makes a lone surrogate, and only an escape a "\"; memchr finds it
     escaped = b"\\" in data
     renames = escaped or strip_prefix  # else no file name can change

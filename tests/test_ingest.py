@@ -582,9 +582,11 @@ def test_a_report_path_ending_in_a_slash_names_a_directory_and_is_refused_with_i
     assert (str(exc_info.value), exc_info.value.row) == (f"report file {tmp_path}/r1.xml/ unreadable: Not a directory", 3)
 
 
-def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
-    # a .json report is read once, by the code-model loader, not also as bytes
-    reads = []
+@pytest.mark.parametrize("name, flavor", [("r.json", "model"), ("r.xml", "pmd"), ("r", "model"), ("r", "pmd")])
+def test_every_report_is_checked_once_and_read_once_by_ingest(tmp_path, monkeypatch, name, flavor):
+    # the row check stats a report and ingest reads it, whatever its flavor;
+    # a code model's bytes then go to the code-model decoder, which opens nothing
+    reads, decoded = [], []
 
     def recording(module):
         def read_input(path, what, error, read=True):
@@ -594,29 +596,28 @@ def test_code_model_report_path_goes_through_rules(tmp_path, monkeypatch):
         original = module.read_input
         monkeypatch.setattr(module, "read_input", read_input)
 
+    def load_code_model(path, *args):
+        decoded.append(Path(path).name)
+        return decode(path, *args)
+
     recording(smellsurv.ingest)
     recording(smellsurv.rules)
-    (tmp_path / "m1.json").write_text(json.dumps([
-        {"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150},
-    ]))
-    (tmp_path / "m2.json").write_text(json.dumps([]))
-    manifest = textwrap.dedent(
-        """\
-        app,version,timestamp,report_path,lloc
-        demo,1.0,2020-01-01,m1.json,4000
-        demo,2.0,2020-06-01,m2.json,4100
-        """
+    decode = smellsurv.ingest.load_code_model
+    monkeypatch.setattr(smellsurv.ingest, "load_code_model", load_code_model)
+    (tmp_path / name).write_text(
+        json.dumps([{"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150}])
+        if flavor == "model"
+        else pmd('<file name="a.php"><violation beginline="5" endline="155" rule="ExcessiveMethodLength"'
+                 ' class="A" method="m"/></file>')
     )
-    history = load_manifest(manifest, base_dir=tmp_path)
-    assert [len(s.keys) for s in history.snapshots] == [1, 0]
-    assert history.snapshots[0].keys[0].rule == "ExcessiveMethodLength"
+    history = load_manifest(f"app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,{name},4000\n", tmp_path)
+    assert [key[:3] for key in history.snapshots[0].keys] == [("ExcessiveMethodLength", "a.php", "A/m")]
     assert reads == [
         ("smellsurv.ingest", "manifest.csv", True),
-        ("smellsurv.ingest", "m1.json", False),
-        ("smellsurv.ingest", "m2.json", False),
-        ("smellsurv.rules", "m1.json", True),
-        ("smellsurv.rules", "m2.json", True),
+        ("smellsurv.ingest", name, False),
+        ("smellsurv.ingest", name, True),
     ]
+    assert decoded == ([name] if flavor == "model" else [])
 
 
 CODE_MODEL_FILES = ["/work/a.php", "\\work\\a.php", "/work\\a.php", "a.php", "b.php"]

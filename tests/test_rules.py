@@ -187,7 +187,7 @@ def test_load_code_model(tmp_path):
             {"kind": "class", "name": "A", "file": "a.php", "loc": 900},
         ]
     }))
-    entities = load_code_model(path)
+    entities = load_code_model(path, path.read_bytes())
     assert len(entities) == 2
     occurrences = evaluate_rules(entities, DEFAULTS)
     assert [rule for rule, _, _ in occurrences] == ["ExcessiveMethodLength"]
@@ -196,13 +196,13 @@ def test_load_code_model(tmp_path):
 def test_load_code_model_bare_list_and_errors(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps([{"kind": "function", "name": "f", "file": "b.php", "parameter_count": 3}]))
-    assert len(load_code_model(path)) == 1
+    assert len(load_code_model(path, path.read_bytes())) == 1
     path.write_text(json.dumps({"nope": 1}))
     with pytest.raises(ConfigError):
-        load_code_model(path)
+        load_code_model(path, path.read_bytes())
     path.write_text(json.dumps([{"kind": "method", "file": "b.php"}]))
     with pytest.raises(ConfigError, match="entity #0"):
-        load_code_model(path)
+        load_code_model(path, path.read_bytes())
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
@@ -211,12 +211,12 @@ def test_a_metric_is_below_10_to_the_640(tmp_path):
     # reads 5,000 digits and the bound refuses them without echoing them
     path = tmp_path / "model.json"
     path.write_text(json.dumps([{"kind": "class", "name": "A", "file": "a.php", "coupling": 10**640 - 1}]))
-    assert load_code_model(path)[0].coupling == 10**640 - 1
+    assert load_code_model(path, path.read_bytes())[0].coupling == 10**640 - 1
     message = f"code model {path}: entity #0: coupling must be a JSON integer >= 0 and < 10**640, got "
     for coupling in (b"-1", b"1" + b"0" * 640, b"-" + b"9" * 641, b"9" * 5000):
         path.write_bytes(b'[{"kind": "class", "name": "A", "file": "a.php", "coupling": ' + coupling + b"}]")
         with int_digit_limit(0), pytest.raises(ConfigError) as info:
-            load_code_model(path)
+            load_code_model(path, path.read_bytes())
         assert str(info.value) == message + ("-1" if coupling == b"-1" else "more than 640 digits")
 
 
@@ -226,8 +226,8 @@ def test_each_file_name_is_normalized_as_it_is_read(tmp_path):
     path = tmp_path / "model.json"
     files = ["pre/a.php", "pre/pre/a.php", "src\\b.php", "pre\\c.php", "pre/a.php"]
     path.write_text(json.dumps([{"kind": "class", "name": "A", "file": file} for file in files]))
-    assert [e.file for e in load_code_model(path)] == ["pre/a.php", "pre/pre/a.php", "src/b.php", "pre/c.php", "pre/a.php"]
-    assert [e.file for e in load_code_model(path, "pre")] == ["a.php", "pre/a.php", "src/b.php", "c.php", "a.php"]
+    assert [e.file for e in load_code_model(path, path.read_bytes())] == ["pre/a.php", "pre/pre/a.php", "src/b.php", "pre/c.php", "pre/a.php"]
+    assert [e.file for e in load_code_model(path, path.read_bytes(), "pre")] == ["a.php", "pre/a.php", "src/b.php", "c.php", "a.php"]
 
 
 ENTITY = {
@@ -262,12 +262,12 @@ def test_entity_fields_of_any_json_type_load_or_raise_config_error(tmp_path_fact
     bad = [i for i, mutation in enumerate(mutations) if not _loads(mutation)]
     if bad:
         with pytest.raises(ConfigError) as info:
-            load_code_model(path)
+            load_code_model(path, path.read_bytes())
         assert f"{path}: entity #{bad[0]}" in str(info.value)
         return
     # what loads is well typed: it evaluates and sorts without error, and each
     # entity is a method over both the length and the parameter threshold
-    entities = load_code_model(path)
+    entities = load_code_model(path, path.read_bytes())
     assert len(evaluate_rules(entities, DEFAULTS)) == 2 * len(entities)
 
 
@@ -276,7 +276,7 @@ def test_an_entity_that_is_not_an_object_is_a_config_error_naming_it(tmp_path, e
     path = tmp_path / "model.json"
     path.write_text(json.dumps(entities))
     with pytest.raises(ConfigError) as info:
-        load_code_model(path)
+        load_code_model(path, path.read_bytes())
     assert str(info.value) == f"code model {path}: entity #{bad} is not an object"
 
 
