@@ -205,8 +205,9 @@ def parse_pmd_report(
         f"external entity {system_id!r} is not read"
     )
     try:
-        parser.Parse(document, False)
-        parser.Parse(b"", True)
+        # one final call: after a non-final one expat walks the whole buffer again
+        # to count lines and columns; a final call counts them only when asked
+        parser.Parse(document, True)
     except expat.ExpatError as exc:
         # expat gives -1 for an empty document, where there is no byte to point at
         raise _malformed(max(parser.ErrorByteIndex, 0), exc.lineno, exc.offset, str(exc)) from None
@@ -313,13 +314,14 @@ def _snapshot_from_row(
 
     The report is read once; its extension picks the flavor: .xml is PMD XML,
     .json a code model that goes through the rules, and anything else is PMD
-    XML if its first non-blank byte is "<", else a code model.
+    XML if its first non-blank byte after one UTF-8 byte order mark is "<",
+    else a code model.
     """
     path = entry.report_path
     suffix = os.path.splitext(path)[1].lower()
     try:
         data = read_input(path, "report file", ManifestError)
-        if suffix == ".xml" or suffix != ".json" and data.lstrip()[:1] == b"<":
+        if suffix == ".xml" or suffix != ".json" and data.removeprefix(b"\xef\xbb\xbf").lstrip()[:1] == b"<":
             occurrences = parse_pmd_report(data, strip_prefix, names).occurrences
         else:
             occurrences = evaluate_rules(load_code_model(path, data, strip_prefix), rules)

@@ -6,7 +6,8 @@ Runs ``python -m smellsurv.cli`` under this interpreter: ``analyze
 --formats csv,json,svg`` over each ANALYZE_GOLDENS manifest with its
 options, and ``detect --formats csv,json`` over each triapp code model.
 Each output is compared byte for byte with its golden under tests/data.
-Prints one line per difference and exits 1 if there is any, else exits 0.
+Prints one line per difference, then a summary that names the interpreter
+and the expat it bundles, and exits 1 if there is any difference, else 0.
 It needs only the standard library, so it runs on an interpreter without
 pytest.
 """
@@ -14,6 +15,7 @@ pytest.
 from __future__ import annotations
 
 import os
+import pyexpat
 import subprocess
 import sys
 import tempfile
@@ -67,7 +69,7 @@ def main() -> int:
             failures += _differences(args, work / "detect" / model.stem, DATA / "detect_golden" / model.stem)
     for failure in failures:
         print(f"differs: {failure}")
-    version = sys.version.split()[0]
+    version = f"{sys.version.split()[0]} ({pyexpat.EXPAT_VERSION})"
     print(f"Python {version}: {len(ANALYZE_GOLDENS)} bundles, {len(models)} detect outputs, {len(failures)} differ")
     return 1 if failures else 0
 

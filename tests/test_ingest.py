@@ -3,8 +3,10 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import re
 import tempfile
 import textwrap
+import xml.etree.ElementTree as ET
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -359,7 +361,14 @@ def _outcome(parse):
     try:
         occurrences, skipped = parse()
     except ReportParseError as exc:
-        return "ReportParseError", exc.byte_offset
+        # the parser names expat's position in its message, and the oracle keeps
+        # ElementTree's error as the cause; an error with no position has None
+        if isinstance(exc.__cause__, ET.ParseError):
+            position = exc.__cause__.position
+        else:
+            named = re.search(r"\(line ([0-9]+), column ([0-9]+)\)", str(exc))
+            position = named and (int(named[1]), int(named[2]))
+        return "ReportParseError", exc.byte_offset, position
     return occurrences, dict(skipped)
 
 
@@ -429,6 +438,31 @@ def test_one_name_table_and_one_key_table_shared_by_many_reports_change_no_parse
         for key in keys:
             assert type(key) is InstanceKey
             assert first.setdefault(key, key) is key
+
+
+def test_a_report_goes_to_expat_once_as_its_final_buffer(monkeypatch):
+    # a non-final call makes expat walk the whole buffer a second time, to count lines
+    calls = []
+    create = smellsurv.ingest.expat.ParserCreate
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            object.__setattr__(self, "parser", create(*args, **kwargs))
+
+        def __getattr__(self, name):
+            return getattr(self.parser, name)
+
+        def __setattr__(self, name, value):
+            setattr(self.parser, name, value)
+
+        def Parse(self, data, final=False):
+            calls.append((len(data), final))
+            return self.parser.Parse(data, final)
+
+    monkeypatch.setattr(smellsurv.ingest.expat, "ParserCreate", Recording)
+    document = (Path(__file__).parent / "data" / "triapp" / "reports" / "alpha-2.1.xml").read_bytes()
+    assert parse_pmd_report(document).occurrences
+    assert calls == [(len(document), True)]
 
 
 def test_a_parsed_report_leaves_nothing_to_the_cyclic_gc():
@@ -701,6 +735,25 @@ def test_extensionless_code_model_error_names_the_path(tmp_path):
     with pytest.raises(ConfigError) as exc_info:
         load_manifest(manifest, base_dir=tmp_path)
     assert str(tmp_path / "model") in str(exc_info.value)
+
+
+@pytest.mark.parametrize("name", ["report", "report.xml"])
+def test_a_pmd_report_that_starts_with_a_byte_order_mark_is_read_as_pmd_with_or_without_an_extension(tmp_path, name):
+    report = pmd('<file name="a.php"><violation beginline="5" endline="155" rule="ExcessiveMethodLength"'
+                 ' class="A" method="m"/></file>')
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + report.encode())
+    history = load_manifest(f"app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,{name},4000\n", tmp_path)
+    assert [key[:3] for key in history.snapshots[0].keys] == [("ExcessiveMethodLength", "a.php", "A/m")]
+
+
+@pytest.mark.parametrize("name", ["model", "model.json"])
+def test_a_code_model_that_starts_with_a_byte_order_mark_stays_refused(tmp_path, name):
+    model = json.dumps([{"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150}])
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + model.encode())
+    manifest = f"app,version,timestamp,report_path,lloc\ndemo,1.0,2020-01-01,{name},4000\n"
+    with pytest.raises(ConfigError, match="code model .*BOM") as exc_info:
+        load_manifest(manifest, base_dir=tmp_path)
+    assert exc_info.value.row == 2
 
 
 def test_multi_app_manifest(tmp_path):
