@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import shutil
 import sys
-import tempfile
 from contextlib import contextmanager
 
 from .anomaly import AnomalyThresholds, density_series, flag_anomalies
@@ -44,6 +42,7 @@ EXIT_INSUFFICIENT_HISTORY = 3
 
 
 def _error_record(exc: SmellSurvError) -> str:
+    import json  # only a failed run writes a record
     doc: dict = {"error": type(exc).__name__, "message": str(exc)}
     if exc.row is not None:
         doc["row"] = exc.row
@@ -63,7 +62,9 @@ def _say(line: str) -> None:
         encoding = sys.stdout.encoding
         _say(line.encode(encoding, "backslashreplace").decode(encoding))
     except BrokenPipeError:  # fd 1 becomes the null device, so the flush at exit finds no pipe either
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _parse_formats(raw: str, allowed: tuple[str, ...]) -> set[str]:
@@ -98,6 +99,7 @@ def _publishing(out_dir: str):
     so a failed run leaves out_dir as it was (or absent, with the parents
     this created). Any OSError or ValueError (an empty out_dir, a NUL byte,
     text utf-8 cannot encode) becomes an OutputError naming out_dir."""
+    import tempfile  # gate writes no file, so it never loads it
     try:
         top, parent = "", out_dir  # the highest directory this creates, as written
         while parent and not os.path.exists(parent):

@@ -17,7 +17,6 @@ from collections.abc import Iterator
 from datetime import datetime, timezone
 from functools import partial
 from typing import NamedTuple
-from xml.parsers import expat
 
 from .errors import ManifestError, ReportParseError, SmellSurvError, read_input
 from .rules import (
@@ -132,6 +131,7 @@ def parse_pmd_report(
     itself and a (package, class, method, function) attribute tuple to its
     path.
     """
+    from xml.parsers import expat  # only a run that reads a PMD report loads it
     names = {} if names is None else names
     intern, joined = names.setdefault, names.get
     rules = _RULE_ORDER

@@ -8,7 +8,6 @@ for day values, six significant digits for probabilities and rates).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from collections import Counter
@@ -16,7 +15,6 @@ from datetime import datetime
 from itertools import chain, islice, tee
 from typing import Iterable, Iterator, NamedTuple
 
-from . import svgplot
 from .anomaly import (
     AnomalyFlag,
     AnomalyThresholds,
@@ -122,10 +120,12 @@ def _csv_chunks(table: Table, size: int = 512) -> Iterator[str]:
 
 
 def _json_text(doc) -> str:
+    import json
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _json_line(doc) -> str:
+    import json
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
@@ -380,6 +380,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
         emit("bundle.json", [_bundle_json(bundle)])
 
     if "svg" in formats:
+        from . import svgplot  # only a run that draws charts loads it
         for c in comparisons:
             emit(f"km_{c.partition}.svg", svgplot.step_chart(c.curves, f"{bundle.app}: survival by {c.partition}"))
         origin = bundle.history.snapshots[0].timestamp

@@ -9,7 +9,6 @@ threshold are clean.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from .errors import ConfigError, read_input
@@ -67,6 +66,7 @@ def normalize_path(path: str, strip_prefix: str | None = None) -> str:
 
 def _json(data: bytes, what: str, path: str, parse_int=None):
     """The JSON document in data; a failure is a ConfigError naming what and path."""
+    import json  # a run on PMD reports alone never reads JSON
     try:
         return json.loads(data.decode("utf-8"), parse_int=parse_int)
     except UnicodeDecodeError as exc:

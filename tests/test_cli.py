@@ -1787,3 +1787,22 @@ def test_a_closed_stdout_drops_the_lines_and_keeps_the_exit_code(tmp_path, comma
     assert (result.returncode, result.stderr) == (code, b"")
     if command == "analyze":
         assert sorted(os.listdir(tmp_path / "out")) == ["alpha", "beta", "gamma"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count open descriptors")
+def test_a_closed_stdout_leaves_no_descriptor_open():
+    # the null device that replaces fd 1 is dup'ed there, and its own descriptor closed
+    code = (
+        "import os, sys; from smellsurv.cli import _say\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "_say('a'); _say('b')\n"
+        "print(len(os.listdir('/proc/self/fd')) - before, file=sys.stderr)\n"
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        result = subprocess.run([sys.executable, "-c", code], env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"0\n")

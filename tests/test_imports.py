@@ -10,8 +10,13 @@ A fact that two modules need has one owner: only rules.py names a scope,
 and only tracking.py compares a record's birth with the timeframe split.
 
 Every command pays for what the CLI imports, so the heavy modules it does not
-need are pinned out of it too. And every file in src/, tests/ and bench/
-compiles without a SyntaxWarning, such as an ``is`` against a literal.
+need are pinned out of it too. The pins cover each command's run, not only
+the import: a module that only some runs use is loaded by the function that
+runs it, so a PMD gate loads no JSON codec and no tempfile, a code-model
+analyze no expat, and only a chart run the chart module.
+
+And every file in src/, tests/ and bench/ compiles without a SyntaxWarning,
+such as an ``is`` against a literal.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+
+from conftest import write_no_smell_history
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
@@ -265,9 +272,40 @@ def test_the_check_finds_a_split_comparison():
     assert split_comparisons(source) == [1, 2, 4]
 
 
-def test_the_cli_imports_none_of_the_modules_it_does_not_need():
-    # one child for every pin; -S keeps site's own imports out, and a module
-    # the cli imports shows up with or without it
+def modules_after(tmp_path: Path, *args: str) -> set[str]:
+    """The modules a ``python -S`` child holds once it has imported the cli
+    and built its parser (no args) or run main(args) to an exit code 0 or 2
+    (a gate's verdict). -S keeps site's own imports out; a module the cli
+    loads shows up with or without it."""
+    code = (
+        "import sys, smellsurv.cli\n"
+        "smellsurv.cli.build_parser()\n"
+        "code = smellsurv.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        "print(code, *sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    code, *modules = result.stderr.splitlines()[-1].split()
+    assert code in ("0", "2"), result.stderr
+    return set(modules)
+
+
+def code_model_manifest(directory: Path) -> Path:
+    """App beta's three code-model versions, and no PMD report; returns the manifest."""
+    models = ROOT / "tests" / "data" / "triapp" / "models"
+    rows = ["app,version,timestamp,report_path,lloc"]
+    for version, date in (("0.9", "2019-06-01"), ("1.0", "2019-12-01"), ("1.1", "2020-06-01")):
+        (directory / f"beta-{version}.json").write_bytes((models / f"beta-{version}.json").read_bytes())
+        rows.append(f"beta,{version},{date},beta-{version}.json,8000")
+    manifest = directory / "models.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    return manifest
+
+
+def test_the_cli_imports_none_of_the_modules_it_does_not_need(tmp_path):
     unneeded = {
         # dataclasses pulls in inspect, ast and dis: about a fifth of a gate run
         "dataclasses", "inspect",
@@ -277,12 +315,29 @@ def test_the_cli_imports_none_of_the_modules_it_does_not_need():
         # every path is a str named as written; pathlib would also load urllib.parse
         "pathlib", "urllib.parse",
     }
-    code = "import sys, smellsurv.cli; print(*sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    # each of these is loaded by the one function that runs it, so a command
+    # pays only for what its input and formats need
+    deferred = {"json", "pyexpat", "tempfile", "smellsurv.svgplot"}
     # reports are read with expat alone; xml.etree and its ElementPath were
     # loaded on every command, gate and set-up included
-    assert sorted(m for m in result.stdout.split() if m in unneeded or m.startswith("xml.etree")) == []
+    setup = modules_after(tmp_path)
+    assert sorted(m for m in setup if m in unneeded | deferred or m.startswith("xml.etree")) == []
+
+    # a PMD gate reads XML and writes no JSON and no file
+    gate = modules_after(tmp_path, "gate", "--manifest", str(write_no_smell_history(tmp_path)))
+    assert sorted(gate & (unneeded | {"json", "tempfile", "smellsurv.svgplot"})) == []
+    assert "pyexpat" in gate
+
+    # a code-model analyze without charts reads no XML and draws nothing
+    manifest = str(code_model_manifest(tmp_path))
+    analyze = modules_after(tmp_path, "analyze", "--manifest", manifest, "--formats", "csv,json", "--out", "out")
+    assert sorted(analyze & (unneeded | {"pyexpat", "smellsurv.svgplot"})) == []
+    assert {"json", "tempfile"} <= analyze
+
+
+def test_a_run_that_draws_charts_loads_the_chart_module(tmp_path):
+    manifest = str(code_model_manifest(tmp_path))
+    assert "smellsurv.svgplot" in modules_after(tmp_path, "analyze", "--manifest", manifest, "--formats", "svg", "--out", "out")
 
 
 def compile_strictly(source: str, filename: str) -> None:

@@ -7,6 +7,7 @@ import re
 import tempfile
 import textwrap
 import xml.etree.ElementTree as ET
+import xml.parsers.expat
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -442,8 +443,9 @@ def test_one_name_table_and_one_key_table_shared_by_many_reports_change_no_parse
 
 def test_a_report_goes_to_expat_once_as_its_final_buffer(monkeypatch):
     # a non-final call makes expat walk the whole buffer a second time, to count lines
+    # parse_pmd_report imports expat when it runs, so the module object is patched
     calls = []
-    create = smellsurv.ingest.expat.ParserCreate
+    create = xml.parsers.expat.ParserCreate
 
     class Recording:
         def __init__(self, *args, **kwargs):
@@ -459,7 +461,7 @@ def test_a_report_goes_to_expat_once_as_its_final_buffer(monkeypatch):
             calls.append((len(data), final))
             return self.parser.Parse(data, final)
 
-    monkeypatch.setattr(smellsurv.ingest.expat, "ParserCreate", Recording)
+    monkeypatch.setattr(xml.parsers.expat, "ParserCreate", Recording)
     document = (Path(__file__).parent / "data" / "triapp" / "reports" / "alpha-2.1.xml").read_bytes()
     assert parse_pmd_report(document).occurrences
     assert calls == [(len(document), True)]
