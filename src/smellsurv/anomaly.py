@@ -89,6 +89,10 @@ class AnomalyFlag(NamedTuple):
     delta_rho: float
 
 
+# the kinds flag_anomalies assigns that fail a gate: both increases
+GATE_FAILING_KINDS = frozenset({"increase_50", "increase_100"})
+
+
 def flag_anomalies(
     series: list[DensityPoint],
     thresholds: AnomalyThresholds = AnomalyThresholds(),

@@ -21,7 +21,7 @@ import shutil
 import sys
 from contextlib import contextmanager
 
-from .anomaly import AnomalyThresholds, density_series, flag_anomalies
+from .anomaly import GATE_FAILING_KINDS, AnomalyThresholds, density_series, flag_anomalies
 from .errors import ConfigError, ManifestError, OutputError, SmellSurvError, read_input
 from .ingest import load_manifests
 from .report import (
@@ -32,7 +32,7 @@ from .report import (
     write_bundle,
     write_occurrences,
 )
-from .rules import default_ruleset, evaluate_rules, load_code_model, load_ruleset
+from .rules import default_ruleset, detect_smells, load_ruleset
 from .tracking import TrackingOptions
 
 EXIT_OK = 0
@@ -146,8 +146,8 @@ def cmd_detect(args) -> int:
         args.version_id.encode("utf-8")
     except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8 arrive as lone surrogates
         raise ConfigError(f"--version-id {args.version_id!r} is not UTF-8 text") from exc
-    model = load_code_model(args.code_model, read_input(args.code_model, "code model", ConfigError))
-    occurrences = evaluate_rules(model, _ruleset(args))
+    data = read_input(args.code_model, "code model", ConfigError)
+    occurrences = detect_smells(args.code_model, data, _ruleset(args))
     with _publishing(args.out) as staging:
         write_occurrences(args.version_id, occurrences, staging, formats)
     _say(f"{args.version_id}: {len(occurrences)} occurrences -> {args.out}")
@@ -193,14 +193,12 @@ def cmd_gate(args) -> int:
         series = density_series(history)  # two points, so a flag is the latest transition's
         latest = series[-1]
         flags = flag_anomalies(series, thresholds)
-        increases = [f for f in flags if f.kind.startswith("increase")]
-        verdict = "FAIL" if increases else "ok"
+        failing = any(f.kind in GATE_FAILING_KINDS for f in flags)
         _say(
             f"{history.app_name} {latest.version_id}: delta_rho={fmt_rate(latest.delta_rho)} "
-            f"[{verdict}]" + "".join(f" {f.kind}" for f in flags)
+            f"[{'FAIL' if failing else 'ok'}]" + "".join(f" {f.kind}" for f in flags)
         )
-        if increases:
-            failed = True
+        failed = failed or failing
     return EXIT_GATE_FAILED if failed else EXIT_OK
 
 

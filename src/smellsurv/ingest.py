@@ -25,8 +25,7 @@ from .rules import (
     Occurrence,
     SmellRule,
     _RULE_ORDER,
-    evaluate_rules,
-    load_code_model,
+    detect_smells,
     normalize_path,
 )
 from .tracking import InstanceKey, assign_keys
@@ -324,7 +323,7 @@ def _snapshot_from_row(
         if suffix == ".xml" or suffix != ".json" and data.removeprefix(b"\xef\xbb\xbf").lstrip()[:1] == b"<":
             occurrences = parse_pmd_report(data, strip_prefix, names).occurrences
         else:
-            occurrences = evaluate_rules(load_code_model(path, data, strip_prefix), rules)
+            occurrences = detect_smells(path, data, rules, strip_prefix)
     except ReportParseError as exc:  # only the PMD parser raises one
         raise ReportParseError(f"PMD report {path}: {exc}", row=entry.row, byte_offset=exc.byte_offset) from exc
     except SmellSurvError as exc:

@@ -351,6 +351,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
     app_dir = os.path.join(out_dir, bundle.app)
     os.makedirs(app_dir, exist_ok=True)
     comparisons = (bundle.scope, bundle.timeframe)
+    density, flags = _density_table(bundle.series), _flag_table(bundle.flags)  # each formatted once, for every format
     written: list[str] = []
 
     def emit(name: str, chunks: Iterable[str]) -> None:
@@ -362,8 +363,8 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
         _write_with_cut(records, lifelines, _record_table(bundle.app, bundle.records, bundle.split), LIFELINE_COLUMNS)
         written += [records, lifelines]
         emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history)))
-        emit("density.csv", _csv_chunks(_density_table(bundle.series)))
-        emit("anomalies.csv", _csv_chunks(_flag_table(bundle.flags)))
+        emit("density.csv", _csv_chunks(density))
+        emit("anomalies.csv", _csv_chunks(flags))
         emit("km_all.csv", _csv_chunks(_curve_table(bundle.km_all)))
         for c in comparisons:
             emit(f"summary_{c.partition}.csv", _csv_chunks(_summary_table(c)))
@@ -371,13 +372,14 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
             emit(f"logrank_{c.partition}.json", [_json_line(_logrank_json(c))])
 
     if "json" in formats:
+        flag_rows = _json_rows(flags)
         emit("anomalies.json", [_json_text({
             "app": bundle.app,
             "thresholds": bundle.thresholds._asdict(),
-            "density": _json_rows(_density_table(bundle.series)),
-            "flags": _json_rows(_flag_table(bundle.flags)),
+            "density": _json_rows(density),
+            "flags": flag_rows,
         })])
-        emit("bundle.json", [_bundle_json(bundle)])
+        emit("bundle.json", [_bundle_json(bundle, flag_rows)])
 
     if "svg" in formats:
         from . import svgplot  # only a run that draws charts loads it
@@ -393,7 +395,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
     return written
 
 
-def _bundle_json(bundle: AnalysisBundle) -> str:
+def _bundle_json(bundle: AnalysisBundle, flag_rows: list[dict]) -> str:
     history = bundle.history
     doc = {
         "app": bundle.app,
@@ -405,7 +407,7 @@ def _bundle_json(bundle: AnalysisBundle) -> str:
         },
         "records": len(bundle.records),
         "metric_change_rates": {name: json_number(fmt_rate(rate)) for name, rate in bundle.rates.items()},
-        "anomaly_flags": _json_rows(_flag_table(bundle.flags)),
+        "anomaly_flags": flag_rows,
     }
     for c in (bundle.scope, bundle.timeframe):
         doc[c.partition] = {

@@ -127,10 +127,6 @@ class CodeEntity(NamedTuple):
     coupling: int = 0
     children_count: int = 0
 
-    @property
-    def entity_path(self) -> str:
-        return f"{self.parent}/{self.name}" if self.parent else self.name
-
 
 # one rule violation in one version: (rule, file, entity_path)
 Occurrence = tuple[str, str, str]
@@ -167,7 +163,7 @@ def evaluate_rules(
         for field, threshold, order in plan[entity.kind]:
             if entity[field] > threshold:
                 if entity_path is None:
-                    entity_path = entity.entity_path
+                    entity_path = f"{entity.parent}/{entity.name}" if entity.parent else entity.name
                 fired.append((entity.file, entity_path, order))
     fired.sort()
     return [(RULES[order], file, entity_path) for file, entity_path, order in fired]
@@ -223,3 +219,9 @@ def load_code_model(path: str, data: bytes, strip_prefix: str | None = None) -> 
         # CodeEntity(...) without the NamedTuple's Python-level __new__
         entities.append(tuple.__new__(CodeEntity, (kind, name, file, parent or None, *metrics)))
     return entities
+
+
+def detect_smells(path: str, data: bytes, rules: list[SmellRule], strip_prefix: str | None = None) -> list[Occurrence]:
+    """The occurrences of rules in the code model read from path as data, the
+    one way from a code model's bytes to occurrences."""
+    return evaluate_rules(load_code_model(path, data, strip_prefix), rules)

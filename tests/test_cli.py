@@ -28,7 +28,7 @@ from smellsurv.cli import (
     EXIT_OK,
     main,
 )
-from smellsurv import cli, survival
+from smellsurv import cli, report, survival
 from smellsurv.errors import ConfigError, SmellSurvError
 from smellsurv.report import BUNDLE_FILES, _csv_chunks, analyze_history, fmt_rate, write_bundle
 from smellsurv.survival import kaplan_meier
@@ -312,6 +312,23 @@ def test_write_bundle_never_holds_a_charts_whole_text(tmp_path):
     assert peak < 2 * (tmp_path / "synthetic" / "lifelines.svg").stat().st_size
 
 
+def test_write_bundle_formats_the_density_and_flag_tables_once(tmp_path, monkeypatch):
+    # density.csv and anomalies.json share the density rows; anomalies.csv,
+    # anomalies.json and bundle.json share the flag rows
+    alpha = cli.load_manifests(str(TRIAPP / "manifest.csv"), cli.default_ruleset())[0]
+    bundle = analyze_history(alpha)
+    assert bundle.flags
+    calls = Counter()
+    for name in ("_density_table", "_flag_table"):
+        def counted(rows, name=name, original=getattr(report, name)):
+            calls[name] += 1
+            return original(rows)
+
+        monkeypatch.setattr(report, name, counted)
+    write_bundle(bundle, tmp_path, {"csv", "json", "svg"})
+    assert calls == {"_density_table": 1, "_flag_table": 1}
+
+
 # ---------------------------------------------------------------------------
 # CSV text: RFC 4180 quoting, the same bytes on every supported Python
 # ---------------------------------------------------------------------------
@@ -447,6 +464,41 @@ def test_gate_fails_on_increase(tmp_path, capsys):
     assert main(["gate", "--manifest", str(manifest)]) == EXIT_GATE_FAILED
     out = capsys.readouterr().out
     assert "increase_50" in out and "FAIL" in out
+
+
+# (previous count, latest count, whether the gate fails) for each of (up, up2,
+# down): at up, just inside it, at up2, just inside it, at down, just inside
+# it, and an infinite rise; at constant lloc, delta_rho is the count's change
+GATE_BOUNDARIES = {
+    (0.5, 1.0, -0.5): [(100, 150, True), (100, 149, False), (100, 200, True), (100, 199, True),
+                       (100, 50, False), (100, 51, False), (0, 3, True)],
+    (0.25, 0.75, -0.25): [(100, 125, True), (100, 124, False), (100, 175, True), (100, 174, True),
+                          (100, 75, False), (100, 76, False), (0, 3, True)],
+}
+
+
+@pytest.mark.parametrize("thresholds", list(GATE_BOUNDARIES))
+def test_gate_fails_exactly_on_the_kinds_anomaly_names_failing(tmp_path, capsys, thresholds):
+    from smellsurv.anomaly import GATE_FAILING_KINDS
+    up, up2, down = thresholds
+    rates, kinds = [], []
+    for i, (before, after, fails) in enumerate(GATE_BOUNDARIES[thresholds]):
+        (tmp_path / str(i)).mkdir()
+        manifest = gate_manifest(tmp_path / str(i), [before, after], [10_000, 10_000])
+        code = main(["gate", "--manifest", str(manifest), f"--up={up}", f"--up2={up2}", f"--down={down}"])
+        head, _, tail = capsys.readouterr().out.partition("]")
+        assert head.endswith("[FAIL" if fails else "[ok")
+        assert code == (EXIT_GATE_FAILED if fails else EXIT_OK)
+        assert fails == any(kind in GATE_FAILING_KINDS for kind in tail.split())
+        rates.append(head.partition("delta_rho=")[2].split()[0])
+        kinds.append(tail.split())
+    assert rates[0::2] == [fmt_rate(up), fmt_rate(up2), fmt_rate(down), "inf"]
+    at_up, inside_up, at_up2, inside_up2, at_down, inside_down, infinite = kinds
+    assert inside_up == inside_down == [] and inside_up2 == at_up and infinite == at_up2
+    # the kinds a gate prints are the failing ones and one decrease, so a
+    # renamed kind cannot leave a gate that never fails
+    assert {*at_up, *at_up2} == GATE_FAILING_KINDS and len(at_up + at_up2) == 2
+    assert len(at_down) == 1 and at_down[0] not in GATE_FAILING_KINDS
 
 
 def test_gate_triapp_passes():
@@ -1086,6 +1138,24 @@ def test_non_utf8_rules_file_is_a_config_error_naming_it(tmp_path, capsys, comma
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError"
     assert str(rules) in record["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect", "gate"])
+def test_a_bad_rules_file_is_named_before_an_undecodable_code_model(tmp_path, capsys, command):
+    # every command decodes its rules before any code model, so detect agrees with analyze and gate
+    rules = tmp_path / "rules.json"
+    rules.write_text('{"NoSuchRule": 1}')
+    manifest = write_rows(tmp_path, four_version_rows(tmp_path))
+    for i in range(4):
+        (tmp_path / f"m{i}.json").write_text("not JSON")
+    args = {
+        "analyze": ["--manifest", str(manifest), "--out", str(tmp_path / "out")],
+        "detect": ["--code-model", str(tmp_path / "m0.json"), "--version-id", "1", "--out", str(tmp_path / "out")],
+        "gate": ["--manifest", str(manifest)],
+    }[command]
+    assert main([command, *args, "--rules", str(rules)]) == EXIT_ERROR
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "ConfigError", "message": f"rules file {rules}: unknown rule id 'NoSuchRule'"}
 
 
 @pytest.mark.parametrize("command", ["detect", "gate"])

@@ -638,8 +638,8 @@ def test_every_report_is_checked_once_and_read_once_by_ingest(tmp_path, monkeypa
 
     recording(smellsurv.ingest)
     recording(smellsurv.rules)
-    decode = smellsurv.ingest.load_code_model
-    monkeypatch.setattr(smellsurv.ingest, "load_code_model", load_code_model)
+    decode = smellsurv.rules.load_code_model
+    monkeypatch.setattr(smellsurv.rules, "load_code_model", load_code_model)
     (tmp_path / name).write_text(
         json.dumps([{"kind": "method", "name": "m", "file": "a.php", "parent": "A", "loc": 150}])
         if flavor == "model"
