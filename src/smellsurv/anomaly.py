@@ -13,7 +13,7 @@ import math
 from datetime import datetime
 from typing import NamedTuple
 
-from .ingest import History, SizeMetrics
+from .tracking import History, SizeMetrics
 
 
 def change_rate(prev: float, cur: float) -> float:

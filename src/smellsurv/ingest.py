@@ -28,7 +28,7 @@ from .rules import (
     detect_smells,
     normalize_path,
 )
-from .tracking import InstanceKey, assign_keys
+from .tracking import History, SizeMetrics, VersionSnapshot, assign_keys
 
 MANIFEST_COLUMNS = ("app", "version", "timestamp", "report_path", "lloc")
 MANIFEST_OPTIONAL_COLUMNS = ("loc", "classes")
@@ -63,28 +63,6 @@ def parse_timestamp(text: str) -> datetime:
     if moment.tzinfo is None:
         return moment.replace(tzinfo=timezone.utc)
     return moment.astimezone(timezone.utc)
-
-
-class SizeMetrics(NamedTuple):
-    lloc: int
-    loc: int | None = None
-    classes: int | None = None
-
-
-class VersionSnapshot(NamedTuple):
-    """One version: the instance key of each occurrence in its report."""
-
-    version_id: str
-    timestamp: datetime
-    keys: tuple[InstanceKey, ...]
-    size: SizeMetrics
-
-
-class History(NamedTuple):
-    """Snapshots of one application, ordered by strictly increasing timestamp."""
-
-    app_name: str
-    snapshots: tuple[VersionSnapshot, ...]
 
 
 class PmdParseResult(NamedTuple):

@@ -23,7 +23,6 @@ from .anomaly import (
     flag_anomalies,
     metric_change_rates,
 )
-from .ingest import History
 from .rules import RULES, Occurrence, scope_of
 from .survival import (
     GroupComparison,
@@ -33,9 +32,11 @@ from .survival import (
     kaplan_meier,
 )
 from .tracking import (
+    History,
     SurvivalRecord,
     TrackingOptions,
     _days_between,
+    assign_scopes,
     assign_timeframes,
     build_survival_records,
     split_instant,
@@ -119,14 +120,9 @@ def _csv_chunks(table: Table, size: int = 512) -> Iterator[str]:
         yield text
 
 
-def _json_text(doc) -> str:
+def _json_text(doc, indent: int | None = 2) -> str:
     import json
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _json_line(doc) -> str:
-    import json
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -189,15 +185,10 @@ RECORDS_HEADER = [
 LIFELINE_COLUMNS = ["rule", "key", "first_date", "end_date"]
 
 
-def _record_table(app: str, records: list[SurvivalRecord], split: datetime) -> Table:
-    dates = {None: ""}  # each distinct date formatted once
-    for r in records:
-        for date in (r.first_date, r.end_date):
-            if date not in dates:
-                dates[date] = date.isoformat()
+def _record_table(bundle: AnalysisBundle, dates: dict) -> Table:
     rows = (
         [
-            app,
+            bundle.app,
             r.key.rule,
             scope_of(r.key.rule),
             f"{r.key.file}::{r.key.entity_path}::{r.key.ordinal}",
@@ -207,9 +198,9 @@ def _record_table(app: str, records: list[SurvivalRecord], split: datetime) -> T
             dates[r.end_date],
             str(r.censored),
             fmt_days(r.duration_days),
-            timeframe_of(r.first_date, split),
+            timeframe_of(r.first_date, bundle.split),
         ]
-        for r in records
+        for r in bundle.records
     )
     return RECORDS_HEADER, rows
 
@@ -269,17 +260,17 @@ def _logrank_json(comparison: GroupComparison):
 # per-version tables
 # ---------------------------------------------------------------------------
 
-def _counts_by_rule_table(history: History) -> Table:
-    counted = ((s.version_id, s.timestamp.isoformat(), Counter([k.rule for k in s.keys])) for s in history.snapshots)
+def _counts_by_rule_table(history: History, dates: dict) -> Table:
+    counted = ((s.version_id, dates[s.timestamp], Counter([k.rule for k in s.keys])) for s in history.snapshots)
     rows = ([version, stamp, rule, str(counts[rule])] for version, stamp, counts in counted for rule in RULES)
     return ["version", "timestamp", "rule", "count"], rows
 
 
-def _density_table(series: list[DensityPoint]) -> Table:
+def _density_table(series: list[DensityPoint], dates: dict) -> Table:
     rows = [
         [
             p.version_id,
-            p.timestamp.isoformat(),
+            dates[p.timestamp],
             str(p.cs_count),
             str(p.lloc),
             fmt_rate(p.rho),
@@ -327,10 +318,7 @@ def analyze_history(
 ) -> AnalysisBundle:
     records = build_survival_records(history, options)
     split = split_instant(history)
-    # the scopes in rule order, so the first rule's is log-rank's group A
-    scope: dict[str, list[tuple[float, bool]]] = {scope_of(rule): [] for rule in RULES}
-    for r in records:
-        scope[scope_of(r.key.rule)].append((r.duration_days, r.end_date is not None))
+    scope = assign_scopes(records)
     series = density_series(history)
     return AnalysisBundle(
         history=history,
@@ -351,7 +339,9 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
     app_dir = os.path.join(out_dir, bundle.app)
     os.makedirs(app_dir, exist_ok=True)
     comparisons = (bundle.scope, bundle.timeframe)
-    density, flags = _density_table(bundle.series), _flag_table(bundle.flags)  # each formatted once, for every format
+    # each formatted once, for every format; a date is a version's timestamp, or None for a record still open
+    dates = {s.timestamp: s.timestamp.isoformat() for s in bundle.history.snapshots} | {None: ""}
+    density, flags = _density_table(bundle.series, dates), _flag_table(bundle.flags)
     written: list[str] = []
 
     def emit(name: str, chunks: Iterable[str]) -> None:
@@ -360,16 +350,16 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
 
     if "csv" in formats:
         records, lifelines = os.path.join(app_dir, "records.csv"), os.path.join(app_dir, "lifelines.csv")
-        _write_with_cut(records, lifelines, _record_table(bundle.app, bundle.records, bundle.split), LIFELINE_COLUMNS)
+        _write_with_cut(records, lifelines, _record_table(bundle, dates), LIFELINE_COLUMNS)
         written += [records, lifelines]
-        emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history)))
+        emit("counts_by_rule.csv", _csv_chunks(_counts_by_rule_table(bundle.history, dates)))
         emit("density.csv", _csv_chunks(density))
         emit("anomalies.csv", _csv_chunks(flags))
         emit("km_all.csv", _csv_chunks(_curve_table(bundle.km_all)))
         for c in comparisons:
             emit(f"summary_{c.partition}.csv", _csv_chunks(_summary_table(c)))
             emit(f"km_{c.partition}.csv", _csv_chunks(_grouped_curve_table(c)))
-            emit(f"logrank_{c.partition}.json", [_json_line(_logrank_json(c))])
+            emit(f"logrank_{c.partition}.json", [_json_text(_logrank_json(c), indent=None)])
 
     if "json" in formats:
         flag_rows = _json_rows(flags)
@@ -387,7 +377,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir: str, formats: set[str]) -> lis
             emit(f"km_{c.partition}.svg", svgplot.step_chart(c.curves, f"{bundle.app}: survival by {c.partition}"))
         origin = bundle.history.snapshots[0].timestamp
         starts = ((_days_between(origin, r.first_date), r) for r in bundle.records)
-        segments = sorted((start, start + r.duration_days, r.end_date is None) for start, r in starts)
+        segments = sorted((start, start + r.duration_days, not r.censored) for start, r in starts)
         emit("lifelines.svg", svgplot.lifeline_chart(segments, f"{bundle.app}: smell lifelines"))
         rates = [p.delta_rho for p in bundle.series]
         emit("density.svg", svgplot.threshold_chart(rates, bundle.thresholds, f"{bundle.app}: smell density change"))

@@ -1,4 +1,5 @@
-"""Keying each version, and turning per-version key sets into survival records.
+"""The version model (a History of VersionSnapshots, each holding the keys
+of its report's occurrences), and turning its key sets into survival records.
 
 An instance is identified by (rule, file, entity path, ordinal); the ordinal
 separates multiple same-rule occurrences in one entity and is assigned by
@@ -13,18 +14,16 @@ otherwise; a run's end is read off its last index once all are read.
 Lifetime bookkeeping follows the removal convention: censored=1 means the
 instance disappeared (the event was observed, dated at the first version
 where it is absent), censored=0 means it is still present in the final
-snapshot. The statistics read an observed event as end_date being set.
+snapshot. An event is end_date being set, read here alone: the statistics get
+(duration, event observed) pairs from assign_scopes and assign_timeframes.
 """
 
 from __future__ import annotations
 
 from datetime import datetime
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .rules import Occurrence, _RULE_ORDER
-
-if TYPE_CHECKING:  # ingest imports this module to key each report
-    from .ingest import History
+from .rules import RULES, Occurrence, _RULE_ORDER, scope_of
 
 
 class InstanceKey(NamedTuple):
@@ -32,6 +31,28 @@ class InstanceKey(NamedTuple):
     file: str
     entity_path: str
     ordinal: int
+
+
+class SizeMetrics(NamedTuple):
+    lloc: int
+    loc: int | None = None
+    classes: int | None = None
+
+
+class VersionSnapshot(NamedTuple):
+    """One version: the instance key of each occurrence in its report."""
+
+    version_id: str
+    timestamp: datetime
+    keys: tuple[InstanceKey, ...]
+    size: SizeMetrics
+
+
+class History(NamedTuple):
+    """Snapshots of one application, ordered by strictly increasing timestamp."""
+
+    app_name: str
+    snapshots: tuple[VersionSnapshot, ...]
 
 
 class TrackingOptions(NamedTuple):
@@ -191,6 +212,16 @@ def build_survival_records(
 
     records.sort(key=lambda r: (r.key.file, r.key.entity_path, _RULE_ORDER[r.key.rule], r.key.ordinal, r.first_date))
     return records
+
+
+def assign_scopes(records: list[SurvivalRecord]) -> dict[str, list[tuple[float, bool]]]:
+    """Each record's (duration, event observed) pair under its rule's scope,
+    in input order; the scopes come in rule order, so the first rule's is
+    log-rank's group A."""
+    scopes: dict[str, list[tuple[float, bool]]] = {scope_of(rule): [] for rule in RULES}
+    for r in records:
+        scopes[scope_of(r.key.rule)].append((r.duration_days, r.end_date is not None))
+    return scopes
 
 
 def timeframe_of(first_date: datetime, split: datetime) -> str:

@@ -320,9 +320,9 @@ def test_write_bundle_formats_the_density_and_flag_tables_once(tmp_path, monkeyp
     assert bundle.flags
     calls = Counter()
     for name in ("_density_table", "_flag_table"):
-        def counted(rows, name=name, original=getattr(report, name)):
+        def counted(*args, name=name, original=getattr(report, name)):
             calls[name] += 1
-            return original(rows)
+            return original(*args)
 
         monkeypatch.setattr(report, name, counted)
     write_bundle(bundle, tmp_path, {"csv", "json", "svg"})
@@ -546,6 +546,25 @@ def test_analyze_and_gate_leave_no_cycle_of_smellsurv_code(tmp_path, capsys):
 def test_gate_single_version_is_insufficient(tmp_path):
     manifest = gate_manifest(tmp_path, [10], [10_000])
     assert main(["gate", "--manifest", str(manifest)]) == EXIT_INSUFFICIENT_HISTORY
+
+
+# each command that succeeds, as a verdict or a short history, writes nothing to stderr
+QUIET_RUNS = {
+    "detect": (lambda d: ["detect", "--code-model", str(TRIAPP / "models" / "beta-1.0.json"), "--version-id", "1.0",
+                          "--out", str(d / "out")], EXIT_OK),
+    "analyze": (lambda d: ["analyze", "--manifest", str(TRIAPP / "manifest.csv"), "--formats", "csv,json,svg",
+                           "--out", str(d / "out")], EXIT_OK),
+    "gate-pass": (lambda d: ["gate", "--manifest", str(gate_manifest(d, [10, 11], [10_000, 10_500]))], EXIT_OK),
+    "gate-fail": (lambda d: ["gate", "--manifest", str(gate_manifest(d, [10, 17], [10_000, 10_000]))], EXIT_GATE_FAILED),
+    "gate-short": (lambda d: ["gate", "--manifest", str(gate_manifest(d, [10], [10_000]))], EXIT_INSUFFICIENT_HISTORY),
+}
+
+
+@pytest.mark.parametrize("run", list(QUIET_RUNS))
+def test_a_successful_run_writes_nothing_to_stderr(tmp_path, capsys, run):
+    args, code = QUIET_RUNS[run]
+    assert main(args(tmp_path)) == code
+    assert capsys.readouterr().err == ""
 
 
 def test_gate_respects_custom_thresholds(tmp_path):

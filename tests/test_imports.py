@@ -7,7 +7,9 @@ bound by an import at module level (including under a module-level ``if`` or
 variable defined at module level in src/ must be read somewhere in src/.
 
 A fact that two modules need has one owner: only rules.py names a scope,
-and only tracking.py compares a record's birth with the timeframe split.
+and only tracking.py compares a record's birth with the timeframe split or
+reads an event off its end_date. No module imports one that imports it back,
+at any depth, so no import hides a cycle behind TYPE_CHECKING or a function.
 
 Every command pays for what the CLI imports, so the heavy modules it does not
 need are pinned out of it too. The pins cover each command's run, not only
@@ -225,6 +227,75 @@ def test_the_check_finds_a_smellsurv_import():
     assert smellsurv_imports(source) == ["smellsurv.rules", ".", ".tracking", "smellsurv"]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The smellsurv modules that source imports, at any depth, as
+    smellsurv_imports finds them, each by its name in the package:
+    ``from . import svgplot`` names svgplot, and ``import smellsurv`` the
+    package's ``__init__``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "smellsurv"):
+            module = (node.module or "").removeprefix("smellsurv").lstrip(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names = (alias.name for alias in node.names if alias.name.partition(".")[0] == "smellsurv")
+            found.update(name.removeprefix("smellsurv").lstrip(".") or "__init__" for name in names)
+    return found
+
+
+def import_cycles(sources: dict[str, str]) -> list[str]:
+    """Each module of a smellsurv package that its own imports lead back to,
+    as the shortest chain "a → b → a"; sources maps each module's name in the
+    package to its source. A name imported from the package that is no module
+    there reads as its ``__init__``."""
+    graph = {
+        module: {name if name in sources else "__init__" for name in imported_modules(source)}
+        for module, source in sources.items()
+    }
+    cycles = []
+    for start in sorted(graph):
+        chains, seen = [[start]], {start}
+        while chains:  # breadth first, so the first chain back is a shortest one
+            chain = chains.pop(0)
+            ahead = sorted(graph[chain[-1]])
+            if start in ahead:
+                cycles.append(" → ".join(chain + [start]))
+                break
+            for module in ahead:
+                if module not in seen:
+                    seen.add(module)
+                    chains.append(chain + [module])
+    return cycles
+
+
+def test_no_smellsurv_module_imports_one_that_imports_it_back():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in (ROOT / "src" / "smellsurv").glob("*.py")}
+    assert import_cycles(sources) == []
+
+
+def test_the_check_finds_an_import_cycle():
+    sources = {
+        "__init__": "",
+        "a": "from .b import x\n",
+        "b": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .c import y\n",
+        "c": "def f():\n    from smellsurv.a import z\n",
+        "d": "from . import a\nimport smellsurv.e\n",
+        "e": "from smellsurv import d\n",
+    }
+    assert import_cycles(sources) == ["a → b → c → a", "b → c → a → b", "c → a → b → c", "d → e → d", "e → d → e"]
+    sources.update({"a": "", "d": "from . import default_ruleset\n"})
+    assert import_cycles(sources) == []
+    sources["__init__"] = "import smellsurv.d\n"
+    assert import_cycles(sources) == ["__init__ → d → __init__", "d → __init__ → d"]
+
+
+def test_only_cli_imports_ingest():
+    # ingest loads the version model that tracking owns; the layers after it read
+    # that model, not the loader
+    found = sorted(module for module, source in read_sources("src").items() if "ingest" in imported_modules(source))
+    assert found == ["src/smellsurv/cli.py"]
+
+
 def files_naming(sources: dict[str, str], texts: set[str]) -> list[str]:
     """The sources that hold one of texts as a whole string literal."""
     return sorted(
@@ -248,14 +319,16 @@ def test_the_check_finds_a_string_literal():
     assert files_naming(sources, {"localized", "scattered"}) == ["a.py", "c.py"]
 
 
+def operand_name(node: ast.expr) -> str | None:
+    """An operand's name, read as a name or an attribute."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
 def split_comparisons(source: str) -> list[int]:
     """The lines of source that compare a first_date with a split, each read
     as a name or an attribute."""
-    def name(node):
-        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-
     compares = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare))
-    return [node.lineno for node in compares if {"first_date", "split"} <= {name(n) for n in (node.left, *node.comparators)}]
+    return [node.lineno for node in compares if {"first_date", "split"} <= {operand_name(n) for n in (node.left, *node.comparators)}]
 
 
 def test_only_tracking_compares_a_birth_with_the_split():
@@ -270,6 +343,32 @@ def test_the_check_finds_a_split_comparison():
         "d = 0 < first_date <= split\ne = first_date < other_split\n"
     )
     assert split_comparisons(source) == [1, 2, 4]
+
+
+def end_date_checks(source: str) -> list[int]:
+    """The lines of source that compare an end_date, read as a name or an
+    attribute, with None."""
+    compares = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare))
+    operands = ((node.lineno, (node.left, *node.comparators)) for node in compares)
+    return [
+        line
+        for line, nodes in operands
+        if "end_date" in map(operand_name, nodes) and any(isinstance(n, ast.Constant) and n.value is None for n in nodes)
+    ]
+
+
+def test_only_tracking_reads_an_event_off_end_date():
+    # "an event is a set end_date" is written in tracking; every other module reads r.censored
+    found = [module for module, source in sorted(read_sources("src").items()) if end_date_checks(source)]
+    assert found == ["src/smellsurv/tracking.py"]
+
+
+def test_the_check_finds_an_end_date_check():
+    source = (
+        "a = r.end_date is None\nb = None != end_date\nc = r.end_date < split\n"
+        "d = r.first_date is None\ne = (r.end_date is not None)\n"
+    )
+    assert end_date_checks(source) == [1, 2, 5]
 
 
 def modules_after(tmp_path: Path, *args: str) -> set[str]:
